@@ -108,19 +108,20 @@ def free_space_path_loss(range_km, freq_mhz):
 
     Parameters
     ----------
-    range_km : float
+    range_km : float or (n,) array
         Slant range [km].
     freq_mhz : float
         Carrier frequency [MHz].
     """
-    if range_km <= 0.0 or freq_mhz <= 0.0:
+    if np.any(np.asarray(range_km) <= 0.0) or freq_mhz <= 0.0:
         raise ValueError("range and frequency must be positive")
     wavelength = SPEED_OF_LIGHT / (freq_mhz * 1e6)
-    return -20.0 * math.log10(4.0 * math.pi * range_km * 1e3 / wavelength)
+    return -20.0 * np.log10(4.0 * math.pi * range_km * 1e3 / wavelength)
 
 
-def carrier_to_noise(budget: LinkBudget) -> float:
-    """Carrier-to-noise density ratio C/N0 [dB-Hz]."""
+def carrier_to_noise(budget: LinkBudget):
+    """Carrier-to-noise density ratio C/N0 [dB-Hz]; an array
+    ``budget.slant_range`` gives one ratio per range."""
     return budget.carrier_power - budget.noise_spectral_density
 
 
@@ -145,10 +146,10 @@ def dll_thermal_sigma(c_n0_dbhz, chip_length=CA_CHIP_LENGTH,
                       bandwidth=DLL_BANDWIDTH, spacing=DLL_CORRELATOR_SPACING,
                       t_int=COHERENT_INTEGRATION):
     """Coherent early-late DLL thermal noise (floor-free component) [m]."""
-    cn0 = 10.0 ** (c_n0_dbhz / 10.0)
+    cn0 = 10.0 ** (np.asarray(c_n0_dbhz) / 10.0)
     var = (chip_length ** 2) * (spacing * bandwidth / (2.0 * cn0)) \
         * (1.0 + 2.0 / ((2.0 - spacing) * t_int * cn0))
-    return math.sqrt(var)
+    return np.sqrt(var)
 
 
 def pll_thermal_sigma(c_n0_dbhz, wavelength=L1_WAVELENGTH,
@@ -161,10 +162,10 @@ def pll_thermal_sigma(c_n0_dbhz, wavelength=L1_WAVELENGTH,
     """
     if bandwidth is None:
         bandwidth = 15.0
-    cn0 = 10.0 ** (c_n0_dbhz / 10.0)
+    cn0 = 10.0 ** (np.asarray(c_n0_dbhz) / 10.0)
     var = (wavelength / (2.0 * math.pi)) ** 2 * (bandwidth / cn0) \
         * (1.0 + 1.0 / (2.0 * t_int * cn0))
-    return math.sqrt(var)
+    return np.sqrt(var)
 
 
 def _noise_floors(pll_bw):
@@ -184,18 +185,21 @@ def thermal_noise_sigmas(c_n0_dbhz, pll_bw=15.0, wavelength=L1_WAVELENGTH,
 
     Root-sum-square of a fixed receiver noise floor (calibrated once at the
     45 dB-Hz anchor) with the C/N0-dependent tracking-loop thermal noise.
+    An (n,) array of ratios gives (n,) sigmas; select the locked signals
+    first with ``c_n0 >= threshold``.
 
     Raises
     ------
     LossOfLockError
-        If ``c_n0_dbhz`` is below the tracking threshold.
+        If any ``c_n0_dbhz`` is below the tracking threshold.
     """
-    if c_n0_dbhz < threshold:
+    if np.any(np.asarray(c_n0_dbhz) < threshold):
+        worst = float(np.min(c_n0_dbhz))
         raise LossOfLockError(
-            f"C/N0 {c_n0_dbhz:.2f} dB-Hz below threshold {threshold:.2f}")
+            f"C/N0 {worst:.2f} dB-Hz below threshold {threshold:.2f}")
     floor_code, floor_phase = _noise_floors(pll_bw)
-    sigma_code = math.hypot(floor_code, dll_thermal_sigma(c_n0_dbhz))
-    sigma_phase = math.hypot(
+    sigma_code = np.hypot(floor_code, dll_thermal_sigma(c_n0_dbhz))
+    sigma_phase = np.hypot(
         floor_phase, pll_thermal_sigma(c_n0_dbhz, wavelength, pll_bw))
     return sigma_code, sigma_phase
 
@@ -235,7 +239,7 @@ class MultipathParams:
 
 def multipath_near(amplitude, elevation_q):
     """Near-field term: local-appendage shadowing, elevation-dependent [m]."""
-    c = math.cos(elevation_q)
+    c = np.cos(elevation_q)
     return amplitude * c * c
 
 
@@ -251,12 +255,13 @@ def multipath_far(amplitude, size_factor, target_range, target_az, target_el,
     da = query_az - target_az
     de = query_el - target_el
     peak = amplitude / (amplitude * target_range + 1.0) ** 2
-    return peak * math.exp(-(target_range / size_factor) * (da * da + de * de))
+    return peak * np.exp(-(target_range / size_factor) * (da * da + de * de))
 
 
 def multipath_sigma(params: MultipathParams, query_az, query_el, kind="phase"):
     """Total multipath standard deviation for a signal arriving from the
-    queried direction [m]: near-field plus far-field terms."""
+    queried direction [m]: near-field plus far-field terms.  Array
+    directions give one sigma each."""
     a = params.amplitude(kind)
     near = multipath_near(a, query_el)
     far = multipath_far(a, params.size_factor, params.target_range,
@@ -284,16 +289,23 @@ def multipath_map_rows(params: MultipathParams, kind="phase", n_az=73, n_el=37):
 # ---------------------------------------------------------------------------
 
 def clock_random_walk(state, dt, rng, sigma_per_sqrt_s=1.0):
-    """Advance a receiver clock error state [m] by one random-walk step.
+    """Advance a receiver clock error state [m] by one random-walk step, or
+    by one step per entry of an array ``dt`` (returning every new state).
 
     The increment standard deviation is ``sigma * sqrt(dt)`` so the variance
-    grows linearly with elapsed time.
+    grows linearly with elapsed time.  A step array draws its increments in
+    one call and sums them in order, so it yields exactly the states of the
+    same steps taken one call at a time.
     """
-    if dt <= 0.0:
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
     if sigma_per_sqrt_s == 0.0:
-        return state
-    return state + rng.normal(scale=sigma_per_sqrt_s * math.sqrt(dt))
+        return state if dt.ndim == 0 else np.full(dt.shape, float(state))
+    steps = rng.normal(scale=sigma_per_sqrt_s * np.sqrt(dt))
+    if dt.ndim == 0:
+        return state + steps
+    return np.add.accumulate(np.concatenate(([state], steps)))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -318,53 +330,51 @@ def klobuchar_delay(receiver_pos, los, time_of_day,
     treated as Earth-fixed for the latitude/longitude extraction (adequate
     for an error model whose differential contribution cancels downstream).
 
+    ``receiver_pos`` and ``los`` may hold stacked (n, 3) rows (they
+    broadcast against each other); the result then has shape (n,).
+
     Returns a nonnegative delay; apply as +delay on code, -delay on carrier.
     """
     r = np.asarray(receiver_pos, dtype=float)
     u = np.asarray(los, dtype=float)
-    u = u / np.linalg.norm(u)
-    rn = np.linalg.norm(r)
-    if rn == 0.0:
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    rn = np.linalg.norm(r, axis=-1, keepdims=True)
+    if np.any(rn == 0.0):
         raise ValueError("receiver position must be nonzero")
     up = r / rn
     # Elevation of the line of sight above the local horizon.
-    elev = math.asin(max(-1.0, min(1.0, float(up @ u))))
+    elev = np.arcsin(np.clip(np.sum(up * u, axis=-1), -1.0, 1.0))
     elev_sc = elev * _SC
-    # Local east/north axes for the azimuth of the ray.
+    # Local east/north axes for the azimuth of the ray; at a pole any
+    # horizontal axis will do.
     east = np.cross([0.0, 0.0, 1.0], up)
-    en = np.linalg.norm(east)
-    if en < 1e-12:
-        east = np.array([1.0, 0.0, 0.0])
-    else:
-        east = east / en
+    en = np.linalg.norm(east, axis=-1, keepdims=True)
+    east = np.where(en < 1e-12, [1.0, 0.0, 0.0],
+                    east / np.where(en < 1e-12, 1.0, en))
     north = np.cross(up, east)
-    azim = math.atan2(float(u @ east), float(u @ north))
+    azim = np.arctan2(np.sum(u * east, axis=-1), np.sum(u * north, axis=-1))
 
-    lat_sc = math.asin(max(-1.0, min(1.0, up[2]))) * _SC
-    lon_sc = math.atan2(r[1], r[0]) * _SC
+    lat_sc = np.arcsin(np.clip(up[..., 2], -1.0, 1.0)) * _SC
+    lon_sc = np.arctan2(r[..., 1], r[..., 0]) * _SC
 
     # Earth-centered angle to the pierce point, then its coordinates.
     psi = 0.0137 / (elev_sc + 0.11) - 0.022
-    phi_i = lat_sc + psi * math.cos(azim)
-    phi_i = max(-0.416, min(0.416, phi_i))
-    lam_i = lon_sc + psi * math.sin(azim) / math.cos(phi_i * math.pi)
-    phi_m = phi_i + 0.064 * math.cos((lam_i - 1.617) * math.pi)
+    phi_i = np.clip(lat_sc + psi * np.cos(azim), -0.416, 0.416)
+    lam_i = lon_sc + psi * np.sin(azim) / np.cos(phi_i * math.pi)
+    phi_m = phi_i + 0.064 * np.cos((lam_i - 1.617) * math.pi)
 
-    t = 4.32e4 * lam_i + time_of_day
-    t = t % 86400.0
+    t = (4.32e4 * lam_i + time_of_day) % 86400.0
 
     amp = sum(a * phi_m ** n for n, a in enumerate(alpha))
     per = sum(b * phi_m ** n for n, b in enumerate(beta))
-    amp = max(amp, 0.0)
-    per = max(per, 72_000.0)
+    amp = np.maximum(amp, 0.0)
+    per = np.maximum(per, 72_000.0)
 
     x = 2.0 * math.pi * (t - 50_400.0) / per
     obliquity = 1.0 + 16.0 * (0.53 - elev_sc) ** 3
-    if abs(x) < 1.57:
-        t_iono = obliquity * (5.0e-9 + amp * (1.0 - x * x / 2.0 + x ** 4 / 24.0))
-    else:
-        t_iono = obliquity * 5.0e-9
-    return SPEED_OF_LIGHT * t_iono
+    bump = np.where(np.abs(x) < 1.57,
+                    amp * (1.0 - x * x / 2.0 + x ** 4 / 24.0), 0.0)
+    return SPEED_OF_LIGHT * (obliquity * (5.0e-9 + bump))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +388,8 @@ class RoeError:
     ``offsets`` is (da, dlambda, dex, dey, dix, diy) — dimensionless
     semimajor-axis fraction, along-track shift, eccentricity vector, and
     inclination vector deltas.  ``da`` must be zero so the injected error is
-    purely periodic (no along-track drift).
+    purely periodic (no along-track drift).  Stacked (n, 6) offsets give
+    one set per satellite.
     """
 
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(6))
@@ -386,9 +397,9 @@ class RoeError:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
-        if self.offsets.shape != (6,):
-            raise ValueError("offsets must be a 6-vector")
-        if self.offsets[0] != 0.0:
+        if self.offsets.ndim not in (1, 2) or self.offsets.shape[-1] != 6:
+            raise ValueError("offsets must be 6-vectors")
+        if np.any(self.offsets[..., 0] != 0.0):
             raise ValueError("semimajor-axis offset must be zero (no drift)")
 
 
@@ -398,14 +409,18 @@ def roe_to_rtn(offsets, semimajor_axis, arg_latitude):
     Radial:      a (da - dex cos u - dey sin u)
     Transverse:  a (-1.5 da u + dl + 2 dex sin u - 2 dey cos u)
     Normal:      a (dix sin u - diy cos u)
+
+    Stacked (n, 6) offsets with (n,) axes and latitudes give (n, 3) rows.
     """
-    da, dl, dex, dey, dix, diy = np.asarray(offsets, dtype=float)
-    u = float(arg_latitude)
-    a = float(semimajor_axis)
-    radial = da - dex * math.cos(u) - dey * math.sin(u)
-    transverse = -1.5 * da * u + dl + 2.0 * dex * math.sin(u) - 2.0 * dey * math.cos(u)
-    normal = dix * math.sin(u) - diy * math.cos(u)
-    return a * np.array([radial, transverse, normal])
+    da, dl, dex, dey, dix, diy = np.moveaxis(
+        np.asarray(offsets, dtype=float), -1, 0)
+    u = np.asarray(arg_latitude, dtype=float)
+    a = np.asarray(semimajor_axis, dtype=float)
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    radial = da - dex * cos_u - dey * sin_u
+    transverse = -1.5 * da * u + dl + 2.0 * dex * sin_u - 2.0 * dey * cos_u
+    normal = dix * sin_u - diy * cos_u
+    return a[..., None] * np.stack([radial, transverse, normal], axis=-1)
 
 
 def calibrate_roe(target_rms, semimajor_axis) -> RoeError:
@@ -413,10 +428,11 @@ def calibrate_roe(target_rms, semimajor_axis) -> RoeError:
     equals ``target_rms``.
 
     With equal weight s on (dl, dex, dey, dix, diy), the mean-square error
-    over one orbit is a^2 s^2 (1 + 2.5*2 + 0.5*2) = 7 a^2 s^2.
+    over one orbit is a^2 s^2 (1 + 2.5*2 + 0.5*2) = 7 a^2 s^2.  An (n,)
+    array of semimajor axes gives stacked (n, 6) offsets.
     """
-    s = target_rms / (semimajor_axis * math.sqrt(7.0))
-    return RoeError(offsets=np.array([0.0, s, s, s, s, s]),
+    s = target_rms / (np.asarray(semimajor_axis, dtype=float) * math.sqrt(7.0))
+    return RoeError(offsets=np.stack([np.zeros_like(s)] + [s] * 5, axis=-1),
                     target_rms=target_rms)
 
 
@@ -425,34 +441,35 @@ def inject_roe_error(position, velocity, roe: RoeError):
 
     The argument of latitude and RTN axes are derived from the true
     position/velocity; the mapped RTN error is rotated into ECI and added.
+    Stacked (n, 3) positions and velocities take stacked (n, 6) offsets
+    (or one set shared by every row) and give (n, 3) rows.
     """
     r = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
-    rn = np.linalg.norm(r)
+    rn = np.linalg.norm(r, axis=-1, keepdims=True)
     h = np.cross(r, v)
-    hn = np.linalg.norm(h)
-    if rn == 0.0 or hn == 0.0:
+    hn = np.linalg.norm(h, axis=-1, keepdims=True)
+    if np.any(rn == 0.0) or np.any(hn == 0.0):
         raise ValueError("degenerate orbit state")
     radial = r / rn
     normal = h / hn
     transverse = np.cross(normal, radial)
-    # Argument of latitude from the ascending node direction.
+    # Argument of latitude from the ascending node direction; an equatorial
+    # orbit measures it from the x axis.
     node = np.cross([0.0, 0.0, 1.0], normal)
-    nn = np.linalg.norm(node)
-    if nn < 1e-12:
-        node = np.array([1.0, 0.0, 0.0])
-    else:
-        node = node / nn
-    cos_u = float(node @ radial)
-    sin_u = float(np.cross(node, radial) @ normal)
-    u = math.atan2(sin_u, cos_u)
+    nn = np.linalg.norm(node, axis=-1, keepdims=True)
+    node = np.where(nn < 1e-12, [1.0, 0.0, 0.0],
+                    node / np.where(nn < 1e-12, 1.0, nn))
+    cos_u = np.sum(node * radial, axis=-1)
+    sin_u = np.sum(np.cross(node, radial) * normal, axis=-1)
+    u = np.arctan2(sin_u, cos_u)
 
     # Semimajor axis from the vis-viva relation (mu from h and r would need
     # more state; near-circular GPS orbits make |r| an adequate proxy).
-    a = rn
-    err_rtn = roe_to_rtn(roe.offsets, a, u)
-    rot = np.column_stack([radial, transverse, normal])
-    return r + rot @ err_rtn
+    a = rn[..., 0]
+    err = roe_to_rtn(roe.offsets, a, u)
+    return r + (radial * err[..., 0:1] + transverse * err[..., 1:2]
+                + normal * err[..., 2:3])
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,8 @@ class IntegerSearchResult:
     ``best``/``second_best`` live in the same space as the distribution that
     was searched (decorrelated space if the distribution carried a non-trivial
     ``z_matrix``).  ``cost_init`` is the cost of the bootstrapped start point.
+    ``budget_exhausted`` is set when a search stopped at its leaf budget
+    with candidates left unvisited, so the result may not be the minimum.
     """
 
     best: np.ndarray
@@ -126,6 +128,7 @@ class IntegerSearchResult:
     discrimination_ratio: float
     accepted_subset_size: int = 0
     degenerate_search: bool = False
+    budget_exhausted: bool = False
 
 
 @dataclass
@@ -617,7 +620,8 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
     must keep its pure covariance-weighted distance below the incumbent's
     total cost, so the search finishes with a conditional-tree enumeration
     over that shrinking ellipsoid, which makes the returned minimum exact
-    (up to a leaf-count safety cap).  With every external observable
+    unless the enumeration hits its leaf-count safety cap (then the result
+    says ``budget_exhausted``).  With every external observable
     disabled the cost reduces to the classical objective and the result
     matches exhaustive enumeration.
 
@@ -692,6 +696,7 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
     diag = dist.diag
     floats = dist.floats
     leaf_budget = 20_000
+    exhausted = False
 
     def consider_total(vec, total):
         nonlocal incumbent, cost_incumbent, runner, cost_runner
@@ -712,19 +717,22 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
     cand = np.zeros(n, dtype=np.int64)
 
     def descend(level, partial_cost, corrections):
-        nonlocal leaf_budget
+        nonlocal leaf_budget, exhausted
         center = floats[level] + corrections[level]
         base = int(round_half_away(center))
         frac = center - base
         toward = 1 if frac >= 0.0 else -1
         rank = 0
-        while leaf_budget > 0:
+        while True:
             step_k = (rank + 1) // 2
             cand_i = base + toward * (step_k if rank % 2 == 1 else -step_k)
             rank += 1
             resid = cand_i - center
             cost_here = partial_cost + resid * resid / diag[level]
             if cost_here > max(cost_runner, cost_incumbent) + 1e-12:
+                break
+            if leaf_budget <= 0:
+                exhausted = True
                 break
             cand[level] = cand_i
             if level == n - 1:
@@ -749,6 +757,7 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
         success_prob=success_rate(dist.diag),
         discrimination_ratio=float(ratio if not degenerate else 1.0),
         degenerate_search=degenerate,
+        budget_exhausted=exhausted,
     )
 
 

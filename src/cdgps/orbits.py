@@ -53,7 +53,8 @@ class DegenerateFrameError(ValueError):
 
 @dataclass
 class OrbitState:
-    """Inertial translational state of one spacecraft."""
+    """Inertial translational state of one spacecraft, or of several as
+    stacked (..., 3) rows."""
 
     position: np.ndarray   # ECI, m
     velocity: np.ndarray   # ECI, m/s
@@ -66,12 +67,12 @@ class OrbitState:
             raise ValueError("state must be finite")
 
     @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.position))
+    def radius(self):
+        return np.linalg.norm(self.position, axis=-1)
 
     @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+    def speed(self):
+        return np.linalg.norm(self.velocity, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +181,18 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
 # ---------------------------------------------------------------------------
 
 def _kepler_solve(mean_anomaly, ecc, tol=1e-12):
-    """Newton iteration for the eccentric anomaly."""
-    m = math.fmod(mean_anomaly, 2.0 * math.pi)
-    e_anom = m if ecc < 0.8 else math.pi
+    """Newton iteration for the eccentric anomaly, elementwise over arrays;
+    each element stops after the step at which its own residual is below
+    ``tol``."""
+    m = np.fmod(mean_anomaly, 2.0 * math.pi)
+    e_anom = np.where(ecc < 0.8, m, math.pi)
+    active = np.ones(np.shape(e_anom), dtype=bool)
     for _ in range(60):
-        f = e_anom - ecc * math.sin(e_anom) - m
-        e_anom -= f / (1.0 - ecc * math.cos(e_anom))
-        if abs(f) < tol:
+        f = e_anom - ecc * np.sin(e_anom) - m
+        e_anom = np.where(active, e_anom - f / (1.0 - ecc * np.cos(e_anom)),
+                          e_anom)
+        active &= ~(np.abs(f) < tol)
+        if not active.any():
             break
     return e_anom
 
@@ -194,29 +200,35 @@ def _kepler_solve(mean_anomaly, ecc, tol=1e-12):
 def kepler_elements_to_state(a, e, inc, raan, argp, mean_anomaly, at_time=0.0,
                              mu=MU_EARTH) -> OrbitState:
     """Two-body state from classical elements at ``at_time`` seconds past
-    the element epoch."""
-    n = math.sqrt(mu / a ** 3)
+    the element epoch.  Array elements of shape (n,) give stacked (n, 3)
+    position and velocity rows."""
+    a, e, inc, raan, argp, mean_anomaly = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (a, e, inc, raan, argp,
+                                               mean_anomaly)))
+    n = np.sqrt(mu / a ** 3)
     m = mean_anomaly + n * at_time
     e_anom = _kepler_solve(m, e)
-    cos_e, sin_e = math.cos(e_anom), math.sin(e_anom)
-    r_mag = a * (1.0 - e * cos_e)
+    cos_e, sin_e = np.cos(e_anom), np.sin(e_anom)
     # Perifocal position/velocity.
     x_p = a * (cos_e - e)
-    y_p = a * math.sqrt(1.0 - e * e) * sin_e
+    y_p = a * np.sqrt(1.0 - e * e) * sin_e
     vx_p = -a * n * sin_e / (1.0 - e * cos_e)
-    vy_p = a * n * math.sqrt(1.0 - e * e) * cos_e / (1.0 - e * cos_e)
+    vy_p = a * n * np.sqrt(1.0 - e * e) * cos_e / (1.0 - e * cos_e)
 
-    cr, sr = math.cos(raan), math.sin(raan)
-    ci, si = math.cos(inc), math.sin(inc)
-    cw, sw = math.cos(argp), math.sin(argp)
-    rot = np.array([
-        [cr * cw - sr * sw * ci, -cr * sw - sr * cw * ci, sr * si],
-        [sr * cw + cr * sw * ci, -sr * sw + cr * cw * ci, -cr * si],
-        [sw * si, cw * si, ci],
-    ])
-    pos = rot @ np.array([x_p, y_p, 0.0])
-    vel = rot @ np.array([vx_p, vy_p, 0.0])
+    cr, sr = np.cos(raan), np.sin(raan)
+    ci, si = np.cos(inc), np.sin(inc)
+    cw, sw = np.cos(argp), np.sin(argp)
+    # First two columns of the perifocal-to-inertial rotation.
+    p_axis = np.stack([cr * cw - sr * sw * ci, sr * cw + cr * sw * ci,
+                       sw * si], axis=-1)
+    q_axis = np.stack([-cr * sw - sr * cw * ci, -sr * sw + cr * cw * ci,
+                       cw * si], axis=-1)
+    pos = p_axis * x_p[..., None] + q_axis * y_p[..., None]
+    vel = p_axis * vx_p[..., None] + q_axis * vy_p[..., None]
     return OrbitState(pos, vel, epoch=at_time)
+
+
+_ELEMENT_KEYS = ("a", "e", "inc", "raan", "argp", "mean_anomaly")
 
 
 @dataclass
@@ -232,10 +244,15 @@ class GpsConstellation:
     sidelobe_halfcone: float = GPS_SIDELOBE_HALFCONE
 
     def state_at(self, sat_index, time) -> OrbitState:
-        el = self.satellites[sat_index]
-        return kepler_elements_to_state(
-            el["a"], el["e"], el["inc"], el["raan"], el["argp"],
-            el["mean_anomaly"], at_time=time)
+        """State of satellite ``sat_index``; a sequence of indices gives
+        stacked (n, 3) position and velocity rows in that order."""
+        if np.ndim(sat_index) == 0:
+            els = self.satellites[sat_index]
+        else:
+            els = {k: [self.satellites[s][k] for s in sat_index]
+                   for k in _ELEMENT_KEYS}
+        return kepler_elements_to_state(*(els[k] for k in _ELEMENT_KEYS),
+                                        at_time=time)
 
     def __len__(self):
         return len(self.satellites)
@@ -287,48 +304,53 @@ def default_constellation() -> GpsConstellation:
 # ---------------------------------------------------------------------------
 
 def _segment_occluded(p0, p1, mask_radius):
-    """True if the p0-p1 segment pierces the masking sphere."""
+    """True where the p0-p1 segment (rows of stacked endpoints) pierces the
+    masking sphere."""
     d = p1 - p0
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.linalg.norm(p0)) < mask_radius
-    t = -float(p0 @ d) / dd
-    t = max(0.0, min(1.0, t))
-    closest = p0 + t * d
-    return float(np.linalg.norm(closest)) < mask_radius
+    dd = np.sum(d * d, axis=-1)
+    t = np.divide(-np.sum(p0 * d, axis=-1), dd, out=np.zeros_like(dd),
+                  where=dd != 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = p0 + t[..., None] * d
+    return np.linalg.norm(closest, axis=-1) < mask_radius
 
 
 def _arrival_direction(los_sensor):
-    """Azimuth/elevation of an arrival direction, tolerant at the y-axis."""
-    x, y, z = los_sensor
-    az = math.asin(max(-1.0, min(1.0, y / float(np.linalg.norm(los_sensor)))))
-    el = math.atan2(x, z) if (x != 0.0 or z != 0.0) else 0.0
+    """Azimuth/elevation of arrival directions (rows), tolerant at the
+    y-axis."""
+    x, y, z = np.moveaxis(los_sensor, -1, 0)
+    az = np.arcsin(np.clip(y / np.linalg.norm(los_sensor, axis=-1), -1.0, 1.0))
+    el = np.where((x != 0.0) | (z != 0.0), np.arctan2(x, z), 0.0)
     return az, el
 
 
 def visibility(receiver: OrbitState, gps: OrbitState,
                constellation: GpsConstellation, mode="mainlobe",
                dcm_eci_to_sensor=None):
-    """Line-of-sight and antenna-cone check for one receiver/GPS pair.
+    """Line-of-sight and antenna-cone check for receiver/GPS pairs.
 
     Parameters
     ----------
     receiver, gps : OrbitState
-        Both at the same epoch.
+        Both at the same epoch.  Either may hold stacked (n, 3) rows (for
+        instance one receiver against every satellite of
+        ``GpsConstellation.state_at(indices, t)``); rows broadcast.
     constellation : GpsConstellation
         Supplies the transmit cone half-angles.
     mode : "mainlobe" | "sidelobe"
         Sidelobe mode accepts any off-boresight angle up to the sidelobe
         half-cone (which contains the mainlobe).
     dcm_eci_to_sensor : ndarray, optional
-        Receiver attitude for expressing the arrival direction; identity if
-        omitted.
+        Receiver attitude for expressing the arrival direction, (3, 3) or
+        stacked (..., 3, 3) like the receiver rows; identity if omitted.
 
     Returns
     -------
     (bool, (azimuth, elevation) or None)
-        Visibility flag and, when visible, the signal arrival direction in
-        the receiver sensor frame [rad].
+        For one pair: the visibility flag and, when visible, the signal
+        arrival direction in the receiver sensor frame [rad].  For stacked
+        rows: a boolean mask and the (azimuth, elevation) arrays of every
+        row, meaningful where the mask is set.
     """
     if mode == "mainlobe":
         halfcone = constellation.mainlobe_halfcone
@@ -337,21 +359,23 @@ def visibility(receiver: OrbitState, gps: OrbitState,
     else:
         raise ValueError(f"unknown visibility mode {mode!r}")
 
+    rpos, gpos = receiver.position, gps.position
     mask_radius = R_EARTH + ATMOSPHERE_MASK_HEIGHT
-    if _segment_occluded(receiver.position, gps.position, mask_radius):
-        return False, None
+    clear = ~_segment_occluded(rpos, gpos, mask_radius)
 
     # Off-boresight angle at the transmitter (boresight = nadir).
-    to_receiver = receiver.position - gps.position
-    boresight = -gps.position
-    cosang = float(to_receiver @ boresight) / (
-        np.linalg.norm(to_receiver) * np.linalg.norm(boresight))
-    off_boresight = math.acos(max(-1.0, min(1.0, cosang)))
-    if off_boresight > halfcone:
-        return False, None
+    to_receiver = rpos - gpos
+    boresight = -gpos
+    range_ = np.linalg.norm(to_receiver, axis=-1)
+    cosang = np.sum(to_receiver * boresight, axis=-1) / (
+        range_ * np.linalg.norm(boresight, axis=-1))
+    off_boresight = np.arccos(np.clip(cosang, -1.0, 1.0))
+    visible = clear & (off_boresight <= halfcone)
 
-    los = gps.position - receiver.position
-    los = los / np.linalg.norm(los)
+    los = -to_receiver / range_[..., None]
     if dcm_eci_to_sensor is not None:
-        los = np.asarray(dcm_eci_to_sensor) @ los
-    return True, _arrival_direction(los)
+        los = (np.asarray(dcm_eci_to_sensor) @ los[..., None])[..., 0]
+    arrival = _arrival_direction(los)
+    if np.ndim(visible) == 0:
+        return bool(visible), (tuple(map(float, arrival)) if visible else None)
+    return visible, arrival

@@ -20,6 +20,29 @@ resolution in a configurable coupling mode:
 
 Everything stochastic draws from named substreams of a single seed, so a
 run is bit-reproducible: same config in, same report bytes out.
+
+Synthesis evaluates each GPS epoch as one array pass over every
+(satellite, receiver) pair, and each substream draws in a fixed order:
+
+``clock-chief``, ``clock-deputy``
+    One increment per truth-grid step after the first, drawn up front.
+``ephemeris``
+    Five signs per satellite, in satellite order, drawn up front.
+``thermal``
+    Per GPS epoch, code then carrier noise for every locked signal
+    (visible and at or above the tracking threshold), satellite-major and
+    chief before deputy.
+``multipath``
+    Per GPS epoch, in the same signal order, code then carrier noise for
+    each of the two whose multipath sigma is positive.
+``ambiguity``
+    Per GPS epoch, one integer per newly acquired track, chief's before
+    deputy's and each in ascending satellite order.
+``external``
+    Per external epoch, range then azimuth then elevation noise.
+``init``
+    At the start of a run: chief position, chief velocity, deputy
+    position, deputy velocity, chief clock, deputy clock.
 """
 
 import dataclasses
@@ -34,7 +57,6 @@ from scipy.stats import chi2
 from .constants import ARCSEC, L1_WAVELENGTH, MU_EARTH, R_EARTH
 from .errors import (
     LinkBudget,
-    LossOfLockError,
     MultipathParams,
     TRACKING_THRESHOLD,
     calibrate_roe,
@@ -445,20 +467,21 @@ def generate_truth(config: ScenarioConfig) -> Truth:
 # ---------------------------------------------------------------------------
 
 def _unit(v):
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _pointing_frame(origin, target, normal_hint) -> np.ndarray:
-    """DCM (rows) taking ECI into a sensor frame whose +z boresight points
-    from ``origin`` at ``target``; +x is built from the orbit normal hint."""
+    """DCMs (rows) taking ECI into sensor frames whose +z boresight points
+    from ``origin`` at ``target``; +x is built from the orbit normal hint.
+    Stacked (n, 3) inputs give (n, 3, 3) frames."""
     z = _unit(np.asarray(target, dtype=float) - np.asarray(origin, dtype=float))
     x = np.cross(normal_hint, z)
-    nx = np.linalg.norm(x)
-    if nx < 1e-9:  # boresight along the hint: fall back to any transverse axis
-        x = np.cross([1.0, 0.0, 0.0] if abs(z[0]) < 0.9 else [0.0, 1.0, 0.0], z)
-        nx = np.linalg.norm(x)
-    x = x / nx
-    return np.vstack([x, np.cross(z, x), z])
+    # Boresight along the hint: fall back to any transverse axis.
+    fallback = np.cross(np.where(np.abs(z[..., :1]) < 0.9, [1.0, 0.0, 0.0],
+                                 [0.0, 1.0, 0.0]), z)
+    x = _unit(np.where(np.linalg.norm(x, axis=-1, keepdims=True) < 1e-9,
+                       fallback, x))
+    return np.stack([x, np.cross(z, x), z], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +536,20 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
     clk_c = np.zeros(n_t)
     clk_d = np.zeros(n_t)
     if noise.clock_walk:
-        for i in range(1, n_t):
-            clk_c[i] = clock_random_walk(clk_c[i - 1], config.truth_step,
-                                         rng_clk_c, noise.clock_sigma)
-            clk_d[i] = clock_random_walk(clk_d[i - 1], config.truth_step,
-                                         rng_clk_d, noise.clock_sigma)
+        steps = np.full(n_t - 1, config.truth_step)
+        clk_c[1:] = clock_random_walk(0.0, steps, rng_clk_c, noise.clock_sigma)
+        clk_d[1:] = clock_random_walk(0.0, steps, rng_clk_d, noise.clock_sigma)
 
     # Broadcast-ephemeris corruption: drift-free ROE offsets per satellite
     # with randomized signs, calibrated to the configured RMS.
-    roes = {}
+    sats = np.arange(len(const))
     if noise.ephemeris:
-        for s in range(len(const)):
-            a_gps = float(np.linalg.norm(const.state_at(s, 0.0).position))
-            base = calibrate_roe(noise.ephemeris_rms, a_gps)
-            off = base.offsets.copy()
+        a_gps = np.linalg.norm(const.state_at(sats, 0.0).position, axis=1)
+        roes = calibrate_roe(noise.ephemeris_rms, a_gps)
+        for off in roes.offsets:
             off[1:] *= rng_eph.choice([-1.0, 1.0], size=5)
-            roes[s] = dataclasses.replace(base, offsets=off)
 
-    windup_phase = 2.0 * math.pi * np.arange(len(const)) / len(const)
+    windup_phase = 2.0 * math.pi * sats / len(const)
 
     def times_of(period, start=0.0):
         k0 = int(math.ceil((start - 1e-9) / period))
@@ -542,21 +561,29 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
                              config.external_enable_time))
     all_times = sorted(gps_times | ext_times)
 
-    active = {"chief": {}, "deputy": {}}   # gps_id -> {"track": k, "n": int}
+    # Channel bookkeeping per (satellite, receiver): track id (0 while not
+    # tracked) and carrier ambiguity of the current track.
+    track = np.zeros((len(const), 2), dtype=np.int64)
+    amb = np.zeros((len(const), 2), dtype=np.int64)
     track_counter = 0
     epochs = []
     true_sd = {}
     pair_ids = {}
 
-    for t in all_times:
-        i = truth.index_of(t)
-        cpos, cvel = truth.chief_pos[i], truth.chief_vel[i]
-        dpos, dvel = truth.deputy_pos[i], truth.deputy_vel[i]
-        att_deputy = _pointing_frame(dpos, cpos, _unit(np.cross(dpos, dvel)))
-        epoch = MeasurementEpoch(time=float(t), attitude=att_deputy)
+    # Both craft at every epoch, rows (chief, deputy), with their
+    # docking-sensor attitudes: boresight at the partner, +x from the orbit
+    # normal.
+    grid = [truth.index_of(t) for t in all_times]
+    rx_pos = np.stack([truth.chief_pos[grid], truth.deputy_pos[grid]], axis=1)
+    rx_vel = np.stack([truth.chief_vel[grid], truth.deputy_vel[grid]], axis=1)
+    attitudes = _pointing_frame(rx_pos, rx_pos[:, ::-1],
+                                _unit(np.cross(rx_pos, rx_vel)))
+
+    for t, i, pos, vel, att in zip(all_times, grid, rx_pos, rx_vel, attitudes):
+        cpos, dpos = pos
+        epoch = MeasurementEpoch(time=float(t), attitude=att[1])
 
         if t in gps_times:
-            att_chief = _pointing_frame(cpos, dpos, _unit(np.cross(cpos, cvel)))
             baseline = float(np.linalg.norm(dpos - cpos))
             mp_params = MultipathParams(
                 amplitude_code=noise.multipath_amp_code,
@@ -564,114 +591,94 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
                 size_factor=noise.multipath_size,
                 target_direction=(0.0, 0.0),  # partner sits on the boresight
                 target_range=baseline)
-            receivers = (("chief", cpos, cvel, att_chief, clk_c[i]),
-                         ("deputy", dpos, dvel, att_deputy, clk_d[i]))
-            seen = {"chief": {}, "deputy": {}}
-            for s in range(len(const)):
-                gstate = const.state_at(s, float(t))
-                for name, rpos, rvel, att, clk in receivers:
-                    ok, arrival = visibility(OrbitState(rpos, rvel, float(t)),
-                                             gstate, const,
-                                             config.visibility_mode, att)
-                    if not ok:
-                        continue
-                    slant_km = float(np.linalg.norm(gstate.position - rpos)) / 1e3
-                    c_n0 = carrier_to_noise(
-                        dataclasses.replace(budget0, slant_range=slant_km))
-                    try:
-                        sig_code, sig_phase = thermal_noise_sigmas(
-                            c_n0, pll_bw=budget0.pll_bandwidth,
-                            wavelength=wavelength)
-                    except LossOfLockError:
-                        continue
-                    az, el = arrival
-                    noise_code = 0.0
-                    noise_phase = 0.0
-                    mp_c = mp_p = 0.0
-                    if noise.thermal:
-                        noise_code += rng_thermal.normal(scale=sig_code)
-                        noise_phase += rng_thermal.normal(scale=sig_phase)
-                    if noise.multipath:
-                        mp_c = multipath_sigma(mp_params, az, el, "code")
-                        mp_p = multipath_sigma(mp_params, az, el, "phase")
-                        if mp_c > 0.0:
-                            noise_code += rng_mp.normal(scale=mp_c)
-                        if mp_p > 0.0:
-                            noise_phase += rng_mp.normal(scale=mp_p)
-                    los = _unit(gstate.position - rpos)
-                    iono = (klobuchar_delay(rpos, los, float(t) % 86400.0)
-                            if noise.ionosphere else 0.0)
-                    windup_m = (wavelength * noise.windup_amplitude
-                                * math.sin(2.0 * math.pi * float(t) / 3600.0
-                                           + windup_phase[s])
-                                if noise.windup else 0.0)
-                    seen[name][s] = {
-                        "range": float(np.linalg.norm(gstate.position - rpos)),
-                        "iono": iono, "windup": windup_m,
-                        "noise_code": noise_code, "noise_phase": noise_phase,
-                        "clock": clk, "state": gstate,
-                        "mp_code": mp_c, "mp_phase": mp_p}
+            # Every (satellite, receiver) pair at once: one row per
+            # satellite, columns chief and deputy.
+            gps = const.state_at(sats, float(t))
+            to_gps = gps.position[:, None, :] - pos
+            ranges = np.linalg.norm(to_gps, axis=2)
+            visible, (az, el) = visibility(
+                OrbitState(pos, vel, float(t)),
+                OrbitState(gps.position[:, None], gps.velocity[:, None]),
+                const, config.visibility_mode, att)
+            c_n0 = carrier_to_noise(
+                dataclasses.replace(budget0, slant_range=ranges / 1e3))
+            locked = visible & (c_n0 >= TRACKING_THRESHOLD)
 
-            # Track bookkeeping: gaps end a track, re-acquisition redraws N.
-            for name in ("chief", "deputy"):
-                current = set(seen[name])
-                for gid in list(active[name]):
-                    if gid not in current:
-                        del active[name][gid]
-                for gid in sorted(current - set(active[name])):
-                    track_counter += 1
-                    active[name][gid] = {
-                        "track": track_counter,
-                        "n": int(rng_amb.integers(-100_000, 100_001))}
+            # Signals in draw order: satellite-major, chief before deputy.
+            sig = np.nonzero(locked)
+            noise_code = np.zeros(locked.shape)
+            noise_phase = np.zeros(locked.shape)
+            mp = np.zeros(locked.shape + (2,))   # code, phase sigma
+            if noise.thermal:
+                draw = rng_thermal.normal(scale=np.column_stack(
+                    thermal_noise_sigmas(c_n0[sig], pll_bw=budget0.pll_bandwidth,
+                                         wavelength=wavelength)))
+                noise_code[sig] = draw[:, 0]
+                noise_phase[sig] = draw[:, 1]
+            if noise.multipath:
+                mp[sig] = np.column_stack([
+                    multipath_sigma(mp_params, az[sig], el[sig], kind)
+                    for kind in ("code", "phase")])
+                drawn = mp[sig] > 0.0
+                draw = np.zeros(drawn.shape)
+                draw[drawn] = rng_mp.normal(scale=mp[sig][drawn])
+                noise_code[sig] += draw[:, 0]
+                noise_phase[sig] += draw[:, 1]
 
-            common = sorted(set(seen["chief"]) & set(seen["deputy"]))
-            graphic_map = {"chief": [], "deputy": []}
-            sdcp = []
-            tsd = {}
-            pids = {}
-            gpos = {}
-            inflation = {}
-            for gid in common:
-                phases = {}
-                mp_phase = {}
-                for name in ("chief", "deputy"):
-                    sig = seen[name][gid]
-                    amb = active[name][gid]["n"]
-                    code = (sig["range"] + sig["iono"] + sig["clock"]
-                            + sig["noise_code"])
-                    phase = undifferenced_phase(
-                        sig["range"], amb, iono=-sig["iono"],
-                        rx_clock=sig["clock"], windup=sig["windup"],
-                        noise=sig["noise_phase"], wavelength=wavelength)
-                    phases[name] = phase
-                    graphic_map[name].append(
-                        (gid, graphic(code, phase, wavelength)))
-                    mp_phase[name] = sig["mp_phase"]
-                    # Calibrated multipath map: weight each row by the
-                    # direction-dependent error on top of the thermal floor.
-                    extra = 0.25 * (sig["mp_code"] ** 2 + sig["mp_phase"] ** 2)
-                    if extra > 0.0:
-                        inflation[f"graphic:{name}:{gid}"] = extra
-                sdcp.append((gid, phases["chief"] - phases["deputy"]))
-                sd_extra = mp_phase["chief"] ** 2 + mp_phase["deputy"] ** 2
-                if sd_extra > 0.0:
-                    inflation[f"sdcp:{gid}"] = sd_extra
-                tsd[gid] = active["chief"][gid]["n"] - active["deputy"][gid]["n"]
-                pids[gid] = (active["chief"][gid]["track"],
-                             active["deputy"][gid]["track"])
-                gstate = seen["chief"][gid]["state"]
-                gpos[gid] = (inject_roe_error(gstate.position, gstate.velocity,
-                                              roes[gid])
-                             if noise.ephemeris else gstate.position.copy())
-            epoch.graphic = graphic_map
-            epoch.sdcp = sdcp
-            epoch.gps_positions = gpos
+            # Track bookkeeping: gaps end a track, re-acquisition redraws N
+            # (receiver-major, then ascending satellite).
+            track[~locked] = 0
+            new_rx, new_sat = np.nonzero((locked & (track == 0)).T)
+            if new_sat.size:
+                track[new_sat, new_rx] = track_counter + np.arange(
+                    1, new_sat.size + 1)
+                track_counter += new_sat.size
+                amb[new_sat, new_rx] = rng_amb.integers(
+                    -100_000, 100_001, size=new_sat.size)
+
+            common = np.flatnonzero(locked.all(axis=1))
+            gids = common.tolist()
+            rho = ranges[common]
+            iono = np.zeros(rho.shape)
+            if noise.ionosphere and gids:
+                iono = klobuchar_delay(pos, to_gps[common], float(t) % 86400.0)
+            windup_m = 0.0
+            if noise.windup:
+                windup_m = (wavelength * noise.windup_amplitude
+                            * np.sin(2.0 * math.pi * float(t) / 3600.0
+                                     + windup_phase[common]))[:, None]
+            clock = np.array([clk_c[i], clk_d[i]])
+            code = rho + iono + clock + noise_code[common]
+            phase = undifferenced_phase(
+                rho, amb[common], iono=-iono, rx_clock=clock,
+                windup=windup_m, noise=noise_phase[common],
+                wavelength=wavelength)
+            sd_phase = phase[:, 0] - phase[:, 1]
+            gra = graphic(code, phase, wavelength)
+            # Calibrated multipath map: weight each row by the
+            # direction-dependent error on top of the thermal floor.
+            mp_m = mp[common]
+            extra = 0.25 * (mp_m[..., 0] ** 2 + mp_m[..., 1] ** 2)
+            sd_extra = mp_m[:, 0, 1] ** 2 + mp_m[:, 1, 1] ** 2
+            inflation = {f"graphic:{name}:{g}": float(extra[r, k])
+                         for k, name in enumerate(("chief", "deputy"))
+                         for r, g in enumerate(gids) if extra[r, k] > 0.0}
+            inflation.update({f"sdcp:{g}": float(sd_extra[r])
+                              for r, g in enumerate(gids) if sd_extra[r] > 0.0})
+            broadcast = (inject_roe_error(gps.position, gps.velocity, roes)
+                         if noise.ephemeris else gps.position)
+            epoch.graphic = {"chief": list(zip(gids, gra[:, 0].tolist())),
+                             "deputy": list(zip(gids, gra[:, 1].tolist()))}
+            epoch.sdcp = list(zip(gids, sd_phase.tolist()))
+            epoch.gps_positions = dict(zip(gids, broadcast[common]))
             epoch.noise_inflation = inflation
-            true_sd[float(t)] = tsd
-            pair_ids[float(t)] = pids
+            true_sd[float(t)] = dict(zip(
+                gids, (amb[common, 0] - amb[common, 1]).tolist()))
+            pair_ids[float(t)] = dict(zip(
+                gids, map(tuple, track[common].tolist())))
 
         if t in ext_times:
-            rel_sensor = att_deputy @ (cpos - dpos)
+            rel_sensor = att[1] @ (cpos - dpos)
             epoch.range_obs = (range_model(rel_sensor, biases)
                                + rng_ext.normal(scale=config.sensors.range_noise))
             az, el = bearing_model(rel_sensor, biases)
@@ -1006,6 +1013,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
         "success_prob": float(partial.success_prob),
         "shrink": float(partial.shrink_factor),
         "constrained": ctx is not None,
+        "budget_exhausted": bool(result.budget_exhausted),
         "reference": int(ref),
         "channels": [int(g) for g in free],
         # Honest-error introspection: worst float error against truth and
@@ -1066,6 +1074,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     n_attempt_epochs = 0
     first_fix_index = None
     stage_trace_logged = False
+    tracked = []   # satellites of the latest GPS epoch
     use_external = config.coupling_mode in ("loose", "full")
     run_iar = config.coupling_mode in ("loose", "full")
 
@@ -1090,6 +1099,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             continue
 
         is_gps = bool(epoch.sdcp)
+        if is_gps:
+            tracked = [gid for gid, _ in epoch.sdcp]
         skipped = False
         report = None
         success_prob = float("nan")
@@ -1168,8 +1179,11 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         pcd = state.covariance[CHIEF_POS, DEPUTY_POS]
         rel_cov = rtn @ (pcc + pdd - pcd - pcd.T) @ rtn.T
         sigmas = np.sqrt(np.maximum(np.diag(rel_cov), 0.0))
-        n_alloc = int(np.sum(state.channel_ids >= 0))
-        n_fixed = int(np.sum(state.fixed_mask))
+        # A slot keeps its satellite (and fixed flag) after the satellite
+        # sets; count only the channels tracked now.
+        in_track = np.isin(state.channel_ids, tracked)
+        n_tracked = int(np.sum(in_track))
+        n_fixed = int(np.sum(state.fixed_mask & in_track))
         records.append({
             "time": float(t),
             "err_r": float(err[0]), "err_t": float(err[1]),
@@ -1179,7 +1193,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             "sigma_r": float(sigmas[0]), "sigma_t": float(sigmas[1]),
             "sigma_n": float(sigmas[2]),
             "n_fixed": n_fixed,
-            "fixed_fraction": (n_fixed / n_alloc) if n_alloc else 0.0,
+            "fixed_fraction": (n_fixed / n_tracked) if n_tracked else 0.0,
             "success_prob": success_prob,
             "n_rows": report.n_rows if report else 0,
             "n_rejected": report.n_rejected if report else 0,
@@ -1216,7 +1230,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         "mean_fixed_fraction": (float(np.mean([r["fixed_fraction"]
                                                for r in post]))
                                 if post else 0.0),
-        "final_fixed_channels": int(np.sum(state.fixed_mask)),
+        "final_fixed_channels": records[-1]["n_fixed"] if records else 0,
     })
 
     run = RunReport(config=config, records=records, fix_events=fix_events,

@@ -98,6 +98,7 @@ def test_criterion_03_search_attains_exhaustive_minimum():
         floats = rng.uniform(-8.0, 8.0, size=n)
         dist = decorrelate(AmbiguityDistribution(floats, cov))
         res = constrained_search(dist, None)
+        assert not res.budget_exhausted
 
         base = np.rint(dist.floats).astype(np.int64)
         offsets = np.array(list(itertools.product(

@@ -1,11 +1,13 @@
 """Error models: link budget chain, thermal noise calibration, multipath
 footprints, clock random walk, broadcast ionosphere, ephemeris corruption."""
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgps.constants import GPS_SEMIMAJOR_AXIS, MU_EARTH, SPEED_OF_LIGHT
 from cdgps.errors import (
@@ -15,6 +17,7 @@ from cdgps.errors import (
     LossOfLockError,
     MultipathParams,
     RoeError,
+    TRACKING_THRESHOLD,
     calibrate_roe,
     carrier_to_noise,
     clock_random_walk,
@@ -326,3 +329,122 @@ def test_substreams_reproducible_and_independent():
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
     assert not np.allclose(a1, c)
+
+
+# ---------------------------------------------------------------------------
+# Stacked inputs: one call over many signals equals one call per signal
+# ---------------------------------------------------------------------------
+
+BATCH_RTOL = 1e-12
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SIZES = st.integers(min_value=1, max_value=40)
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, SIZES)
+def test_klobuchar_batched_matches_scalar(seed, n):
+    rng = np.random.default_rng(seed)
+    up = _unit_rows(rng, n)
+    # Receivers at both poles exercise the east-axis fallback.
+    up[0] = [0.0, 0.0, 1.0]
+    up[-1] = [0.0, 0.0, -1.0]
+    pos = up * rng.uniform(6.5e6, 4.3e7, size=(n, 1))
+    # Rays from 15 degrees below to straight above the local horizon.
+    horiz = np.cross(up, _unit_rows(rng, n))
+    horiz /= np.linalg.norm(horiz, axis=1, keepdims=True)
+    elev = rng.uniform(math.radians(-15.0), math.pi / 2.0, size=(n, 1))
+    los = (np.cos(elev) * horiz + np.sin(elev) * up) * rng.uniform(
+        1.0, 3e7, size=(n, 1))
+    tod = float(rng.uniform(0.0, 86400.0))
+    batched = klobuchar_delay(pos, los, tod)
+    assert batched.shape == (n,)
+    scalar = [klobuchar_delay(p, u, tod) for p, u in zip(pos, los)]
+    np.testing.assert_allclose(batched, scalar, rtol=BATCH_RTOL, atol=0.0)
+    # One receiver against many rays broadcasts the same way.
+    np.testing.assert_allclose(klobuchar_delay(pos[1 % n], los, tod),
+                               [klobuchar_delay(pos[1 % n], u, tod)
+                                for u in los], rtol=BATCH_RTOL, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, SIZES)
+def test_inject_roe_error_batched_matches_scalar(seed, n):
+    rng = np.random.default_rng(seed)
+    r = _unit_rows(rng, n) * GPS_SEMIMAJOR_AXIS
+    v = np.cross(_unit_rows(rng, n), r)
+    v *= 3874.0 / np.linalg.norm(v, axis=1, keepdims=True)
+    # An equatorial orbit measures its latitude from the x axis.
+    r[0] = [GPS_SEMIMAJOR_AXIS * 0.6, GPS_SEMIMAJOR_AXIS * 0.8, 0.0]
+    v[0] = [-3874.0 * 0.8, 3874.0 * 0.6, 0.0]
+    roe = calibrate_roe(1.5, np.linalg.norm(r, axis=1))
+    roe.offsets[:, 1:] *= rng.choice([-1.0, 1.0], size=(n, 5))
+    batched = inject_roe_error(r, v, roe)
+    scalar = [inject_roe_error(ri, vi, RoeError(offsets=off))
+              for ri, vi, off in zip(r, v, roe.offsets)]
+    np.testing.assert_allclose(batched, scalar, rtol=BATCH_RTOL, atol=0.0)
+    # The metre-level corruption itself agrees to a few ulp of the position.
+    np.testing.assert_allclose(batched - r, np.array(scalar) - r,
+                               rtol=BATCH_RTOL, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, SIZES)
+def test_link_noise_and_lock_mask_batched_match_scalar(seed, n):
+    rng = np.random.default_rng(seed)
+    budget = LinkBudget.geo_sidelobe()
+    slant = rng.uniform(2e3, 9e4, size=n)
+    cn0 = carrier_to_noise(dataclasses.replace(budget, slant_range=slant))
+    np.testing.assert_allclose(
+        cn0, [carrier_to_noise(dataclasses.replace(budget, slant_range=s))
+              for s in slant], rtol=BATCH_RTOL, atol=0.0)
+    # Just below and exactly at the tracking threshold.
+    cn0 = np.concatenate([cn0, [np.nextafter(TRACKING_THRESHOLD, 0.0),
+                                TRACKING_THRESHOLD]])
+    locked = cn0 >= TRACKING_THRESHOLD
+    assert not locked[-2] and locked[-1]
+    code, phase = thermal_noise_sigmas(cn0[locked])
+    scalar = []
+    for c, lock in zip(cn0, locked):
+        if lock:
+            scalar.append(thermal_noise_sigmas(c))
+        else:
+            with pytest.raises(LossOfLockError):
+                thermal_noise_sigmas(c)
+    np.testing.assert_allclose(code, [s[0] for s in scalar],
+                               rtol=BATCH_RTOL, atol=0.0)
+    np.testing.assert_allclose(phase, [s[1] for s in scalar],
+                               rtol=BATCH_RTOL, atol=0.0)
+    with pytest.raises(LossOfLockError):
+        thermal_noise_sigmas(cn0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, SIZES)
+def test_multipath_sigma_batched_matches_scalar(seed, n):
+    rng = np.random.default_rng(seed)
+    params = MultipathParams(amplitude_code=5.0, amplitude_phase=0.05,
+                             size_factor=float(rng.uniform(0.5, 10.0)),
+                             target_direction=(0.0, 0.0),
+                             target_range=float(rng.uniform(0.0, 2e3)))
+    az = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+    el = rng.uniform(-math.pi, math.pi, size=n)
+    for kind in ("code", "phase"):
+        np.testing.assert_allclose(
+            multipath_sigma(params, az, el, kind),
+            [multipath_sigma(params, a, e, kind) for a, e in zip(az, el)],
+            rtol=BATCH_RTOL, atol=0.0)
+
+
+def test_clock_random_walk_steps_match_single_steps():
+    steps = clock_random_walk(2.0, np.full(50, 10.0), substream(7, "clk"))
+    rng = substream(7, "clk")
+    state, single = 2.0, []
+    for _ in range(50):
+        state = clock_random_walk(state, 10.0, rng)
+        single.append(state)
+    np.testing.assert_array_equal(steps, single)

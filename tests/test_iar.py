@@ -454,6 +454,39 @@ def test_constrained_search_degenerate_flag():
     assert res.discrimination_ratio == 1.0
 
 
+def _wide_range_problem(baseline_sigma):
+    """n = 3 DD problem on a fixed five-satellite sky, float covariance
+    shaped like a baseline solution of ``baseline_sigma`` [m], floats one
+    sigma off the true integers on every Cholesky axis, exact range."""
+    lam = 0.19029367
+    los = np.array([[0.0, 0.0, 1.0], [0.8, 0.0, 0.6], [-0.6, 0.64, 0.48],
+                    [0.0, -0.8, 0.6], [-0.48, -0.6, 0.64]])
+    los /= np.linalg.norm(los, axis=1, keepdims=True)
+    geometry = los[0] - los[1:]
+    baseline = np.array([600.0, -500.0, 600.0])
+    true_n = np.array([12, -7, 3])
+    phases = geometry @ baseline / lam
+    phases[:3] += true_n
+    shape = geometry[:3] @ geometry[:3].T / lam ** 2
+    cov = baseline_sigma ** 2 * shape + 1e-4 * (np.eye(3) + np.ones((3, 3)))
+    floats = true_n + np.linalg.cholesky(cov) @ np.array([1.0, -1.0, 1.0])
+    ctx = ConstraintContext(
+        observed_range=float(np.linalg.norm(baseline)), sigma_range=0.01,
+        geometry=geometry, ddcp_phases=phases, dcm_eci_to_sensor=np.eye(3),
+        wavelength=lam, bearing_enabled=False, free_rows=np.arange(3))
+    return AmbiguityDistribution(floats, cov), ctx
+
+
+def test_constrained_search_reports_leaf_budget_exhaustion():
+    # A 3 m baseline sigma puts far more lattice points inside the pruning
+    # ellipsoid than the leaf budget covers: the result must say so.
+    dist, ctx = _wide_range_problem(3.0)
+    assert constrained_search(decorrelate(dist), ctx).budget_exhausted
+    # The same problem at a 5 cm baseline sigma is enumerated completely.
+    dist, ctx = _wide_range_problem(0.05)
+    assert not constrained_search(decorrelate(dist), ctx).budget_exhausted
+
+
 # ---------------------------------------------------------------------------
 # Partial resolution
 # ---------------------------------------------------------------------------

@@ -5,8 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdgps.constants import J2_EARTH, MU_EARTH, R_EARTH
+from cdgps.constants import (
+    ATMOSPHERE_MASK_HEIGHT,
+    GPS_MAINLOBE_HALFCONE,
+    J2_EARTH,
+    MU_EARTH,
+    R_EARTH,
+)
 from cdgps.orbits import (
     DegenerateFrameError,
     GpsConstellation,
@@ -266,3 +273,77 @@ def test_leo_sees_at_least_six_mainlobe_average():
         counts.append(n_vis)
         s = propagate(s, dt, max_step=30.0)
     assert np.mean(counts) >= 6.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked inputs: one call over many satellites equals one call per satellite
+# ---------------------------------------------------------------------------
+
+def _assert_visibility_rows_match(receiver, gps, c, mode, dcm=None):
+    """Stacked GPS rows against one receiver give the per-row results."""
+    vis, (az, el) = visibility(receiver, gps, c, mode, dcm)
+    assert vis.shape == (len(gps.position),)
+    for k, (p, v) in enumerate(zip(gps.position, gps.velocity)):
+        ok, arrival = visibility(receiver, OrbitState(p, v), c, mode, dcm)
+        assert ok == vis[k], k
+        if ok:
+            np.testing.assert_allclose((az[k], el[k]), arrival,
+                                       rtol=1e-12, atol=1e-15)
+    return vis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["mainlobe", "sidelobe"]))
+def test_constellation_and_visibility_batched_match_scalar(seed, mode):
+    rng = np.random.default_rng(seed)
+    c = default_constellation()
+    t = float(rng.uniform(0.0, 86400.0))
+    idx = rng.permutation(len(c))[:int(rng.integers(1, len(c) + 1))]
+    stacked = c.state_at(idx, t)
+    for k, s in enumerate(idx):
+        single = c.state_at(int(s), t)
+        np.testing.assert_allclose(stacked.position[k], single.position,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stacked.velocity[k], single.velocity,
+                                   rtol=1e-12, atol=0.0)
+    radius = float(rng.choice([LEO_A, 42_164e3]))
+    direction = rng.normal(size=3)
+    receiver = OrbitState(radius * direction / np.linalg.norm(direction),
+                          rng.normal(size=3))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    _assert_visibility_rows_match(receiver, stacked, c, mode, q)
+    _assert_visibility_rows_match(receiver, stacked, c, mode)
+
+
+def _assert_pairs_match(receiver_rows, gps_rows, mode):
+    """Stacked receiver/GPS pairs give the per-pair results."""
+    c = default_constellation()
+    vis, _ = visibility(OrbitState(receiver_rows, np.zeros_like(receiver_rows)),
+                        OrbitState(gps_rows, np.zeros_like(gps_rows)), c, mode)
+    for k, (rpos, gpos) in enumerate(zip(receiver_rows, gps_rows)):
+        ok, _ = visibility(OrbitState(rpos, [0.0, 7e3, 0.0]),
+                           OrbitState(gpos, [0.0, 3875.0, 0.0]), c, mode)
+        assert ok == vis[k], k
+    return vis
+
+
+def test_visibility_batched_edges_match_scalar():
+    # Segments whose closest approach grazes the mask sphere: just inside,
+    # exactly on, and just outside it, then one straight through the Earth.
+    mask = R_EARTH + ATMOSPHERE_MASK_HEIGHT
+    ys = [np.nextafter(mask, 0.0), mask, np.nextafter(mask, np.inf), 0.0]
+    vis = _assert_pairs_match(np.array([[-8e6, y, 0.0] for y in ys]),
+                              np.array([[3e7, y, 0.0] for y in ys]),
+                              "sidelobe")
+    assert vis[2] and not vis[3]
+    # Receivers around the mainlobe half-cone of a transmitter on +x.
+    gps_pos = np.array([26_560e3, 0.0, 0.0])
+    h = GPS_MAINLOBE_HALFCONE
+    angles = [h - 1e-9, np.nextafter(h, 0.0), h, np.nextafter(h, 4.0), h + 1e-9]
+    receivers = np.array([gps_pos + 5e7 * np.array([-math.cos(a), 0.0,
+                                                    math.sin(a)])
+                          for a in angles])
+    vis = _assert_pairs_match(receivers, np.tile(gps_pos, (len(angles), 1)),
+                              "mainlobe")
+    assert vis[0] and not vis[-1]

@@ -323,6 +323,21 @@ def test_run_products_and_summary(leo_short_run):
     assert echoed == cfg
 
 
+def test_fixed_counts_only_tracked_channels(leo_short_run):
+    # A fixed slot keeps its satellite after it sets; such slots must not
+    # count as fixed channels.
+    cfg, report, _ = leo_short_run
+    epochs, _ = synthesize_measurements(cfg, generate_truth(cfg))
+    n_tracked = {e.time: len(e.sdcp) for e in epochs if e.sdcp}
+    gps = [r for r in report.records if r["time"] in n_tracked]
+    assert len(gps) == len(n_tracked)
+    assert any(r["n_fixed"] > 0 for r in gps)
+    for r in gps:
+        assert r["n_fixed"] <= n_tracked[r["time"]], r["time"]
+        assert 0.0 <= r["fixed_fraction"] <= 1.0
+    assert report.summary["final_fixed_channels"] == report.records[-1]["n_fixed"]
+
+
 def test_run_is_byte_reproducible(leo_short_run):
     cfg, report, _ = leo_short_run
     again = run_scenario(cfg)
