@@ -309,8 +309,9 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     )
 
 
-def inverse_transform(z_matrix, vector):
-    """Map integers from decorrelated space back to the original space.
+def _integer_inverse(z_matrix):
+    """Integer matrix mapping decorrelated integers back to the original
+    space.
 
     The transform is unimodular, so the inverse is exactly integer; the
     float inverse is rounded and verified.
@@ -320,7 +321,12 @@ def inverse_transform(z_matrix, vector):
     inv_int = round_half_away(inv)
     if not np.allclose(inv_int.astype(float) @ z_matrix.T.astype(float), np.eye(z_matrix.shape[0])):
         raise ValueError("transform is not unimodular")
-    return inv_int @ np.asarray(vector, dtype=np.int64)
+    return inv_int
+
+
+def inverse_transform(z_matrix, vector):
+    """Map integers from decorrelated space back to the original space."""
+    return _integer_inverse(z_matrix) @ np.asarray(vector, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +583,12 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
     return cost
 
 
-def _constraint_cost(dist, ctx, cand_z):
-    """Penalty contribution of a decorrelated candidate, via its baseline."""
+def _constraint_cost(ctx, z_inverse, cand_z):
+    """Penalty contribution of a decorrelated candidate, via its baseline;
+    ``z_inverse`` maps the candidate back to the original space."""
     if ctx is None or not ctx.any_enabled:
         return 0.0
-    cand_orig = inverse_transform(dist.z_matrix, cand_z)
+    cand_orig = z_inverse @ cand_z
     k = ctx.ddcp_phases.shape[0]
     full = np.zeros(k)
     if ctx.free_rows is None:
@@ -646,9 +653,11 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
         :func:`classical_ils_search`.
     """
     n = dist.size
+    z_inverse = (_integer_inverse(dist.z_matrix)
+                 if ctx is not None and ctx.any_enabled else None)
 
     def total_cost(cand):
-        return dist.mahalanobis(cand) + _constraint_cost(dist, ctx, cand)
+        return dist.mahalanobis(cand) + _constraint_cost(ctx, z_inverse, cand)
 
     incumbent = bootstrap(dist)
     cost_incumbent = total_cost(incumbent)
@@ -737,7 +746,7 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
             cand[level] = cand_i
             if level == n - 1:
                 leaf_budget -= 1
-                consider_total(cand, cost_here + _constraint_cost(dist, ctx, cand))
+                consider_total(cand, cost_here + _constraint_cost(ctx, z_inverse, cand))
             else:
                 new_corr = corrections.copy()
                 new_corr[level + 1:] += lower[level + 1:, level] * resid

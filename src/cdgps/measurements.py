@@ -263,7 +263,8 @@ def range_model(rel_pos_sensor_frame, biases: SensorBiases = None):
 
 
 def bearing_model(rel_pos_sensor_frame, biases: SensorBiases = None):
-    """Azimuth/elevation of the deputy in the sensor frame [rad].
+    """Azimuth/elevation of the chief as seen from the deputy-mounted
+    sensor [rad]; ``rel_pos_sensor_frame`` is chief minus deputy.
 
     Azimuth is ``asin(y / range)``; elevation is ``atan2(x, z)``, which is
     quadrant-aware and therefore well defined even behind the boresight
@@ -322,8 +323,8 @@ def sensor_jacobian(rel_pos_sensor_frame):
 def transform_jacobian(h_sensor, dcm_eci_to_sensor):
     """Chain a sensor-frame Jacobian through the ECI-to-sensor rotation.
 
-    ``d(obs)/d(r_eci) = H_sensor @ dcm`` for the deputy position; negate for
-    the chief (the relative position is deputy minus chief).
+    ``d(obs)/d(r_eci) = H_sensor @ dcm`` for the chief position; negate for
+    the deputy (the relative position is chief minus deputy).
     """
     dcm = np.asarray(dcm_eci_to_sensor, dtype=float)
     if dcm.shape != (3, 3) or not np.allclose(dcm @ dcm.T, np.eye(3), atol=1e-9):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ARCSEC, J2_EARTH, L1_WAVELENGTH, MU_EARTH, R_EARTH
+from .constants import ARCSEC, L1_WAVELENGTH
 from .iar import success_rate
 from .measurements import (
     MeasurementEpoch,
@@ -40,7 +40,7 @@ from .measurements import (
     sensor_jacobian,
     transform_jacobian,
 )
-from .orbits import OrbitState
+from .orbits import OrbitState, propagate
 
 __all__ = [
     "N_STATES",
@@ -61,8 +61,6 @@ __all__ = [
     "constrain_linear",
     "dare_steady_state",
     "navigation_metrics",
-    "snapshot_header",
-    "snapshot_row",
 ]
 
 N_STATES = 71
@@ -265,94 +263,32 @@ def allocate_channels(state: FilterState, gps_ids, tuning: FilterTuning,
 
 
 # ---------------------------------------------------------------------------
-# Batched dynamics for mean and finite-difference transition
+# Time update
 # ---------------------------------------------------------------------------
 
-def _batch_derivative(y, acc_rtn, include_j2=True):
-    """Time derivative of stacked (N, 6) orbit rows with per-row RTN
-    empirical accelerations (N, 3)."""
-    r = y[:, :3]
-    v = y[:, 3:]
-    rn2 = np.sum(r * r, axis=1, keepdims=True)
-    rn = np.sqrt(rn2)
-    a = -MU_EARTH * r / (rn2 * rn)
-    if include_j2:
-        z2r2 = (r[:, 2:3] ** 2) / rn2
-        k = -1.5 * MU_EARTH * J2_EARTH * R_EARTH * R_EARTH / (rn2 * rn2 * rn)
-        a = a + k * np.column_stack([
-            r[:, 0] * (1.0 - 5.0 * z2r2[:, 0]),
-            r[:, 1] * (1.0 - 5.0 * z2r2[:, 0]),
-            r[:, 2] * (3.0 - 5.0 * z2r2[:, 0]),
-        ])
-    if acc_rtn is not None:
-        radial = r / rn
-        h = np.cross(r, v)
-        hn = np.linalg.norm(h, axis=1, keepdims=True)
-        normal = h / hn
-        transverse = np.cross(normal, radial)
-        a = a + (radial * acc_rtn[:, 0:1] + transverse * acc_rtn[:, 1:2]
-                 + normal * acc_rtn[:, 2:3])
-    return np.hstack([v, a])
-
-
-def _batch_propagate(y0, acc_rtn, dt, max_step=10.0, include_j2=True):
-    """Fixed-step RK4 over stacked orbit rows (same scheme as the truth
-    propagator so filter prediction and Jacobian share one dynamics)."""
-    n_steps = max(1, int(math.ceil(dt / max_step)))
-    h = dt / n_steps
-    y = np.array(y0, dtype=float)
-    for _ in range(n_steps):
-        k1 = _batch_derivative(y, acc_rtn, include_j2)
-        k2 = _batch_derivative(y + 0.5 * h * k1, acc_rtn, include_j2)
-        k3 = _batch_derivative(y + 0.5 * h * k2, acc_rtn, include_j2)
-        k4 = _batch_derivative(y + h * k3, acc_rtn, include_j2)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-# Finite-difference steps for the numerical state transition.
-_FD_POS_STEP = 1.0       # m
-_FD_VEL_STEP = 1.0e-3    # m/s
-_FD_ACC_STEP = 1.0e-8    # m/s^2
-
-
-def _craft_transition(pos, vel, acc, dt, include_j2=True):
-    """Propagate one craft and numerically differentiate the end state.
-
-    Returns (end_y (6,), phi (6, 9)) where the columns of phi are the
-    sensitivities of the end position/velocity to the start position,
-    velocity, and (held-constant) RTN empirical acceleration.
-    """
-    steps = np.array([_FD_POS_STEP] * 3 + [_FD_VEL_STEP] * 3 + [_FD_ACC_STEP] * 3)
-    n_in = 9
-    rows = np.zeros((1 + 2 * n_in, 6))
-    accs = np.zeros((1 + 2 * n_in, 3))
-    rows[:] = np.concatenate([pos, vel])
-    accs[:] = acc
-    for j in range(n_in):
-        delta = np.zeros(9)
-        delta[j] = steps[j]
-        rows[1 + 2 * j, :] += delta[:6]
-        accs[1 + 2 * j, :] += delta[6:]
-        rows[2 + 2 * j, :] -= delta[:6]
-        accs[2 + 2 * j, :] -= delta[6:]
-    out = _batch_propagate(rows, accs, dt, include_j2=include_j2)
-    phi = np.zeros((6, 9))
-    for j in range(n_in):
-        phi[:, j] = (out[1 + 2 * j] - out[2 + 2 * j]) / (2.0 * steps[j])
-    return out[0], phi
+# Central-difference steps of the numerical state transition, per craft:
+# position [m], velocity [m/s], RTN empirical acceleration [m/s^2].
+_FD_STEPS = np.array([1.0] * 3 + [1.0e-3] * 3 + [1.0e-8] * 3)
 
 
 def time_update(state: FilterState, tuning: FilterTuning, dt,
                 include_j2=True) -> FilterState:
     """Propagate mean and covariance by ``dt`` seconds.
 
-    Orbits integrate through the shared RK4 dynamics with the empirical
-    acceleration states applied in the craft RTN frame and held constant
-    over the step; the acceleration and (finite-tau) clock states then decay
-    as first-order Gauss-Markov processes.  The covariance maps through a
-    finite-difference transition matrix and gains the configured process
-    noise; fixed ambiguity channels receive none.
+    Both orbits integrate through ``orbits.propagate``, the integrator that
+    makes truth, with the empirical acceleration states applied in the craft
+    RTN frame and held constant over the step; the acceleration and
+    (finite-tau) clock states then decay as first-order Gauss-Markov
+    processes.  The covariance maps through a central-difference transition
+    matrix, propagated in the same call as the mean, and gains the
+    configured process noise; fixed ambiguity channels receive none.
+
+    Raises
+    ------
+    ValueError
+        If ``dt`` is not positive.
+    PropagationError
+        If either craft (or a perturbed copy) descends below the surface.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -360,28 +296,36 @@ def time_update(state: FilterState, tuning: FilterTuning, dt,
     decay_acc = math.exp(-dt / tuning.tau_accel)
     decay_clk = math.exp(-dt / tuning.tau_clock) if math.isfinite(tuning.tau_clock) else 1.0
 
+    # One propagation of 38 rows: per craft the nominal start, then each of
+    # its 9 inputs (position, velocity and empirical acceleration, which are
+    # contiguous in the state) stepped up and down.
+    crafts = ((CHIEF_POS, CHIEF_VEL, CHIEF_ACC, CHIEF_CLOCK),
+              (DEPUTY_POS, DEPUTY_VEL, DEPUTY_ACC, DEPUTY_CLOCK))
+    offsets = np.zeros((19, 9))
+    offsets[1::2] = np.diag(_FD_STEPS)
+    offsets[2::2] = -np.diag(_FD_STEPS)
+    start = np.stack([state.x[pos.start:acc.stop] for pos, _, acc, _ in crafts])
+    rows = (start[:, None, :] + offsets).reshape(-1, 9)
+    end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:],
+                    include_j2=include_j2)
+    ends = np.concatenate([end.position, end.velocity], axis=1).reshape(2, 19, 6)
+
     phi = np.eye(N_STATES)
-    for pos, vel, acc, clk in ((CHIEF_POS, CHIEF_VEL, CHIEF_ACC, CHIEF_CLOCK),
-                               (DEPUTY_POS, DEPUTY_VEL, DEPUTY_ACC, DEPUTY_CLOCK)):
-        end, phi_craft = _craft_transition(state.x[pos], state.x[vel],
-                                           state.x[acc], dt, include_j2)
-        if float(np.linalg.norm(end[:3])) < R_EARTH:
-            raise RuntimeError("filter mean descended below the surface")
-        out.x[pos] = end[:3]
-        out.x[vel] = end[3:]
+    for (pos, vel, acc, clk), y in zip(crafts, ends):
+        out.x[pos] = y[0, :3]
+        out.x[vel] = y[0, 3:]
         out.x[acc] = decay_acc * state.x[acc]
         out.x[clk] = decay_clk * state.x[clk]
-        rv = np.r_[np.arange(pos.start, pos.stop), np.arange(vel.start, vel.stop)]
-        ai = np.arange(acc.start, acc.stop)
-        phi[np.ix_(rv, rv)] = phi_craft[:, :6]
-        phi[np.ix_(rv, ai)] = phi_craft[:, 6:]
-        phi[np.ix_(ai, ai)] = decay_acc * np.eye(3)
+        # Columns: sensitivity of the end position/velocity to the start
+        # position, velocity and (held-constant) empirical acceleration.
+        phi[pos.start:vel.stop, pos.start:acc.stop] = (
+            (y[1::2] - y[2::2]) / (2.0 * _FD_STEPS[:, None])).T
+        phi[acc, acc] = decay_acc * np.eye(3)
         phi[clk, clk] = decay_clk
 
     q = np.zeros(N_STATES)
     scale = dt / tuning.reference_step
-    for pos, vel, acc, clk in ((CHIEF_POS, CHIEF_VEL, CHIEF_ACC, CHIEF_CLOCK),
-                               (DEPUTY_POS, DEPUTY_VEL, DEPUTY_ACC, DEPUTY_CLOCK)):
+    for pos, vel, acc, clk in crafts:
         q[pos] = tuning.proc_pos ** 2 * scale
         q[vel] = tuning.proc_vel ** 2 * scale
         q[acc] = np.square(tuning.proc_accel) * scale
@@ -719,7 +663,7 @@ def dare_scalar_fixed_point(q, r, wavelength=L1_WAVELENGTH):
 
 
 # ---------------------------------------------------------------------------
-# Metrics and snapshots
+# Metrics
 # ---------------------------------------------------------------------------
 
 def navigation_metrics(rel_pos_err_rtn, rel_vel_err_rtn, first_fix_index=None,
@@ -764,34 +708,3 @@ def navigation_metrics(rel_pos_err_rtn, rel_vel_err_rtn, first_fix_index=None,
         "first_fix_index": first_fix_index,
     }
 
-
-SNAPSHOT_FIELDS = (
-    ["time"]
-    + [f"chief_{c}" for c in ("x", "y", "z", "vx", "vy", "vz")]
-    + [f"deputy_{c}" for c in ("x", "y", "z", "vx", "vy", "vz")]
-    + ["chief_clock", "deputy_clock"]
-    + [f"sigma_{c}" for c in ("chief_pos", "deputy_pos", "rel_pos")]
-    + ["n_fixed_channels"]
-)
-
-
-def snapshot_header() -> str:
-    return ",".join(SNAPSHOT_FIELDS)
-
-
-def snapshot_row(state: FilterState) -> str:
-    """One CSV row of the documented snapshot columns (repr-precision)."""
-    p = state.covariance
-    var_cp = np.trace(p[CHIEF_POS, CHIEF_POS])
-    var_dp = np.trace(p[DEPUTY_POS, DEPUTY_POS])
-    rel_block = (p[CHIEF_POS, CHIEF_POS] + p[DEPUTY_POS, DEPUTY_POS]
-                 - p[CHIEF_POS, DEPUTY_POS] - p[DEPUTY_POS, CHIEF_POS])
-    vals = ([state.epoch]
-            + list(state.x[CHIEF_POS]) + list(state.x[CHIEF_VEL])
-            + list(state.x[DEPUTY_POS]) + list(state.x[DEPUTY_VEL])
-            + [state.x[CHIEF_CLOCK], state.x[DEPUTY_CLOCK]]
-            + [math.sqrt(max(var_cp, 0.0)), math.sqrt(max(var_dp, 0.0)),
-               math.sqrt(max(np.trace(rel_block), 0.0))]
-            + [int(np.sum(state.fixed_mask))])
-    return ",".join(repr(float(v)) if not isinstance(v, int) else str(v)
-                    for v in vals)

@@ -1,10 +1,12 @@
 """Orbit propagation, GPS constellation geometry, visibility, and frames.
 
-Truth and filter propagation share one fixed-step RK4 integrator over
-two-body + J2 dynamics plus an RTN-resolved empirical acceleration; the
-deliberate difference between truth and filter is confined to the
-acceleration profiles handed in, which is what the filter's empirical
-acceleration states are there to absorb.
+One fixed-step RK4 integrator over two-body + J2 dynamics plus an
+RTN-resolved empirical acceleration serves truth, the filter mean and the
+filter's finite-difference transition.  ``propagate`` advances one state or
+stacked (n, 3) rows in one call, and each row's arithmetic is the same as
+if it were propagated alone.  The deliberate difference between truth and
+filter is confined to the acceleration profiles handed in, which is what
+the filter's empirical acceleration states are there to absorb.
 """
 
 from __future__ import annotations
@@ -79,21 +81,23 @@ class OrbitState:
 # Dynamics
 # ---------------------------------------------------------------------------
 
+# Per-axis constants of the J2 term: x and y scale by (1 - 5 z^2/r^2),
+# z by (3 - 5 z^2/r^2).
+_J2_AXIS_FACTORS = np.array([1.0, 1.0, 3.0])
+
+
 def acceleration(position, include_j2=True, mu=MU_EARTH, j2=J2_EARTH,
                  r_body=R_EARTH):
-    """Two-body plus (optionally) J2 gravitational acceleration [m/s^2]."""
+    """Two-body plus (optionally) J2 gravitational acceleration [m/s^2] of
+    one position or of stacked (n, 3) rows."""
     r = np.asarray(position, dtype=float)
-    rn2 = float(r @ r)
-    rn = math.sqrt(rn2)
+    rn2 = (r[..., None, :] @ r[..., :, None])[..., 0]
+    rn = np.sqrt(rn2)
     a = -mu / (rn2 * rn) * r
     if include_j2:
-        z2_r2 = r[2] * r[2] / rn2
+        z2_r2 = r[..., 2:3] * r[..., 2:3] / rn2
         k = -1.5 * mu * j2 * r_body * r_body / (rn2 * rn2 * rn)
-        a = a + k * np.array([
-            r[0] * (1.0 - 5.0 * z2_r2),
-            r[1] * (1.0 - 5.0 * z2_r2),
-            r[2] * (3.0 - 5.0 * z2_r2),
-        ])
+        a = a + k * (r * (_J2_AXIS_FACTORS - 5.0 * z2_r2))
     return a
 
 
@@ -128,13 +132,23 @@ def rtn_frame(state: OrbitState) -> np.ndarray:
 
 
 def _derivative(y, empirical_rtn, include_j2):
-    r = y[:3]
-    v = y[3:]
+    """Time derivative of (..., 6) position/velocity rows; the empirical
+    acceleration of each row is resolved in that row's own RTN frame."""
+    r = y[..., :3]
+    v = y[..., 3:]
     a = acceleration(r, include_j2=include_j2)
     if empirical_rtn is not None:
-        st = OrbitState(r, v)
-        a = a + rtn_frame(st).T @ empirical_rtn
-    return np.concatenate([v, a])
+        radial = r / np.linalg.norm(r, axis=-1, keepdims=True)
+        h = np.cross(r, v)
+        hn = np.linalg.norm(h, axis=-1, keepdims=True)
+        if not hn.all():
+            raise DegenerateFrameError("position and velocity are parallel")
+        normal = h / hn
+        transverse = np.cross(normal, radial)
+        a = a + (radial * empirical_rtn[..., 0:1]
+                 + transverse * empirical_rtn[..., 1:2]
+                 + normal * empirical_rtn[..., 2:3])
+    return np.concatenate([v, a], axis=-1)
 
 
 def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
@@ -144,11 +158,13 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
     Parameters
     ----------
     state : OrbitState
+        One state or stacked (n, 3) position and velocity rows; each row
+        gives the same result as propagated on its own.
     dt : float
         Propagation interval [s] (> 0).
-    empirical_accel_rtn : array_like, shape (3,), optional
-        Constant empirical acceleration over the interval, resolved in the
-        instantaneous RTN frame of the propagated craft [m/s^2].
+    empirical_accel_rtn : array_like, shape (3,) or (n, 3), optional
+        Constant empirical acceleration over the interval, per row, resolved
+        in the instantaneous RTN frame of the propagated craft [m/s^2].
     include_j2 : bool
         Include the J2 zonal term.
     max_step : float
@@ -157,23 +173,23 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
     Raises
     ------
     PropagationError
-        If the trajectory descends below the Earth's surface.
+        If any row descends below the Earth's surface at any substep.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     emp = None if empirical_accel_rtn is None else np.asarray(empirical_accel_rtn, dtype=float)
     n_steps = max(1, int(math.ceil(dt / max_step)))
     h = dt / n_steps
-    y = np.concatenate([state.position, state.velocity])
+    y = np.concatenate([state.position, state.velocity], axis=-1)
     for _ in range(n_steps):
         k1 = _derivative(y, emp, include_j2)
         k2 = _derivative(y + 0.5 * h * k1, emp, include_j2)
         k3 = _derivative(y + 0.5 * h * k2, emp, include_j2)
         k4 = _derivative(y + h * k3, emp, include_j2)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if float(np.linalg.norm(y[:3])) < R_EARTH:
+        if np.any(np.linalg.norm(y[..., :3], axis=-1) < R_EARTH):
             raise PropagationError("trajectory descended below the surface")
-    return OrbitState(y[:3], y[3:], epoch=state.epoch + dt)
+    return OrbitState(y[..., :3], y[..., 3:], epoch=state.epoch + dt)
 
 
 # ---------------------------------------------------------------------------

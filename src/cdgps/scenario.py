@@ -442,18 +442,18 @@ def generate_truth(config: ScenarioConfig) -> Truth:
     dp = np.empty((n + 1, 3)); dv_ = np.empty((n + 1, 3))
     events = []
     warned_close = False
+    pair = OrbitState(np.stack([chief.position, deputy.position]),
+                      np.stack([chief.velocity, deputy.velocity]), 0.0)
     for i, t in enumerate(times):
         if i > 0:
-            chief = propagate(chief, config.truth_step)
-            deputy = propagate(deputy, config.truth_step)
+            pair = propagate(pair, config.truth_step)
         for burn in impulse_at.get(i, []):
-            dv_eci = rtn_frame(deputy).T @ burn
-            deputy = OrbitState(deputy.position, deputy.velocity + dv_eci,
-                                deputy.epoch)
+            deputy = OrbitState(pair.position[1], pair.velocity[1])
+            pair.velocity[1] += rtn_frame(deputy).T @ burn
             events.append({"time": float(t), "kind": "impulse",
                            "dv_rtn": [float(c) for c in burn]})
-        cp[i], cv[i] = chief.position, chief.velocity
-        dp[i], dv_[i] = deputy.position, deputy.velocity
+        cp[i], dp[i] = pair.position
+        cv[i], dv_[i] = pair.velocity
         sep = float(np.linalg.norm(dp[i] - cp[i]))
         if sep < 1.0 and not warned_close:
             events.append({"time": float(t), "kind": "collision-warning",
@@ -1073,7 +1073,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     n_skipped = 0
     n_attempt_epochs = 0
     first_fix_index = None
-    stage_trace_logged = False
     tracked = []   # satellites of the latest GPS epoch
     use_external = config.coupling_mode in ("loose", "full")
     run_iar = config.coupling_mode in ("loose", "full")
@@ -1148,12 +1147,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
                           if age >= IAR_MIN_TRACK}
                 state, success_prob, fix = _attempt_fix(
                     state, epoch, config, aux.true_sd, eligible=mature)
-                if not stage_trace_logged:
-                    events.append({
-                        "time": float(t), "kind": "stage-trace",
-                        "stages": ["time-update", "measurement-update",
-                                   "integer-resolution"]})
-                    stage_trace_logged = True
                 if fix is not None:
                     fix_events.append(fix)
                     fixed_this_epoch = True

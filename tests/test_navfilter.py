@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cdgps.constants import ARCSEC, L1_WAVELENGTH, MU_EARTH
+from cdgps.constants import ARCSEC, L1_WAVELENGTH, MU_EARTH, R_EARTH
 from cdgps.iar import success_rate
 from cdgps.measurements import MeasurementEpoch, SensorBiases
 from cdgps.navfilter import (
@@ -38,8 +38,6 @@ from cdgps.navfilter import (
     initialize_filter,
     measurement_update,
     navigation_metrics,
-    snapshot_header,
-    snapshot_row,
     time_update,
 )
 from cdgps.orbits import OrbitState, propagate
@@ -208,12 +206,25 @@ def test_time_update_mean_matches_truth_propagator():
     acc = np.array([3e-7, -2e-7, 1e-7])
     st.x[6:9] = acc
     out = time_update(st, tuning, 30.0)
+    # The filter mean runs through the truth integrator itself.
     ref = propagate(chief, 30.0, empirical_accel_rtn=acc, max_step=10.0)
-    assert np.allclose(out.x[CHIEF_POS], ref.position, atol=1e-6)
-    assert np.allclose(out.x[CHIEF_VEL], ref.velocity, atol=1e-9)
+    np.testing.assert_array_equal(out.x[CHIEF_POS], ref.position)
+    np.testing.assert_array_equal(out.x[CHIEF_VEL], ref.velocity)
     ref_d = propagate(deputy, 30.0, max_step=10.0)
-    assert np.allclose(out.x[DEPUTY_POS], ref_d.position, atol=1e-6)
+    np.testing.assert_array_equal(out.x[DEPUTY_POS], ref_d.position)
+    np.testing.assert_array_equal(out.x[DEPUTY_VEL], ref_d.velocity)
     assert out.epoch == pytest.approx(30.0)
+
+
+def test_time_update_rejects_descending_craft():
+    chief, deputy = make_truth()
+    tuning = FilterTuning()
+    st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
+    # The deputy estimate drops straight at the Earth from 50 km up.
+    st.x[DEPUTY_POS] = [R_EARTH + 50e3, 0.0, 0.0]
+    st.x[DEPUTY_VEL] = [-3000.0, 500.0, 0.0]
+    with pytest.raises(RuntimeError):
+        time_update(st, tuning, 30.0)
 
 
 def test_time_update_gauss_markov_decay():
@@ -687,7 +698,7 @@ def test_dare_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# Metrics and snapshots
+# Metrics
 # ---------------------------------------------------------------------------
 
 def test_metrics_zero_error_history():
@@ -717,16 +728,3 @@ def test_metrics_wrong_fix_rate_and_split():
     assert m["rms_pos_post_fix"] == pytest.approx(0.001 * math.sqrt(3), rel=1e-9)
     assert m["first_fix_index"] == 5
 
-
-def test_snapshot_roundtrip():
-    chief, deputy = make_truth()
-    tuning = FilterTuning()
-    st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
-    header = snapshot_header()
-    row = snapshot_row(st)
-    assert len(header.split(",")) == len(row.split(","))
-    vals = [float(v) for v in row.split(",")]
-    assert vals[0] == st.epoch
-    assert vals[1] == pytest.approx(st.x[CHIEF_POS.start])
-    # Deterministic: same state, same string
-    assert snapshot_row(st) == row

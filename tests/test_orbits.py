@@ -122,6 +122,52 @@ def test_propagation_subsurface_error():
         propagate(circular_leo(), -5.0)
 
 
+def _orbit_rows(rng, n):
+    """Near-circular LEO-to-GEO states with random planes, as stacked rows."""
+    up = rng.normal(size=(n, 3))
+    up /= np.linalg.norm(up, axis=1, keepdims=True)
+    along = np.cross(up, rng.normal(size=(n, 3)))
+    along /= np.linalg.norm(along, axis=1, keepdims=True)
+    radius = rng.uniform(R_EARTH + 300e3, 4.3e7, size=(n, 1))
+    speed = np.sqrt(MU_EARTH / radius) * rng.uniform(0.98, 1.02, size=(n, 1))
+    return up * radius, along * speed + rng.normal(scale=5.0, size=(n, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=40),
+       st.booleans(),
+       st.floats(min_value=10.5, max_value=65.0))
+def test_stacked_propagate_matches_rows_bit_for_bit(seed, n, empirical, dt):
+    rng = np.random.default_rng(seed)
+    pos, vel = _orbit_rows(rng, n)
+    acc = rng.normal(scale=1e-6, size=(n, 3)) if empirical else None
+    stacked = propagate(OrbitState(pos, vel, 5.0), dt, acc)
+    assert stacked.position.shape == (n, 3)
+    assert stacked.epoch == 5.0 + dt
+    for k in range(n):
+        single = propagate(OrbitState(pos[k], vel[k], 5.0), dt,
+                           None if acc is None else acc[k])
+        np.testing.assert_array_equal(stacked.position[k], single.position)
+        np.testing.assert_array_equal(stacked.velocity[k], single.velocity)
+
+
+def test_stacked_propagation_subsurface_error_from_one_row():
+    # One row drops straight at the Earth; the rest stay in orbit.
+    pos, vel = _orbit_rows(np.random.default_rng(7), 5)
+    pos[3] = [R_EARTH + 100e3, 0.0, 0.0]
+    vel[3] = [-3000.0, 0.0, 0.0]
+    with pytest.raises(PropagationError):
+        propagate(OrbitState(pos, vel), 600.0)
+    # A hyperbolic graze dips below the surface from about 5 s to 58 s and
+    # ends 3.5 km above it at 70 s: the substep check still catches it.
+    graze = OrbitState([R_EARTH + 2e3, 0.0, 0.0], [-300.0, 11000.0, 0.0])
+    leo = circular_leo()
+    with pytest.raises(PropagationError):
+        propagate(OrbitState(np.stack([leo.position, graze.position]),
+                             np.stack([leo.velocity, graze.velocity])), 70.0)
+
+
 def test_acceleration_j2_structure():
     # On the equatorial plane the J2 term points radially inward (stronger
     # pull); over the pole it is also attractive but with different scale.
@@ -167,6 +213,11 @@ def test_rtn_frame_along_track_offset():
 def test_rtn_frame_degenerate():
     with pytest.raises(DegenerateFrameError):
         rtn_frame(OrbitState([7e6, 0, 0], [750.0, 0, 0]))
+    # An RTN-resolved empirical acceleration needs the same frame.
+    radial = OrbitState([[7e6, 0, 0], [7e6, 0, 0]], [[0, 7.5e3, 0], [750.0, 0, 0]])
+    with pytest.raises(DegenerateFrameError):
+        propagate(radial, 30.0, empirical_accel_rtn=[1e-7, 0.0, 0.0])
+    propagate(radial, 30.0)
 
 
 # ---------------------------------------------------------------------------
