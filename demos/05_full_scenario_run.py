@@ -9,7 +9,6 @@ inspected directly, then a three-seed mini-sweep shows the run-to-run spread.
 """
 
 import tempfile
-from pathlib import Path
 
 from cdgps.scenario import leo_preset, run_scenario
 
@@ -21,8 +20,7 @@ print(f"scenario  : {cfg.name}")
 print(f"duration  : {cfg.duration:.0f} s   coupling: {cfg.coupling_mode}")
 print(f"separation: {cfg.separation:.0f} m\n")
 
-out_dir = Path(tempfile.mkdtemp(prefix="cdgps-demo-"))
-report = run_scenario(cfg, output_dir=out_dir)
+report = run_scenario(cfg)
 s = report.summary
 
 print(f"epochs processed    : {s['n_epochs']} ({s['n_skipped']} skipped)")
@@ -42,9 +40,10 @@ for ev in report.fix_events:
     print(f"  t={ev['time']:6.0f} s  {kind:7s} n={len(ev['channels']):2d} "
           f"wrong={ev['wrong']}  P(success)={ev['success_prob']:.3f}")
 
-print(f"\nreports written to {out_dir}:")
-for path in sorted(out_dir.iterdir()):
-    print(f"  {path.name:12s} {path.stat().st_size:8d} bytes")
+with tempfile.TemporaryDirectory(prefix="cdgps-demo-") as out_dir:
+    print(f"\nreports written to {out_dir} (removed on exit):")
+    for path in sorted(report.write(out_dir).values()):
+        print(f"  {path.name:12s} {path.stat().st_size:8d} bytes")
 
 print("\nthree-seed spread (same scenario, fresh noise):")
 print(f"{'seed':>5s} {'events':>7s} {'wrong':>6s} {'post-fix RMS':>13s}")

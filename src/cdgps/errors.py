@@ -37,7 +37,6 @@ __all__ = [
     "multipath_sigma",
     "multipath_near",
     "multipath_far",
-    "multipath_map_rows",
     "clock_random_walk",
     "klobuchar_delay",
     "DEFAULT_KLOBUCHAR_ALPHA",
@@ -268,20 +267,6 @@ def multipath_sigma(params: MultipathParams, query_az, query_el, kind="phase"):
                         params.target_direction[0], params.target_direction[1],
                         query_az, query_el)
     return near + far
-
-
-def multipath_map_rows(params: MultipathParams, kind="phase", n_az=73, n_el=37):
-    """Grid of (azimuth, elevation, sigma) rows spanning the full sky.
-
-    Intended for CSV export/plotting of the footprint model.
-    """
-    azs = np.linspace(-math.pi, math.pi, n_az)
-    els = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_el)
-    rows = []
-    for el in els:
-        for az in azs:
-            rows.append((az, el, multipath_sigma(params, az, el, kind)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

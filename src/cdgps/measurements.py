@@ -16,10 +16,8 @@ import numpy as np
 from .constants import L1_WAVELENGTH
 
 __all__ = [
-    "CarrierPhaseObs",
     "MeasurementEpoch",
     "SensorBiases",
-    "PairingError",
     "FrameError",
     "BoresightError",
     "undifferenced_phase",
@@ -32,12 +30,7 @@ __all__ = [
     "bearing_model",
     "sensor_jacobian",
     "transform_jacobian",
-    "relative_position_sensor_frame",
 ]
-
-
-class PairingError(ValueError):
-    """Differencing attempted across mismatched transmitters or receivers."""
 
 
 class FrameError(ValueError):
@@ -46,34 +39,6 @@ class FrameError(ValueError):
 
 class BoresightError(ValueError):
     """Geometry is singular for the requested angle model or Jacobian."""
-
-
-@dataclass
-class CarrierPhaseObs:
-    """One undifferenced L1 observation from one receiver.
-
-    Attributes
-    ----------
-    phase : float
-        Carrier phase [cycles].
-    pseudorange : float
-        Code pseudorange [m].
-    gps_id : int
-        Transmitting GPS satellite identifier.
-    receiver_id : str
-        Receiving spacecraft identifier.
-    time : float
-        Simulation epoch [s].
-    c_n0 : float
-        Carrier-to-noise density at the tracking loop [dB-Hz].
-    """
-
-    phase: float
-    pseudorange: float
-    gps_id: int
-    receiver_id: str
-    time: float
-    c_n0: float = 45.0
 
 
 @dataclass
@@ -101,7 +66,6 @@ class MeasurementEpoch:
     time: float
     graphic: dict = field(default_factory=dict)        # receiver_id -> list[(gps_id, m)]
     sdcp: list = field(default_factory=list)           # list[(gps_id, cycles)]
-    ddcp_reference: int = None
     range_obs: float = None                            # m, or None
     bearing_obs: tuple = None                          # (az, el) rad, or None
     attitude: np.ndarray = None                        # 3x3 DCM ECI -> sensor
@@ -115,10 +79,6 @@ class MeasurementEpoch:
     def __post_init__(self):
         if self.attitude_time is None:
             self.attitude_time = self.time
-        if self.sdcp and self.ddcp_reference is not None:
-            ids = {gid for gid, _ in self.sdcp}
-            if self.ddcp_reference not in ids:
-                raise PairingError("ddcp_reference not among the SDCP channels")
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +140,10 @@ def graphic(pseudorange, phase, wavelength=L1_WAVELENGTH):
     return 0.5 * pseudorange + 0.5 * wavelength * phase
 
 
-def _phase_value(obs):
-    return obs.phase if isinstance(obs, CarrierPhaseObs) else obs
-
-
 def single_difference(obs_a, obs_b):
-    """Between-receiver difference of one GPS satellite's observable.
-
-    Accepts raw values (cycles or meters) or :class:`CarrierPhaseObs`; in the
-    latter case the transmitter identifiers must match.
-    """
-    if isinstance(obs_a, CarrierPhaseObs) and isinstance(obs_b, CarrierPhaseObs):
-        if obs_a.gps_id != obs_b.gps_id:
-            raise PairingError(
-                f"single difference across GPS ids {obs_a.gps_id} != {obs_b.gps_id}")
-    return _phase_value(obs_a) - _phase_value(obs_b)
+    """Between-receiver difference of one GPS satellite's observable
+    (cycles or meters, as given)."""
+    return obs_a - obs_b
 
 
 def double_difference(sd_p, sd_q):
@@ -246,12 +195,6 @@ def ddcp_geometry_row(los_p, los_q):
 # ---------------------------------------------------------------------------
 # External sensor models
 # ---------------------------------------------------------------------------
-
-def relative_position_sensor_frame(r_chief, r_deputy, dcm_eci_to_sensor):
-    """Deputy-minus-chief position rotated into the sensor frame [m]."""
-    return np.asarray(dcm_eci_to_sensor) @ (np.asarray(r_deputy, dtype=float)
-                                            - np.asarray(r_chief, dtype=float))
-
 
 def range_model(rel_pos_sensor_frame, biases: SensorBiases = None):
     """Measured inter-satellite range: Euclidean norm plus range bias [m]."""

@@ -15,8 +15,9 @@ single-diff ambs      44:68     24 channels, chief-minus-deputy floats [cy]
 sensor biases         68:71     range [m], azimuth [rad], elevation [rad]
 ====================  ========  ==============================================
 
-Ambiguity channels are slots keyed to GPS satellites; a slot freed for a new
-satellite restarts at the initialization variance.  GRAPHIC observations see
+Ambiguity channels are slots keyed to GPS satellites; ``allocate_channels``
+alone restarts them (hand-over, or re-acquisition on a new track),
+warm-starts them and counts their age.  GRAPHIC observations see
 the zero-difference float of the observing receiver (the deputy's is the
 chief's minus the single difference), single-differenced carrier phase sees
 the single-difference float, and the external range/bearing sensors see the
@@ -145,11 +146,18 @@ class FilterState:
         default_factory=lambda: np.zeros(N_CHANNELS, dtype=bool))
     last_seen: np.ndarray = field(
         default_factory=lambda: np.full(N_CHANNELS, -np.inf))
+    # Per slot: (chief, deputy) track ids, 0 for none, and consecutive GPS
+    # epochs on that track, 0 for a slot not tracked now.
+    track: np.ndarray = field(
+        default_factory=lambda: np.zeros((N_CHANNELS, 2), dtype=np.int64))
+    age: np.ndarray = field(
+        default_factory=lambda: np.zeros(N_CHANNELS, dtype=np.int64))
 
     def copy(self) -> "FilterState":
         return FilterState(self.x.copy(), self.covariance.copy(), self.epoch,
                            self.channel_ids.copy(), self.fixed_mask.copy(),
-                           self.last_seen.copy())
+                           self.last_seen.copy(), self.track.copy(),
+                           self.age.copy())
 
     @property
     def chief(self) -> OrbitState:
@@ -234,31 +242,55 @@ def _reset_channel(state: FilterState, slot: int, tuning: FilterTuning):
     state.fixed_mask[slot] = False
 
 
-def allocate_channels(state: FilterState, gps_ids, tuning: FilterTuning,
-                      time=None) -> dict:
-    """Ensure every GPS id has an ambiguity slot; returns id -> slot.
+def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
+                      tuning: FilterTuning) -> dict:
+    """Give every satellite in ``tracks`` an ambiguity slot; returns id -> slot.
 
-    New satellites take free slots first, then evict the slot unseen for the
-    longest time.  A slot that changes hands restarts its ambiguity states
-    at the initialization variance.
+    Channels restart, warm-start and age here and nowhere else.  ``tracks``
+    maps the GPS ids of ``epoch`` to their (chief, deputy) track ids.  New
+    satellites take free slots first, then evict the slot unseen for the
+    longest time.  A slot restarts at the initialization variance, unfixed,
+    when it changes hands or its track changes (a re-acquired signal carries
+    a new ambiguity), and its floats are warm-started from the epoch's chief
+    GRAPHIC and SDCP.  ``state.age`` counts consecutive GPS epochs on one
+    track: 1 at a restart, 0 for a slot not tracked this epoch.
     """
-    time = state.epoch if time is None else time
+    graphic_c = dict(epoch.graphic.get("chief", []))
+    sdcp = dict(epoch.sdcp)
+    wavelength = tuning.wavelength
+    gids = sorted(tracks)
+    age = np.zeros_like(state.age)
     mapping = {}
-    for gid in gps_ids:
+    for gid in gids:
         slot = state.slot_of(gid)
+        restart = slot < 0 or tuple(state.track[slot]) != tuple(tracks[gid])
         if slot < 0:
             free = np.nonzero(state.channel_ids < 0)[0]
             if free.size:
                 slot = int(free[0])
             else:
-                candidates = np.nonzero(~np.isin(state.channel_ids, list(gps_ids)))[0]
+                candidates = np.nonzero(~np.isin(state.channel_ids, gids))[0]
                 if candidates.size == 0:
                     continue  # more satellites than channels; drop extras
                 slot = int(candidates[np.argmin(state.last_seen[candidates])])
             state.channel_ids[slot] = gid
+        if restart:
             _reset_channel(state, slot, tuning)
-        state.last_seen[slot] = time
+            state.track[slot] = tracks[gid]
+        if restart and gid in graphic_c:
+            # Floats that fit the epoch at the predicted ranges and clocks.
+            gp = epoch.gps_positions[gid]
+            rc = float(np.linalg.norm(gp - state.x[CHIEF_POS]))
+            rd = float(np.linalg.norm(gp - state.x[DEPUTY_POS]))
+            state.x[AMB_ZD.start + slot] = 2.0 * (
+                graphic_c[gid] - rc - state.x[CHIEF_CLOCK]) / wavelength
+            state.x[AMB_SD.start + slot] = sdcp[gid] - (
+                (rc - rd) + (state.x[CHIEF_CLOCK]
+                             - state.x[DEPUTY_CLOCK])) / wavelength
+        age[slot] = 1 if restart else state.age[slot] + 1
+        state.last_seen[slot] = epoch.time
         mapping[gid] = slot
+    state.age = age
     return mapping
 
 

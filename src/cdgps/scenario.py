@@ -91,7 +91,6 @@ from .measurements import (
 from . import navfilter
 from .navfilter import (
     AMB_SD,
-    AMB_ZD,
     CHIEF_CLOCK,
     CHIEF_POS,
     DEPUTY_CLOCK,
@@ -739,8 +738,9 @@ def sd_to_dd(floats, covariance, reference_index):
     if not 0 <= int(reference_index) < k:
         raise IndexError(f"reference index {reference_index} out of range")
     t = sd_to_dd_matrix(k, int(reference_index))
+    dd_cov = t @ cov @ t.T
     return AmbiguityDistribution(floats=t @ floats,
-                                 covariance=t @ cov @ t.T), t
+                                 covariance=0.5 * (dd_cov + dd_cov.T)), t
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +758,7 @@ _INT_FIELDS = {"n_fixed", "n_rows", "n_rejected", "skipped"}
 # is fixed.
 IAR_MAX_SEARCH = 10
 
-# A channel must have been tracked this many consecutive measurement epochs
+# A channel must have been on one track this many consecutive GPS epochs
 # before it may enter the integer search; fresh floats carry initialization
 # transients that the formal covariance understates.
 IAR_MIN_TRACK = 5
@@ -825,11 +825,7 @@ def _jsonable(obj):
     return obj
 
 
-def _sd_index(state, gid) -> int:
-    return AMB_SD.start + state.slot_of(gid)
-
-
-def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
+def _attempt_fix(state, epoch, config, true_sd_map, slots):
     """One integer-resolution attempt at a GPS epoch.
 
     Selects a reference channel (a fixed one when available, otherwise the
@@ -839,8 +835,9 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
     a full acceptance pins channels to integers, a partial one conditions
     the filter on the accepted decorrelated combinations only.
 
-    ``eligible``, when given, limits which *float* channels may enter the
-    search (already-fixed channels are exempt).
+    ``slots`` maps the epoch's GPS ids to ambiguity slots (as returned by
+    ``allocate_channels``).  A float channel enters the search only after
+    ``IAR_MIN_TRACK`` epochs on its track; fixed channels are exempt.
 
     Returns ``(state, success_prob or nan, fix_event or None)``.
     """
@@ -849,38 +846,30 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
     x = state.x
     p = state.covariance
 
-    gids = sorted(gid for gid, _ in epoch.sdcp
-                  if state.slot_of(gid) >= 0 and gid in epoch.gps_positions)
-    fixed = [g for g in gids if state.fixed_mask[state.slot_of(g)]]
-    unfixed = [g for g in gids if not state.fixed_mask[state.slot_of(g)]]
-    if eligible is not None:
-        unfixed = [g for g in unfixed if g in eligible]
+    gids = sorted(slots)
+    sd = {g: AMB_SD.start + slots[g] for g in gids}
+    fixed = [g for g in gids if state.fixed_mask[slots[g]]]
+    unfixed = [g for g in gids if not state.fixed_mask[slots[g]]
+               and state.age[slots[g]] >= IAR_MIN_TRACK]
     if not unfixed:
         return state, float("nan"), None
 
     if fixed:
-        ref = min(fixed, key=lambda g: state.slot_of(g))
+        ref = min(fixed, key=lambda g: slots[g])
     else:
-        ref = min(unfixed, key=lambda g: (p[_sd_index(state, g),
-                                            _sd_index(state, g)], g))
+        ref = min(unfixed, key=lambda g: (p[sd[g], sd[g]], g))
     free = [g for g in unfixed if g != ref]
     if not free:
         return state, float("nan"), None
     if len(free) > IAR_MAX_SEARCH:
-        free = sorted(free, key=lambda g: (p[_sd_index(state, g),
-                                             _sd_index(state, g)], g))
+        free = sorted(free, key=lambda g: (p[sd[g], sd[g]], g))
         free = free[:IAR_MAX_SEARCH]
 
-    idx = [_sd_index(state, g) for g in free] + [_sd_index(state, ref)]
+    # The reference channel goes last, so it is the DD reference index.
+    idx = [sd[g] for g in free] + [sd[ref]]
     n_dd = len(free)
-    tmat = np.zeros((n_dd, n_dd + 1))
-    tmat[:, :n_dd] = np.eye(n_dd)
-    tmat[:, n_dd] = -1.0
-    dd_floats = tmat @ x[idx]
-    dd_cov = tmat @ p[np.ix_(idx, idx)] @ tmat.T
-    dd_cov = 0.5 * (dd_cov + dd_cov.T)
-    dist_z = decorrelate(AmbiguityDistribution(floats=dd_floats,
-                                               covariance=dd_cov))
+    dd, tmat = sd_to_dd(x[idx], p[np.ix_(idx, idx)], n_dd)
+    dist_z = decorrelate(dd)
 
     ctx = None
     if (config.coupling_mode == "full" and epoch.range_obs is not None
@@ -891,12 +880,12 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
         rows = [los[ref] - los[g] for g in free]
         phases = [sdcp_map[g] - sdcp_map[ref] for g in free]
         row_gids = list(free)
-        if state.fixed_mask[state.slot_of(ref)]:
-            ref_int = x[_sd_index(state, ref)]
+        if state.fixed_mask[slots[ref]]:
+            ref_int = x[sd[ref]]
             for g in fixed:
                 if g == ref:
                     continue
-                known = x[_sd_index(state, g)] - ref_int
+                known = x[sd[g]] - ref_int
                 rows.append(los[ref] - los[g])
                 phases.append(sdcp_map[g] - sdcp_map[ref] - known)
                 row_gids.append(g)
@@ -980,27 +969,22 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
     if full_fix:
         n_dd_int = np.rint(inverse_transform(
             dist_z.z_matrix, np.asarray(result.best))).astype(np.int64)
-        rows_dd = np.zeros((n_dd, navfilter.N_STATES))
-        for r, g in enumerate(free):
-            rows_dd[r, _sd_index(state, g)] = 1.0
-            rows_dd[r, _sd_index(state, ref)] = -1.0
-        state = constrain_linear(state, rows_dd, n_dd_int.astype(float))
-        if state.fixed_mask[state.slot_of(ref)]:
-            ref_int = int(round(state.x[_sd_index(state, ref)]))
-            state = apply_fixes(state, [state.slot_of(g) for g in free],
+        rows = np.zeros((n_dd, navfilter.N_STATES))
+        rows[:, idx] = tmat
+        state = constrain_linear(state, rows, n_dd_int.astype(float))
+        if state.fixed_mask[slots[ref]]:
+            ref_int = int(round(state.x[sd[ref]]))
+            state = apply_fixes(state, [slots[g] for g in free],
                                 n_dd_int + ref_int)
         else:
             # The datum channel is only code-level observable; round it and
             # let the clock states absorb the common-mode residual.
-            ref_int = int(round_half_away(state.x[_sd_index(state, ref)]))
-            slots = [state.slot_of(g) for g in free] + [state.slot_of(ref)]
+            ref_int = int(round_half_away(state.x[sd[ref]]))
             vals = np.concatenate([n_dd_int + ref_int, [ref_int]])
-            state = apply_fixes(state, slots, vals)
+            state = apply_fixes(state, [slots[g] for g in free + [ref]], vals)
     else:
-        rows_z = np.asarray(dist_z.z_matrix, dtype=float).T[sel]
-        combo = rows_z @ tmat
         rows = np.zeros((len(sel), navfilter.N_STATES))
-        rows[:, idx] = combo
+        rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ tmat
         state = constrain_linear(state, rows, values.astype(float))
 
     event = {
@@ -1018,8 +1002,8 @@ def _attempt_fix(state, epoch, config, true_sd_map, eligible=None):
         "channels": [int(g) for g in free],
         # Honest-error introspection: worst float error against truth and
         # worst formal sigma, both in double-difference cycles.
-        "float_err_max": float(np.max(np.abs(dd_floats - true_dd))),
-        "sigma_dd_max": float(np.sqrt(np.max(np.diag(dd_cov)))),
+        "float_err_max": float(np.max(np.abs(dd.floats - true_dd))),
+        "sigma_dd_max": float(np.sqrt(np.max(np.diag(dd.covariance)))),
     }
     return state, float(result.success_prob), event
 
@@ -1043,7 +1027,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     epochs, aux = synthesize_measurements(config, truth, constellation)
     by_time = {e.time: e for e in epochs}
     tuning = config.tuning
-    wavelength = tuning.wavelength
 
     rng_init = substream(config.seed, "init")
     c0 = truth.chief_state(0)
@@ -1068,12 +1051,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     events = list(truth.events)
     fix_events = []
     records = []
-    known_pairs = {}
-    track_age = {}
     n_skipped = 0
     n_attempt_epochs = 0
     first_fix_index = None
-    tracked = []   # satellites of the latest GPS epoch
     use_external = config.coupling_mode in ("loose", "full")
     run_iar = config.coupling_mode in ("loose", "full")
 
@@ -1098,44 +1078,13 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             continue
 
         is_gps = bool(epoch.sdcp)
-        if is_gps:
-            tracked = [gid for gid, _ in epoch.sdcp]
         skipped = False
         report = None
         success_prob = float("nan")
         fixed_this_epoch = False
         try:
             if is_gps:
-                gids = sorted(gid for gid, _ in epoch.sdcp)
-                prev_ids = state.channel_ids.copy()
-                mapping = allocate_channels(state, gids, tuning, t)
-                warm = set()
-                cur_pairs = aux.pair_ids[t]
-                for gid, slot in mapping.items():
-                    if prev_ids[slot] != gid:
-                        warm.add(gid)
-                    elif known_pairs.get(gid) != cur_pairs[gid]:
-                        navfilter._reset_channel(state, slot, tuning)
-                        warm.add(gid)
-                    known_pairs[gid] = cur_pairs[gid]
-                track_age = {gid: 1 if gid in warm
-                             else track_age.get(gid, 0) + 1
-                             for gid in mapping}
-                if warm:
-                    graphic_c = dict(epoch.graphic.get("chief", []))
-                    sdcp_map = dict(epoch.sdcp)
-                    for gid in warm:
-                        if gid not in mapping or gid not in graphic_c:
-                            continue
-                        slot = mapping[gid]
-                        gp = epoch.gps_positions[gid]
-                        rc = float(np.linalg.norm(gp - state.x[CHIEF_POS]))
-                        rd = float(np.linalg.norm(gp - state.x[DEPUTY_POS]))
-                        state.x[AMB_ZD.start + slot] = 2.0 * (
-                            graphic_c[gid] - rc - state.x[CHIEF_CLOCK]) / wavelength
-                        state.x[AMB_SD.start + slot] = sdcp_map[gid] - (
-                            (rc - rd) + (state.x[CHIEF_CLOCK]
-                                         - state.x[DEPUTY_CLOCK])) / wavelength
+                slots = allocate_channels(state, epoch, aux.pair_ids[t], tuning)
 
             state, report = measurement_update(
                 state, epoch, tuning,
@@ -1143,10 +1092,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
 
             if is_gps and run_iar and t >= config.iar_warmup:
                 n_attempt_epochs += 1
-                mature = {gid for gid, age in track_age.items()
-                          if age >= IAR_MIN_TRACK}
                 state, success_prob, fix = _attempt_fix(
-                    state, epoch, config, aux.true_sd, eligible=mature)
+                    state, epoch, config, aux.true_sd, slots)
                 if fix is not None:
                     fix_events.append(fix)
                     fixed_this_epoch = True
@@ -1174,7 +1121,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         sigmas = np.sqrt(np.maximum(np.diag(rel_cov), 0.0))
         # A slot keeps its satellite (and fixed flag) after the satellite
         # sets; count only the channels tracked now.
-        in_track = np.isin(state.channel_ids, tracked)
+        in_track = state.age > 0
         n_tracked = int(np.sum(in_track))
         n_fixed = int(np.sum(state.fixed_mask & in_track))
         records.append({

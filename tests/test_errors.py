@@ -26,7 +26,6 @@ from cdgps.errors import (
     inject_roe_error,
     klobuchar_delay,
     multipath_far,
-    multipath_map_rows,
     multipath_near,
     multipath_sigma,
     pll_thermal_sigma,
@@ -165,9 +164,6 @@ def test_multipath_total_and_map():
     assert total == pytest.approx(
         multipath_near(0.05, 0.2) + multipath_far(0.05, 5.0, 100.0, 0.5, 0.2, 0.5, 0.2))
     assert multipath_sigma(p, 0.5, 0.2, kind="code") > total  # code amplitude larger
-    rows = multipath_map_rows(p, kind="phase", n_az=9, n_el=5)
-    assert len(rows) == 45
-    assert all(len(r) == 3 and r[2] >= 0.0 for r in rows)
     with pytest.raises(ValueError):
         multipath_sigma(p, 0.0, 0.0, kind="doppler")
 

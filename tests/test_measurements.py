@@ -10,17 +10,14 @@ from cdgps.constants import L1_WAVELENGTH
 from cdgps.iar import candidate_baseline
 from cdgps.measurements import (
     BoresightError,
-    CarrierPhaseObs,
     FrameError,
     MeasurementEpoch,
-    PairingError,
     SensorBiases,
     bearing_model,
     ddcp_geometry_row,
     double_difference,
     graphic,
     range_model,
-    relative_position_sensor_frame,
     sd_to_dd_matrix,
     sensor_jacobian,
     single_difference,
@@ -87,13 +84,10 @@ def test_graphic_noise_reduction_monte_carlo():
 
 def synth_obs(rng, gps_id, receiver_id, rx_clock, gps_clock, iono, windup,
               geom_range, ambiguity):
-    lam = L1_WAVELENGTH
-    phase = undifferenced_phase(geom_range, ambiguity, iono=-iono,
-                                rx_clock=rx_clock, gps_clock=gps_clock,
-                                windup=windup, wavelength=lam)
-    code = geom_range + iono + rx_clock - gps_clock
-    return CarrierPhaseObs(phase=phase, pseudorange=code, gps_id=gps_id,
-                           receiver_id=receiver_id, time=0.0)
+    """Undifferenced carrier phase [cycles] of one receiver."""
+    return undifferenced_phase(geom_range, ambiguity, iono=-iono,
+                               rx_clock=rx_clock, gps_clock=gps_clock,
+                               windup=windup, wavelength=L1_WAVELENGTH)
 
 
 def test_single_difference_cancels_gps_clock():
@@ -149,13 +143,6 @@ def test_double_difference_cancels_rx_clock():
         dd = double_difference(with_clocks[0], with_clocks[1])
         dd0 = double_difference(without[0], without[1])
         assert dd == pytest.approx(dd0, abs=1e-12)
-
-
-def test_single_difference_pairing_error():
-    a = CarrierPhaseObs(0.0, 0.0, gps_id=1, receiver_id="c", time=0.0)
-    b = CarrierPhaseObs(0.0, 0.0, gps_id=2, receiver_id="d", time=0.0)
-    with pytest.raises(PairingError):
-        single_difference(a, b)
 
 
 def test_sd_to_dd_matrix_structure():
@@ -305,31 +292,38 @@ def test_transform_jacobian():
 
 
 def test_transform_jacobian_matches_fd_through_rotation():
-    # Differentiating the models composed with a random rotation of the
-    # deputy ECI position must match H_sensor @ dcm.
+    # The pipeline models rho = dcm @ (r_chief - r_deputy): by finite
+    # differences the chief partials are H_sensor @ dcm and the deputy
+    # partials its negative.
     rng = np.random.default_rng(9)
+    checked = 0
     for _ in range(10):
         dcm = random_rotation(rng)
         r_chief = rng.normal(scale=1e4, size=3)
         r_deputy = r_chief + rng.normal(scale=100.0, size=3)
-        rho = relative_position_sensor_frame(r_chief, r_deputy, dcm)
+        rho = dcm @ (r_chief - r_deputy)
         if math.hypot(rho[0], rho[2]) < 1.0:
             continue
         h_eci = transform_jacobian(sensor_jacobian(rho), dcm)
 
-        def model(rd):
-            p = relative_position_sensor_frame(r_chief, rd, dcm)
+        def model(rc, rd):
+            p = dcm @ (rc - rd)
             return np.array([range_model(p), *bearing_model(p)])
 
-        fd = np.zeros((3, 3))
+        fd_chief = np.zeros((3, 3))
+        fd_deputy = np.zeros((3, 3))
         step = 1e-4
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = step
-            fd[:, j] = (model(r_deputy + dp) - model(r_deputy - dp)) / (2 * step)
-        np.testing.assert_allclose(h_eci, fd, rtol=1e-5, atol=1e-8)
-        # Chief partials are the exact negative (rho = deputy - chief).
-        np.testing.assert_allclose(-h_eci, -1.0 * h_eci)
+            fd_chief[:, j] = (model(r_chief + dp, r_deputy)
+                              - model(r_chief - dp, r_deputy)) / (2 * step)
+            fd_deputy[:, j] = (model(r_chief, r_deputy + dp)
+                               - model(r_chief, r_deputy - dp)) / (2 * step)
+        np.testing.assert_allclose(fd_chief, h_eci, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(fd_deputy, -h_eci, rtol=1e-5, atol=1e-8)
+        checked += 1
+    assert checked >= 5
 
 
 @settings(max_examples=50, deadline=None)
@@ -348,7 +342,5 @@ def test_jacobian_row_norm_properties(seed):
 
 
 def test_measurement_epoch_validation():
-    with pytest.raises(PairingError):
-        MeasurementEpoch(time=0.0, sdcp=[(1, 0.5), (2, 1.5)], ddcp_reference=9)
-    ep = MeasurementEpoch(time=10.0, sdcp=[(1, 0.5)], ddcp_reference=1)
+    ep = MeasurementEpoch(time=10.0, sdcp=[(1, 0.5)])
     assert ep.attitude_time == 10.0

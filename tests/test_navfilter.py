@@ -116,11 +116,17 @@ def build_exact_epoch(chief, deputy, gps_positions, n_zd, n_sd,
                             attitude=att, gps_positions=dict(gps_positions))
 
 
+def one_track(gps_ids):
+    """Tracks of satellites each held on one (chief, deputy) track."""
+    return {gid: (gid + 1, gid + 1) for gid in gps_ids}
+
+
 def truth_filter_state(chief, deputy, gps_positions, n_zd, n_sd,
                        tuning, clocks=TRUE_CLOCKS, biases=TRUE_BIASES):
     """Filter state whose mean equals the truth exactly."""
     state = initialize_filter(chief, deputy, tuning)
-    allocate_channels(state, sorted(gps_positions), tuning)
+    allocate_channels(state, MeasurementEpoch(time=0.0), one_track(gps_positions),
+                      tuning)
     state.x[CHIEF_CLOCK] = clocks[0]
     state.x[DEPUTY_CLOCK] = clocks[1]
     for gid in gps_positions:
@@ -176,14 +182,16 @@ def test_channel_allocation_and_eviction():
     tuning = FilterTuning()
     chief, deputy = make_truth()
     st = initialize_filter(chief, deputy, tuning)
-    mapping = allocate_channels(st, range(24), tuning, time=0.0)
+    mapping = allocate_channels(st, MeasurementEpoch(time=0.0),
+                                one_track(range(24)), tuning)
     assert len(mapping) == 24
     assert sorted(mapping.values()) == list(range(24))
 
     # Age the slots, then bring in a new satellite: the stalest slot goes.
     st.last_seen[:] = np.arange(24, dtype=float)
     st.covariance[AMB_SD.start + 0, AMB_SD.start + 0] = 1.0  # converged channel
-    mapping = allocate_channels(st, [99], tuning, time=100.0)
+    mapping = allocate_channels(st, MeasurementEpoch(time=100.0),
+                                one_track([99]), tuning)
     assert mapping[99] == 0  # slot 0 was least recently seen
     assert st.channel_ids[0] == 99
     # Reset to initialization variance, correlations cleared
@@ -191,8 +199,74 @@ def test_channel_allocation_and_eviction():
     assert st.x[AMB_SD.start] == 0.0
     # Persisting satellite keeps its slot
     slot_5 = st.slot_of(5)
-    mapping = allocate_channels(st, [5], tuning, time=200.0)
+    mapping = allocate_channels(st, MeasurementEpoch(time=200.0),
+                                one_track([5]), tuning)
     assert mapping[5] == slot_5
+
+
+def test_channel_age_counts_epochs_on_one_track():
+    tuning = FilterTuning()
+    chief, deputy = make_truth()
+    st = initialize_filter(chief, deputy, tuning)
+    tracks = one_track(range(N_CHANNELS))
+    for n in (1, 2, 3):
+        allocate_channels(st, MeasurementEpoch(time=30.0 * n), tracks, tuning)
+        assert np.all(st.age == n)
+
+    # Satellite 0 sets and satellite 99 takes over its slot: the slot
+    # restarts at age 1, the others keep counting.
+    del tracks[0]
+    tracks[99] = (100, 100)
+    mapping = allocate_channels(st, MeasurementEpoch(time=120.0), tracks, tuning)
+    assert mapping[99] == 0
+    assert st.age[0] == 1
+    assert all(st.age[mapping[g]] == 4 for g in range(1, N_CHANNELS))
+
+    # A slot whose satellite is not tracked this epoch reads 0.
+    del tracks[5]
+    allocate_channels(st, MeasurementEpoch(time=150.0), tracks, tuning)
+    assert st.slot_of(5) >= 0 and st.age[st.slot_of(5)] == 0
+    assert st.age[0] == 2
+
+
+def test_reacquisition_restarts_and_warm_starts_the_slot():
+    # A satellite that keeps its slot but comes back on a new track carries
+    # a new ambiguity: its slot restarts unfixed at the initialization
+    # variance, aged 1, with floats warm-started from the epoch.
+    tuning = FilterTuning()
+    chief, deputy = make_truth()
+    gps = make_gps_positions()
+    st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
+    tracks = one_track(gps)
+    slots = allocate_channels(st, build_exact_epoch(chief, deputy, gps, N_ZD,
+                                                    N_SD, time=30.0),
+                              tracks, tuning)
+    slot = slots[2]
+    zd = AMB_ZD.start + slot
+    st.covariance[zd, CHIEF_POS] = st.covariance[CHIEF_POS, zd] = 0.3
+    st = apply_fixes(st, [slot], [N_SD[2]])
+    before = st.copy()
+
+    # The chief re-acquires satellite 2 with an ambiguity 17 cycles over.
+    tracks[2] = (50, tracks[2][1])
+    n_zd = {g: N_ZD[g] + (17 if g == 2 else 0) for g in N_ZD}
+    n_sd = {g: N_SD[g] + (17 if g == 2 else 0) for g in N_SD}
+    epoch = build_exact_epoch(chief, deputy, gps, n_zd, n_sd, time=60.0)
+    assert allocate_channels(st, epoch, tracks, tuning) == slots
+
+    assert not st.fixed_mask[slot]
+    assert st.age[slot] == 1
+    assert all(st.age[s] == 3 for g, s in slots.items() if g != 2)
+    assert tuple(st.track[slot]) == tracks[2]
+    for idx in (AMB_ZD.start + slot, AMB_SD.start + slot):
+        assert st.covariance[idx, idx] == tuning.init_amb ** 2
+        assert np.count_nonzero(st.covariance[idx]) == 1
+        assert np.count_nonzero(st.covariance[:, idx]) == 1
+    assert st.x[AMB_ZD.start + slot] == pytest.approx(n_zd[2], abs=1e-6)
+    assert st.x[AMB_SD.start + slot] == pytest.approx(n_sd[2], abs=1e-6)
+    others = [i for i in range(N_STATES)
+              if i not in (AMB_ZD.start + slot, AMB_SD.start + slot)]
+    np.testing.assert_array_equal(st.x[others], before.x[others])
 
 
 # ---------------------------------------------------------------------------

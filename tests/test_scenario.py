@@ -14,9 +14,16 @@ from hypothesis import strategies as st
 import cdgps.scenario
 from cdgps.constants import MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
-from cdgps.navfilter import FilterTuning
-from cdgps.orbits import default_constellation
+from cdgps.measurements import MeasurementEpoch
+from cdgps.navfilter import (
+    AMB_SD,
+    FilterTuning,
+    allocate_channels,
+    initialize_filter,
+)
+from cdgps.orbits import OrbitState, default_constellation
 from cdgps.scenario import (
+    IAR_MIN_TRACK,
     RECORD_FIELDS,
     InsufficientChannelsError,
     NoiseConfig,
@@ -25,6 +32,7 @@ from cdgps.scenario import (
     geo_preset,
     leo_preset,
     load_preset,
+    _attempt_fix,
     run_scenario,
     sd_to_dd,
     synthesize_measurements,
@@ -296,8 +304,52 @@ def test_sd_to_dd_is_the_returned_linear_map(k, seed):
     np.testing.assert_allclose(dist.floats, tmat @ floats, atol=1e-12)
     np.testing.assert_allclose(dist.covariance, tmat @ cov @ tmat.T,
                                atol=1e-10)
+    np.testing.assert_array_equal(dist.covariance, dist.covariance.T)
     # every row is insensitive to a common shift of the whole bank
     np.testing.assert_allclose(tmat @ np.ones(k), 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Integer-resolution attempt
+# ---------------------------------------------------------------------------
+
+def _fix_ready_state(ages):
+    """Filter whose single-difference floats sit 0.01 cycles from the true
+    integers with tight independent variances, lowest for the lowest GPS
+    id; ``ages`` maps GPS id -> epochs on its track."""
+    tuning = FilterTuning.leo()
+    r = R_EARTH + 400e3
+    chief = OrbitState(np.array([r, 0.0, 0.0]), np.array([0.0, 7670.0, 0.0]))
+    deputy = OrbitState(chief.position + [0.0, 100.0, 0.0], chief.velocity)
+    state = initialize_filter(chief, deputy, tuning)
+    gps = {g: 26560e3 * np.array([math.cos(g), math.sin(g), 0.5])
+           for g in ages}
+    epoch = MeasurementEpoch(time=900.0, sdcp=[(g, 0.0) for g in ages],
+                             gps_positions=gps)
+    slots = allocate_channels(state, epoch, {g: (1, 1) for g in ages}, tuning)
+    true_sd = {g: 10 * g for g in ages}
+    for g, slot in slots.items():
+        i = AMB_SD.start + slot
+        state.x[i] = true_sd[g] + 0.01
+        state.covariance[i, i] = 1e-4 * (1 + g)
+        state.age[slot] = ages[g]
+    return state, epoch, slots, {epoch.time: true_sd}
+
+
+def test_attempt_fix_waits_for_mature_tracks():
+    config = _short_leo(coupling_mode="loose")
+    ages = {0: IAR_MIN_TRACK, 1: IAR_MIN_TRACK, 2: IAR_MIN_TRACK,
+            3: IAR_MIN_TRACK - 1}
+    state, epoch, slots, true_sd = _fix_ready_state(ages)
+    _, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    assert fix["reference"] == 0
+    assert fix["channels"] == [1, 2]
+
+    state.age[slots[3]] = IAR_MIN_TRACK
+    fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    assert fix["channels"] == [1, 2, 3]
+    assert fix["full"] and fix["wrong"] == 0
+    assert fixed.fixed_mask[list(slots.values())].all()
 
 
 # ---------------------------------------------------------------------------
