@@ -6,7 +6,10 @@ refined by an integer search (either a classical shrinking-radius ILS search
 or a pattern search whose cost is augmented with external range/bearing
 constraints), screened with success-rate and discrimination tests, and
 finally resolved partially: the largest well-determined subset is fixed while
-the remainder stays float.
+the remainder stays float.  Both searches finish with the same conditional
+tree enumeration.  ``constraint_context`` builds the external evidence from
+the double-difference geometry and phases, and ``candidate_baseline`` turns
+each candidate back into the baseline that evidence is compared against.
 
 All ambiguities are in units of carrier cycles; covariances in cycles^2.
 """
@@ -28,12 +31,12 @@ __all__ = [
     "ldl_decompose",
     "decorrelate",
     "bootstrap",
-    "search_width",
     "round_half_away",
     "classical_ils_search",
     "constrained_search",
     "penalty_cost",
     "candidate_baseline",
+    "constraint_context",
     "success_rate",
     "discrimination_test",
     "partial_resolve",
@@ -104,9 +107,6 @@ class AmbiguityDistribution:
         y = np.linalg.solve(self.lower, r)
         return float(np.sum(y * y / self.diag))
 
-    def search_width(self) -> float:
-        return search_width(self)
-
 
 @dataclass
 class IntegerSearchResult:
@@ -126,7 +126,6 @@ class IntegerSearchResult:
     cost_init: float
     success_prob: float
     discrimination_ratio: float
-    accepted_subset_size: int = 0
     degenerate_search: bool = False
     budget_exhausted: bool = False
 
@@ -355,14 +354,6 @@ def bootstrap(dist: AmbiguityDistribution) -> np.ndarray:
     return fixed
 
 
-def search_width(dist: AmbiguityDistribution, fixed=None) -> float:
-    """Covariance-weighted squared distance of the bootstrapped integers
-    from the floats; used to size the candidate region of the search."""
-    if fixed is None:
-        fixed = bootstrap(dist)
-    return dist.mahalanobis(fixed)
-
-
 def success_rate(diag, subset_size=None, s_coefficient=1.0, gamma=1.0) -> float:
     """Probability that conditional rounding of the leading subset is correct.
 
@@ -417,8 +408,67 @@ def discrimination_test(cost_best, cost_second, kappa=KAPPA_DISCRIMINATION) -> b
 
 
 # ---------------------------------------------------------------------------
-# Classical integer least-squares search
+# Conditional tree enumeration and the classical integer least-squares search
 # ---------------------------------------------------------------------------
+
+def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
+    """Depth-first walk over every integer vector whose covariance-weighted
+    distance from the floats stays within ``bound()``.
+
+    ``bound`` is re-read at every node, so ``leaf`` may shrink it as
+    candidates arrive.  ``leaf(vector, distance)`` is called for each
+    in-bound leaf; ``vector`` is reused by the walk, so copy it to keep it.
+    With ``leaf_budget`` the walk stops after that many leaves.
+
+    Returns
+    -------
+    bool
+        True when the budget stopped the walk with an in-bound candidate
+        left unvisited.
+    """
+    n = dist.size
+    lower = dist.lower
+    diag = dist.diag
+    floats = dist.floats
+    cand = np.zeros(n, dtype=np.int64)
+    budget = math.inf if leaf_budget is None else leaf_budget
+    exhausted = False
+
+    def descend(level, partial_cost, corrections):
+        nonlocal budget, exhausted
+        # Conditional center at this level, given the committed residuals of
+        # shallower levels: residuals equal the forward-substitution variable
+        # y = L^-1 (cand - floats), so cost accumulates y_i^2 / d_i exactly.
+        center = floats[level] + corrections[level]
+        base = int(round_half_away(center))
+        toward = 1 if center - base >= 0.0 else -1
+        # Enumerate base, base+t, base-t, base+2t, base-2t, ... which is
+        # sorted by |cand - center| when t points toward the fractional side,
+        # so the first bound violation prunes the whole remainder exactly.
+        rank = 0
+        while True:
+            step = (rank + 1) // 2
+            cand_i = base + toward * (step if rank % 2 == 1 else -step)
+            rank += 1
+            resid = cand_i - center
+            cost_here = partial_cost + resid * resid / diag[level]
+            if cost_here > bound() + 1e-12:
+                break
+            if budget <= 0:
+                exhausted = True
+                break
+            cand[level] = cand_i
+            if level == n - 1:
+                budget -= 1
+                leaf(cand, cost_here)
+            else:
+                new_corr = corrections.copy()
+                new_corr[level + 1:] += lower[level + 1:, level] * resid
+                descend(level + 1, cost_here, new_corr)
+
+    descend(0, 0.0, np.zeros(n))
+    return exhausted
+
 
 def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> IntegerSearchResult:
     """Depth-first conditional search for the two best integer vectors.
@@ -434,11 +484,6 @@ def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> Intege
         ``degenerate_search`` is set if the region contained only the
         bootstrapped vector.
     """
-    n = dist.size
-    lower = dist.lower
-    diag = dist.diag
-    floats = dist.floats
-
     boot = bootstrap(dist)
     cost_boot = dist.mahalanobis(boot)
 
@@ -454,36 +499,6 @@ def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> Intege
         if len(best) == 2:
             bound = best[1][0]
 
-    cand = np.zeros(n, dtype=np.int64)
-
-    def descend(level, partial_cost, corrections):
-        # Conditional center at this level, given the committed residuals of
-        # shallower levels: residuals equal the forward-substitution variable
-        # y = L^-1 (cand - floats), so cost accumulates y_i^2 / d_i exactly.
-        center = floats[level] + corrections[level]
-        base = int(round_half_away(center))
-        frac = center - base
-        toward = 1 if frac >= 0.0 else -1
-        # Enumerate base, base+t, base-t, base+2t, base-2t, ... which is
-        # sorted by |cand - center| when t points toward the fractional side,
-        # so the first bound violation prunes the whole remainder exactly.
-        rank = 0
-        while True:
-            step = (rank + 1) // 2
-            cand_i = base + toward * (step if rank % 2 == 1 else -step)
-            rank += 1
-            resid = cand_i - center
-            cost_here = partial_cost + resid * resid / diag[level]
-            if cost_here > bound + 1e-12:
-                break
-            cand[level] = cand_i
-            if level == n - 1:
-                consider(cand, cost_here)
-            else:
-                new_corr = corrections.copy()
-                new_corr[level + 1 :] += lower[level + 1 :, level] * resid
-                descend(level + 1, cost_here, new_corr)
-
     # Widen the admission radius until at least two candidates fall inside
     # (the bootstrap vector always does), then the shrinking bound keeps the
     # enumeration exact.
@@ -491,29 +506,22 @@ def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> Intege
     for _ in range(60):
         best.clear()
         bound = cost_boot + width
-        descend(0, 0.0, np.zeros(n))
+        _enumerate(dist, lambda: bound, consider)
         if len(best) >= 2:
             break
         width = 2.0 * width + 1.0
 
     if len(best) == 0:  # pragma: no cover - bootstrap always admissible
         best = [(cost_boot, tuple(boot))]
-    if len(best) == 1:
-        b = np.array(best[0][1], dtype=np.int64)
-        return IntegerSearchResult(
-            best=b, second_best=b.copy(),
-            cost_best=best[0][0], cost_second=best[0][0], cost_init=cost_boot,
-            success_prob=success_rate(diag),
-            discrimination_ratio=1.0, degenerate_search=True,
-        )
-    (c1, v1), (c2, v2) = best
-    ratio = (c2 / c1) if c1 > 0.0 else np.inf
+    degenerate = len(best) == 1
+    (c1, v1), (c2, v2) = best * 2 if degenerate else best
+    ratio = 1.0 if degenerate else (c2 / c1) if c1 > 0.0 else np.inf
     return IntegerSearchResult(
         best=np.array(v1, dtype=np.int64),
         second_best=np.array(v2, dtype=np.int64),
         cost_best=c1, cost_second=c2, cost_init=cost_boot,
-        success_prob=success_rate(diag),
-        discrimination_ratio=float(ratio),
+        success_prob=success_rate(dist.diag),
+        discrimination_ratio=float(ratio), degenerate_search=degenerate,
     )
 
 
@@ -556,6 +564,48 @@ def candidate_baseline(geometry, ddcp_phases, candidate, wavelength):
     if g.shape[0] < 3 or np.linalg.matrix_rank(gram, tol=1e-10 * max(np.trace(gram), 1e-30)) < 3:
         raise SingularGeometryError("need three independent lines of sight")
     return np.linalg.solve(gram, g.T @ rhs)
+
+
+def constraint_context(geometry, ddcp_phases, dd_variance, baseline, observed,
+                       variances, dcm_eci_to_sensor, wavelength, n_free):
+    """External range/bearing evidence for a search over the first
+    ``n_free`` rows of a double-difference problem.
+
+    ``geometry`` (k, 3) holds DD line-of-sight rows (ECI) that resolve the
+    chief-minus-deputy ``baseline`` estimate [m], ``ddcp_phases`` (k,) the
+    DD phases [cycles] with the known integers of the rows from ``n_free``
+    on already taken out, and ``dd_variance`` the variance of each phase row
+    [m^2].  ``observed`` is the bias-corrected (range [m], azimuth,
+    elevation [rad]) and ``variances`` their variances before the blur.
+
+    The candidate baseline is triangulated from the phases, so their noise
+    blurs it; that blur widens the gates, or they would veto and pull
+    candidates on what is really phase noise.  Of the baseline covariance
+    ``H diag(dd_variance) H^T``, with ``H = (G^T G)^-1 G^T``, the part along
+    ``baseline`` adds to the range variance and half the perpendicular part,
+    over the squared range, to each angle variance.  Fewer than three rows,
+    or a singular ``G^T G``, add no blur.
+    """
+    g = np.asarray(geometry, dtype=float)
+    blur_range = blur_angle = 0.0
+    if len(g) >= 3:
+        try:
+            h = np.linalg.solve(g.T @ g, g.T)
+            cov_b = (h * dd_variance) @ h.T
+            rng = float(np.linalg.norm(baseline))
+            u = baseline / rng
+            blur_range = float(u @ cov_b @ u)
+            var_perp = max(float(np.trace(cov_b)) - blur_range, 0.0)
+            blur_angle = 0.5 * var_perp / rng ** 2
+        except np.linalg.LinAlgError:
+            pass
+    sigmas = [math.sqrt(v + blur) for v, blur in
+              zip(variances, (blur_range, blur_angle, blur_angle))]
+    return ConstraintContext(
+        *observed, *sigmas, geometry=g,
+        ddcp_phases=np.asarray(ddcp_phases, dtype=float),
+        dcm_eci_to_sensor=dcm_eci_to_sensor, wavelength=wavelength,
+        free_rows=np.arange(n_free))
 
 
 def penalty_cost(computed_range, computed_azimuth, computed_elevation,
@@ -701,14 +751,9 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
     # Exact finish: enumerate every candidate whose covariance-weighted
     # distance stays below the best total cost seen (pruned by the runner-up
     # bound so the second best is exact too, where the budget allows).
-    lower = dist.lower
-    diag = dist.diag
-    floats = dist.floats
-    leaf_budget = 20_000
-    exhausted = False
-
-    def consider_total(vec, total):
+    def consider(vec, distance):
         nonlocal incumbent, cost_incumbent, runner, cost_runner
+        total = distance + _constraint_cost(ctx, z_inverse, vec)
         if np.array_equal(vec, incumbent) or (
                 total >= cost_runner and not np.array_equal(vec, runner)):
             return
@@ -723,36 +768,8 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
             incumbent, cost_incumbent, runner, cost_runner = (
                 runner, cost_runner, incumbent, cost_incumbent)
 
-    cand = np.zeros(n, dtype=np.int64)
-
-    def descend(level, partial_cost, corrections):
-        nonlocal leaf_budget, exhausted
-        center = floats[level] + corrections[level]
-        base = int(round_half_away(center))
-        frac = center - base
-        toward = 1 if frac >= 0.0 else -1
-        rank = 0
-        while True:
-            step_k = (rank + 1) // 2
-            cand_i = base + toward * (step_k if rank % 2 == 1 else -step_k)
-            rank += 1
-            resid = cand_i - center
-            cost_here = partial_cost + resid * resid / diag[level]
-            if cost_here > max(cost_runner, cost_incumbent) + 1e-12:
-                break
-            if leaf_budget <= 0:
-                exhausted = True
-                break
-            cand[level] = cand_i
-            if level == n - 1:
-                leaf_budget -= 1
-                consider_total(cand, cost_here + _constraint_cost(ctx, z_inverse, cand))
-            else:
-                new_corr = corrections.copy()
-                new_corr[level + 1:] += lower[level + 1:, level] * resid
-                descend(level + 1, cost_here, new_corr)
-
-    descend(0, 0.0, np.zeros(n))
+    exhausted = _enumerate(dist, lambda: max(cost_runner, cost_incumbent),
+                           consider, leaf_budget=20_000)
 
     degenerate = bool(np.array_equal(incumbent, runner))
     ratio = (cost_runner / cost_incumbent) if cost_incumbent > 0.0 else (
@@ -808,8 +825,7 @@ def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
     -------
     PartialFix
         ``subset_size`` zero means nothing was accepted.  Component indices
-        refer to the distribution's own (decorrelated) ordering.  Also
-        mirrors the accepted size onto ``result.accepted_subset_size``.
+        refer to the distribution's own (decorrelated) ordering.
     """
     n = dist.size
     order = np.argsort(dist.diag, kind="stable")
@@ -834,7 +850,6 @@ def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
                 break
         accepted = m
 
-    result.accepted_subset_size = accepted
     idx = order[:accepted]
     return PartialFix(
         indices=np.asarray(idx, dtype=np.int64),

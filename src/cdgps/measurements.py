@@ -25,7 +25,6 @@ __all__ = [
     "single_difference",
     "double_difference",
     "sd_to_dd_matrix",
-    "ddcp_geometry_row",
     "range_model",
     "bearing_model",
     "sensor_jacobian",
@@ -180,16 +179,6 @@ def sd_to_dd_matrix(n_channels, reference_index):
         r[reference_index] = -1.0
         rows.append(r)
     return np.array(rows) if rows else np.zeros((0, n_channels))
-
-
-def ddcp_geometry_row(los_p, los_q):
-    """Double-difference geometry row: difference of two unit lines of sight."""
-    p = np.asarray(los_p, dtype=float)
-    q = np.asarray(los_q, dtype=float)
-    for v in (p, q):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("line-of-sight vectors must be unit norm")
-    return p - q
 
 
 # ---------------------------------------------------------------------------

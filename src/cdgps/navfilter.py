@@ -195,8 +195,6 @@ class DareResult:
 
     diag: np.ndarray
     converged: bool
-    unbounded_dim: int = 0
-    iterations: int = 0
 
     def success_probability(self) -> float:
         if not self.converged:
@@ -615,83 +613,28 @@ def constrain_linear(state: FilterState, rows, values) -> FilterState:
 # ---------------------------------------------------------------------------
 
 def dare_steady_state(process_noise_q, meas_noise_r, wavelength=L1_WAVELENGTH,
-                      n=10, c_interpretation="identity", max_iter=200_000,
-                      tol=1e-12) -> DareResult:
+                      n=10) -> DareResult:
     """Steady-state ambiguity variances of the discrete Riccati recursion.
 
     The float-ambiguity channel model is static (A = I) with per-step
-    process noise ``q`` [cycles^2].  Two sensitivity readings are supported:
-
-    - ``identity``: each channel observed independently through the
-      wavelength, C = wavelength * I — every mode observable, converges to
-      the per-channel scalar fixed point.
-    - ``ones_row``: one scalar observation of the wavelength-scaled sum,
-      C = wavelength * 1^T — rank one, leaving ``n - 1`` unobservable modes
-      whose variances grow without bound when q > 0 (reported, not raised).
+    process noise ``q`` [cycles^2], and each of the ``n`` channels is
+    observed on its own through the wavelength (C = wavelength * I) with
+    measurement variance ``r`` [m^2].  The channels decouple, and each
+    predicted variance settles at the positive root of
+    ``v^2 - q v - q r / wavelength^2 = 0``:
+    ``v = q/2 + sqrt(q^2/4 + q r / wavelength^2)``.
 
     Returns
     -------
     DareResult
-        ``diag`` holds steady-state variances (np.inf on divergent modes),
-        ``unbounded_dim`` the dimension of the divergent subspace.
+        ``diag`` holds the ``n`` steady-state variances [cycles^2].
     """
     q = float(process_noise_q)
     r = float(meas_noise_r)
     if q < 0.0 or r <= 0.0:
         raise ValueError("need q >= 0 and r > 0")
-    if c_interpretation == "identity":
-        c = wavelength * np.eye(n)
-        r_mat = r * np.eye(n)
-    elif c_interpretation == "ones_row":
-        c = wavelength * np.ones((1, n))
-        r_mat = np.array([[r]])
-    else:
-        raise ValueError(f"unknown C interpretation {c_interpretation!r}")
-
-    unobs_dim = int(n - np.linalg.matrix_rank(c))
-    if q == 0.0 and unobs_dim == 0:
-        # Noiseless static states under full-rank observation collapse to
-        # certainty; the recursion only approaches it harmonically, so
-        # return the limit directly.
-        return DareResult(diag=np.zeros(n), converged=True, iterations=0)
-
-    diverging = np.zeros(n, dtype=bool)
-    cap = max_iter
-    if unobs_dim > 0 and q > 0.0:
-        # The null space of C is invariant (A = I) and accrues q per step
-        # with no correction: every coordinate overlapping it diverges
-        # linearly.  Iterate only to settle the observable part.
-        _, sv, vt = np.linalg.svd(c)
-        rank = int(np.sum(sv > (sv[0] if sv.size else 0.0) * 1e-12))
-        diverging = np.sum(vt[rank:] ** 2, axis=0) > 1e-12
-        cap = min(max_iter, 5000)
-
-    p = np.eye(n)
-    prev = p.copy()
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        s = c @ p @ c.T + r_mat
-        k = np.linalg.solve(s.T, (p @ c.T).T).T
-        p_upd = (np.eye(n) - k @ c) @ p
-        p = 0.5 * (p_upd + p_upd.T) + q * np.eye(n)
-        change = np.max(np.abs(p - prev)) / max(np.max(np.abs(p)), 1e-300)
-        if change < tol and not diverging.any():
-            return DareResult(diag=np.diag(p).copy(), converged=True,
-                              unbounded_dim=0, iterations=iterations)
-        prev = p.copy()
-
-    diag = np.diag(p).copy()
-    diag[diverging] = np.inf
-    return DareResult(diag=diag, converged=False,
-                      unbounded_dim=unobs_dim if q > 0.0 else 0,
-                      iterations=iterations)
-
-
-def dare_scalar_fixed_point(q, r, wavelength=L1_WAVELENGTH):
-    """Closed-form steady-state variance of the scalar channel:
-    v = q/2 + sqrt(q^2/4 + q r / wavelength^2)."""
-    lam2 = wavelength * wavelength
-    return 0.5 * q + math.sqrt(0.25 * q * q + q * r / lam2)
+    v = 0.5 * q + math.sqrt(0.25 * q * q + q * r / (wavelength * wavelength))
+    return DareResult(diag=np.full(n, v), converged=True)
 
 
 # ---------------------------------------------------------------------------

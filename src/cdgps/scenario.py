@@ -70,10 +70,10 @@ from .errors import (
 )
 from .iar import (
     AmbiguityDistribution,
-    ConstraintContext,
     SingularGeometryError,
     classical_ils_search,
     constrained_search,
+    constraint_context,
     decorrelate,
     inverse_transform,
     partial_resolve,
@@ -91,6 +91,7 @@ from .measurements import (
 from . import navfilter
 from .navfilter import (
     AMB_SD,
+    BIASES,
     CHIEF_CLOCK,
     CHIEF_POS,
     DEPUTY_CLOCK,
@@ -825,6 +826,34 @@ def _jsonable(obj):
     return obj
 
 
+def _sensor_context(state, epoch, tuning, slots, order, n_free):
+    """Range/bearing evidence for a search over ``order[:n_free]``.
+
+    ``order`` ends with the reference, and the ids between it and the
+    searched ones have fixed integers, taken out of their DD phases.  LOS
+    rows and SDCP are differenced through the same ``sd_to_dd_matrix`` as
+    the floats; the geometry is negated to resolve chief minus deputy.
+    """
+    x = state.x
+    tmat = sd_to_dd_matrix(len(order), len(order) - 1)
+    los = _unit(np.array([epoch.gps_positions[g] for g in order])
+                - x[CHIEF_POS])
+    sdcp = dict(epoch.sdcp)
+    phases = tmat @ np.array([sdcp[g] for g in order])
+    phases[n_free:] -= tmat[n_free:] @ x[[AMB_SD.start + slots[g]
+                                          for g in order]]
+    inflation = epoch.noise_inflation or {}
+    sd_var = np.array([tuning.meas_carrier ** 2
+                       + inflation.get(f"sdcp:{g}", 0.0) for g in order])
+    observed = np.array([epoch.range_obs, *epoch.bearing_obs]) - x[BIASES]
+    pre_blur = np.diag(state.covariance)[BIASES] + [
+        tuning.meas_range ** 2, tuning.meas_angle ** 2, tuning.meas_angle ** 2]
+    return constraint_context(
+        -(tmat @ los), phases, sd_var[:-1] + sd_var[-1],
+        x[CHIEF_POS] - x[DEPUTY_POS], observed, pre_blur, epoch.attitude,
+        tuning.wavelength, n_free)
+
+
 def _attempt_fix(state, epoch, config, true_sd_map, slots):
     """One integer-resolution attempt at a GPS epoch.
 
@@ -841,8 +870,6 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
 
     Returns ``(state, success_prob or nan, fix_event or None)``.
     """
-    tuning = config.tuning
-    wavelength = tuning.wavelength
     x = state.x
     p = state.covariance
 
@@ -862,6 +889,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     if not free:
         return state, float("nan"), None
     if len(free) > IAR_MAX_SEARCH:
+        # The tightest floats, kept in variance order.
         free = sorted(free, key=lambda g: (p[sd[g], sd[g]], g))
         free = free[:IAR_MAX_SEARCH]
 
@@ -874,71 +902,14 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     ctx = None
     if (config.coupling_mode == "full" and epoch.range_obs is not None
             and epoch.bearing_obs is not None):
-        sdcp_map = dict(epoch.sdcp)
-        los = {g: _unit(epoch.gps_positions[g] - x[CHIEF_POS])
-               for g in gids}
-        rows = [los[ref] - los[g] for g in free]
-        phases = [sdcp_map[g] - sdcp_map[ref] for g in free]
-        row_gids = list(free)
-        if state.fixed_mask[slots[ref]]:
-            ref_int = x[sd[ref]]
-            for g in fixed:
-                if g == ref:
-                    continue
-                known = x[sd[g]] - ref_int
-                rows.append(los[ref] - los[g])
-                phases.append(sdcp_map[g] - sdcp_map[ref] - known)
-                row_gids.append(g)
-
-        # The candidate baseline is triangulated from the differenced
-        # carrier phases, so their noise blurs it; propagate that blur
-        # into the range/bearing gate sigmas or the gate will veto and
-        # pull candidates on what is really phase noise.
-        inflation = epoch.noise_inflation or {}
-
-        def _sd_var(g):
-            return tuning.meas_carrier ** 2 + inflation.get(f"sdcp:{g}", 0.0)
-
-        var_rng_geom = var_ang_geom = 0.0
-        gmat = np.asarray(rows)
-        if len(rows) >= 3:
-            dd_var = np.array([_sd_var(g) + _sd_var(ref) for g in row_gids])
-            try:
-                hmat = np.linalg.solve(gmat.T @ gmat, gmat.T)
-                cov_b = (hmat * dd_var) @ hmat.T
-                b_est = x[CHIEF_POS] - x[DEPUTY_POS]
-                rng_est = float(np.linalg.norm(b_est))
-                u = b_est / rng_est
-                var_rng_geom = float(u @ cov_b @ u)
-                var_perp = max(float(np.trace(cov_b)) - var_rng_geom, 0.0)
-                var_ang_geom = 0.5 * var_perp / rng_est ** 2
-            except np.linalg.LinAlgError:
-                pass
-
-        b = state.biases
-        ctx = ConstraintContext(
-            observed_range=epoch.range_obs - b.range_bias,
-            observed_azimuth=epoch.bearing_obs[0] - b.azimuth_bias,
-            observed_elevation=epoch.bearing_obs[1] - b.elevation_bias,
-            sigma_range=math.sqrt(tuning.meas_range ** 2 + p[68, 68]
-                                  + var_rng_geom),
-            sigma_azimuth=math.sqrt(tuning.meas_angle ** 2 + p[69, 69]
-                                    + var_ang_geom),
-            sigma_elevation=math.sqrt(tuning.meas_angle ** 2 + p[70, 70]
-                                      + var_ang_geom),
-            geometry=gmat,
-            ddcp_phases=np.asarray(phases),
-            dcm_eci_to_sensor=epoch.attitude,
-            wavelength=wavelength,
-            free_rows=np.arange(n_dd))
-
-    if ctx is not None:
+        known = [g for g in fixed if g != ref]
+        ctx = _sensor_context(state, epoch, config.tuning, slots,
+                              free + known + [ref], n_dd)
         try:
             result = constrained_search(dist_z, ctx)
         except SingularGeometryError:
             ctx = None
-            result = classical_ils_search(dist_z)
-    else:
+    if ctx is None:
         result = classical_ils_search(dist_z)
 
     partial = partial_resolve(dist_z, result, use_shrink=ctx is not None)
@@ -1054,8 +1025,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     n_skipped = 0
     n_attempt_epochs = 0
     first_fix_index = None
-    use_external = config.coupling_mode in ("loose", "full")
-    run_iar = config.coupling_mode in ("loose", "full")
+    coupled = config.coupling_mode in ("loose", "full")
 
     for t in times:
         dt = t - state.epoch
@@ -1088,9 +1058,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
 
             state, report = measurement_update(
                 state, epoch, tuning,
-                use_range=use_external, use_bearing=use_external)
+                use_range=coupled, use_bearing=coupled)
 
-            if is_gps and run_iar and t >= config.iar_warmup:
+            if is_gps and coupled and t >= config.iar_warmup:
                 n_attempt_epochs += 1
                 state, success_prob, fix = _attempt_fix(
                     state, epoch, config, aux.true_sd, slots)

@@ -23,6 +23,7 @@ from cdgps.navfilter import (
 )
 from cdgps.orbits import OrbitState, default_constellation
 from cdgps.scenario import (
+    IAR_MAX_SEARCH,
     IAR_MIN_TRACK,
     RECORD_FIELDS,
     InsufficientChannelsError,
@@ -313,10 +314,11 @@ def test_sd_to_dd_is_the_returned_linear_map(k, seed):
 # Integer-resolution attempt
 # ---------------------------------------------------------------------------
 
-def _fix_ready_state(ages):
+def _fix_ready_state(ages, variances=None):
     """Filter whose single-difference floats sit 0.01 cycles from the true
-    integers with tight independent variances, lowest for the lowest GPS
-    id; ``ages`` maps GPS id -> epochs on its track."""
+    integers with tight independent variances, by default lowest for the
+    lowest GPS id; ``ages`` maps GPS id -> epochs on its track, and
+    ``variances`` GPS id -> variance [cycles^2]."""
     tuning = FilterTuning.leo()
     r = R_EARTH + 400e3
     chief = OrbitState(np.array([r, 0.0, 0.0]), np.array([0.0, 7670.0, 0.0]))
@@ -331,7 +333,8 @@ def _fix_ready_state(ages):
     for g, slot in slots.items():
         i = AMB_SD.start + slot
         state.x[i] = true_sd[g] + 0.01
-        state.covariance[i, i] = 1e-4 * (1 + g)
+        state.covariance[i, i] = (1e-4 * (1 + g) if variances is None
+                                  else variances[g])
         state.age[slot] = ages[g]
     return state, epoch, slots, {epoch.time: true_sd}
 
@@ -350,6 +353,23 @@ def test_attempt_fix_waits_for_mature_tracks():
     assert fix["channels"] == [1, 2, 3]
     assert fix["full"] and fix["wrong"] == 0
     assert fixed.fixed_mask[list(slots.values())].all()
+
+
+def test_attempt_fix_searches_the_tightest_floats_in_variance_order():
+    # Twelve mature float channels whose variance order is not their id
+    # order: the tightest is the reference, the next IAR_MAX_SEARCH are
+    # searched tightest first, and the loosest stays out.
+    config = _short_leo(coupling_mode="loose")
+    rank = [7, 2, 11, 0, 5, 9, 1, 10, 3, 6, 8, 4]
+    ids = range(len(rank))
+    state, epoch, slots, true_sd = _fix_ready_state(
+        {g: IAR_MIN_TRACK for g in ids},
+        variances={g: 1e-4 * (1 + rank[g]) for g in ids})
+    _, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    by_variance = sorted(ids, key=lambda g: rank[g])
+    assert fix["reference"] == by_variance[0]
+    assert fix["channels"] == by_variance[1:1 + IAR_MAX_SEARCH]
+    assert fix["wrong"] == 0
 
 
 # ---------------------------------------------------------------------------
