@@ -23,6 +23,7 @@ from .constants import (
     L1_WAVELENGTH,
     SPEED_OF_LIGHT,
 )
+from .orbits import cross
 
 __all__ = [
     "LinkBudget",
@@ -332,11 +333,11 @@ def klobuchar_delay(receiver_pos, los, time_of_day,
     elev_sc = elev * _SC
     # Local east/north axes for the azimuth of the ray; at a pole any
     # horizontal axis will do.
-    east = np.cross([0.0, 0.0, 1.0], up)
+    east = cross([0.0, 0.0, 1.0], up)
     en = np.linalg.norm(east, axis=-1, keepdims=True)
     east = np.where(en < 1e-12, [1.0, 0.0, 0.0],
                     east / np.where(en < 1e-12, 1.0, en))
-    north = np.cross(up, east)
+    north = cross(up, east)
     azim = np.arctan2(np.sum(u * east, axis=-1), np.sum(u * north, axis=-1))
 
     lat_sc = np.arcsin(np.clip(up[..., 2], -1.0, 1.0)) * _SC
@@ -432,21 +433,21 @@ def inject_roe_error(position, velocity, roe: RoeError):
     r = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
     rn = np.linalg.norm(r, axis=-1, keepdims=True)
-    h = np.cross(r, v)
+    h = cross(r, v)
     hn = np.linalg.norm(h, axis=-1, keepdims=True)
     if np.any(rn == 0.0) or np.any(hn == 0.0):
         raise ValueError("degenerate orbit state")
     radial = r / rn
     normal = h / hn
-    transverse = np.cross(normal, radial)
+    transverse = cross(normal, radial)
     # Argument of latitude from the ascending node direction; an equatorial
     # orbit measures it from the x axis.
-    node = np.cross([0.0, 0.0, 1.0], normal)
+    node = cross([0.0, 0.0, 1.0], normal)
     nn = np.linalg.norm(node, axis=-1, keepdims=True)
     node = np.where(nn < 1e-12, [1.0, 0.0, 0.0],
                     node / np.where(nn < 1e-12, 1.0, nn))
     cos_u = np.sum(node * radial, axis=-1)
-    sin_u = np.sum(np.cross(node, radial) * normal, axis=-1)
+    sin_u = np.sum(cross(node, radial) * normal, axis=-1)
     u = np.arctan2(sin_u, cos_u)
 
     # Semimajor axis from the vis-viva relation (mu from h and r would need

@@ -257,8 +257,15 @@ def transform_jacobian(h_sensor, dcm_eci_to_sensor):
 
     ``d(obs)/d(r_eci) = H_sensor @ dcm`` for the chief position; negate for
     the deputy (the relative position is chief minus deputy).
+
+    Raises
+    ------
+    FrameError
+        Unless ``dcm`` is 3x3 with every entry of ``dcm @ dcm.T - I``
+        within 1e-9.
     """
     dcm = np.asarray(dcm_eci_to_sensor, dtype=float)
-    if dcm.shape != (3, 3) or not np.allclose(dcm @ dcm.T, np.eye(3), atol=1e-9):
+    if dcm.shape != (3, 3) or not np.all(
+            np.abs(dcm @ dcm.T - np.eye(3)) <= 1e-9):
         raise FrameError("attitude matrix is not orthonormal")
     return np.asarray(h_sensor, dtype=float) @ dcm

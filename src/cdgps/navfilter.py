@@ -21,7 +21,9 @@ warm-starts them and counts their age.  GRAPHIC observations see
 the zero-difference float of the observing receiver (the deputy's is the
 chief's minus the single difference), single-differenced carrier phase sees
 the single-difference float, and the external range/bearing sensors see the
-relative position plus their biases.
+relative position plus their biases.  ``measurement_update`` builds the
+GPS rows a block at a time (the GRAPHIC rows of each receiver, then the SDCP
+rows) as arrays, from one id -> slot map of ``channel_ids``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .measurements import (
     sensor_jacobian,
     transform_jacobian,
 )
-from .orbits import OrbitState, propagate
+from .orbits import OrbitState, propagate, row_norm
 
 __all__ = [
     "N_STATES",
@@ -172,10 +174,6 @@ class FilterState:
         b = self.x[BIASES]
         return SensorBiases(b[0], b[1], b[2])
 
-    def slot_of(self, gps_id) -> int:
-        hits = np.nonzero(self.channel_ids == gps_id)[0]
-        return int(hits[0]) if hits.size else -1
-
 
 @dataclass
 class UpdateReport:
@@ -240,6 +238,12 @@ def _reset_channel(state: FilterState, slot: int, tuning: FilterTuning):
     state.fixed_mask[slot] = False
 
 
+def _slot_map(channel_ids) -> dict:
+    """GPS id -> ambiguity slot of every allocated channel."""
+    return {gid: slot for slot, gid in enumerate(channel_ids.tolist())
+            if gid >= 0}
+
+
 def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
                       tuning: FilterTuning) -> dict:
     """Give every satellite in ``tracks`` an ambiguity slot; returns id -> slot.
@@ -258,9 +262,12 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
     wavelength = tuning.wavelength
     gids = sorted(tracks)
     age = np.zeros_like(state.age)
+    # Slots only change hands to ids outside ``tracks``, so one map taken
+    # before the loop holds for every id in it.
+    slot_by_id = _slot_map(state.channel_ids)
     mapping = {}
     for gid in gids:
-        slot = state.slot_of(gid)
+        slot = slot_by_id.get(gid, -1)
         restart = slot < 0 or tuple(state.track[slot]) != tuple(tracks[gid])
         if slot < 0:
             free = np.nonzero(state.channel_ids < 0)[0]
@@ -377,54 +384,52 @@ def time_update(state: FilterState, tuning: FilterTuning, dt,
 # Measurement update
 # ---------------------------------------------------------------------------
 
-def _graphic_row(state, gps_pos, slot, receiver, wavelength):
-    """Prediction and Jacobian row of one GRAPHIC observation [m]."""
-    h = np.zeros(N_STATES)
-    if receiver == "chief":
+def _gps_rows(x, kind, gps_pos, slots, wavelength):
+    """Predictions [m] and Jacobian rows of one block of GPS observations.
+
+    ``kind`` is a receiver, "chief" or "deputy", for GRAPHIC rows, or
+    "sdcp" for single-differenced carrier phase rows.  Row i observes the
+    satellite at ``gps_pos[i]`` (ECI, (k, 3)) whose ambiguities sit in
+    channel ``slots[i]``.
+    """
+    rows = np.arange(len(slots))
+    zd = AMB_ZD.start + slots
+    sd = AMB_SD.start + slots
+    h = np.zeros((len(slots), N_STATES))
+    if kind == "sdcp":
+        los_c, rng_c = _unit_los(gps_pos, x[CHIEF_POS])
+        los_d, rng_d = _unit_los(gps_pos, x[DEPUTY_POS])
+        pred = (rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK]) \
+            + wavelength * x[sd]
+        h[:, CHIEF_POS] = -los_c
+        h[:, DEPUTY_POS] = los_d
+        h[:, CHIEF_CLOCK] = 1.0
+        h[:, DEPUTY_CLOCK] = -1.0
+        h[rows, sd] = wavelength
+        return pred, h
+    if kind == "chief":
         pos_sl, clk = CHIEF_POS, CHIEF_CLOCK
     else:
         pos_sl, clk = DEPUTY_POS, DEPUTY_CLOCK
-    rx = state.x[pos_sl]
-    los = gps_pos - rx
-    rng = float(np.linalg.norm(los))
-    los = los / rng
-    pred = rng + state.x[clk]
-    h[pos_sl] = -los
-    h[clk] = 1.0
-    zd = AMB_ZD.start + slot
-    sd = AMB_SD.start + slot
+    los, rng = _unit_los(gps_pos, x[pos_sl])
     half = 0.5 * wavelength
-    if receiver == "chief":
-        pred += half * state.x[zd]
-        h[zd] = half
+    h[:, pos_sl] = -los
+    h[:, clk] = 1.0
+    h[rows, zd] = half
+    if kind == "chief":
+        pred = rng + x[clk] + half * x[zd]
     else:
         # Deputy zero-difference float = chief ZD minus the single difference.
-        pred += half * (state.x[zd] - state.x[sd])
-        h[zd] = half
-        h[sd] = -half
+        pred = rng + x[clk] + half * (x[zd] - x[sd])
+        h[rows, sd] = -half
     return pred, h
 
 
-def _sdcp_row(state, gps_pos, slot, wavelength):
-    """Prediction and Jacobian row of one SDCP observation, in meters."""
-    h = np.zeros(N_STATES)
-    rc = state.x[CHIEF_POS]
-    rd = state.x[DEPUTY_POS]
-    los_c = gps_pos - rc
-    rng_c = float(np.linalg.norm(los_c))
-    los_c = los_c / rng_c
-    los_d = gps_pos - rd
-    rng_d = float(np.linalg.norm(los_d))
-    los_d = los_d / rng_d
-    sd = AMB_SD.start + slot
-    pred = (rng_c - rng_d) + (state.x[CHIEF_CLOCK] - state.x[DEPUTY_CLOCK]) \
-        + wavelength * state.x[sd]
-    h[CHIEF_POS] = -los_c
-    h[DEPUTY_POS] = los_d
-    h[CHIEF_CLOCK] = 1.0
-    h[DEPUTY_CLOCK] = -1.0
-    h[sd] = wavelength
-    return pred, h
+def _unit_los(gps_pos, rx):
+    """Unit lines of sight from ``rx`` to each of ``gps_pos``, and ranges."""
+    los = gps_pos - rx
+    rng = row_norm(los)
+    return los / rng, rng[:, 0]
 
 
 def _external_rows(state, attitude):
@@ -453,7 +458,11 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     """Joint EKF update over every observation in the epoch.
 
     GRAPHIC and SDCP rows require the epoch to carry broadcast GPS positions
-    (``epoch.gps_positions``: gps_id -> ECI position).  Innovations failing
+    (``epoch.gps_positions``: gps_id -> ECI position) and an ambiguity slot
+    for the satellite.  Rows come in blocks, in this order: the GRAPHIC
+    block of each receiver, the SDCP block, then range and bearing.  Each
+    GPS block is built as arrays in one ``_gps_rows`` call from the slot
+    indices of its satellites, in observation order.  Innovations failing
     the scalar gate are excluded from the joint solve and flagged in the
     report.  Returns ``(new_state, UpdateReport)``.
 
@@ -469,70 +478,65 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     gps_positions = epoch.gps_positions or {}
     inflation = epoch.noise_inflation or {}
     wavelength = tuning.wavelength
+    slot_by_id = _slot_map(state.channel_ids)
     preds, rows, values, variances, labels = [], [], [], [], []
 
-    for receiver, obs_list in (epoch.graphic or {}).items():
-        if receiver not in ("chief", "deputy"):
-            raise ValueError(f"unknown receiver id {receiver!r}")
-        for gid, value in obs_list:
-            slot = state.slot_of(gid)
-            if slot < 0 or gid not in gps_positions:
-                continue
-            pred, h = _graphic_row(state, gps_positions[gid], slot, receiver,
-                                   wavelength)
-            label = f"graphic:{receiver}:{gid}"
-            preds.append(pred)
-            rows.append(h)
-            values.append(value)
-            variances.append(tuning.meas_code ** 2 + inflation.get(label, 0.0))
-            labels.append(label)
-
-    for gid, cycles in (epoch.sdcp or []):
-        slot = state.slot_of(gid)
-        if slot < 0 or gid not in gps_positions:
-            continue
-        pred, h = _sdcp_row(state, gps_positions[gid], slot, wavelength)
-        label = f"sdcp:{gid}"
+    def add(pred, h, value, variance, names):
         preds.append(pred)
         rows.append(h)
-        values.append(wavelength * cycles)
-        variances.append(tuning.meas_carrier ** 2 + inflation.get(label, 0.0))
-        labels.append(label)
+        values.append(np.asarray(value, dtype=float))
+        variances.append(variance + np.array(
+            [inflation.get(name, 0.0) for name in names]))
+        labels.extend(names)
+
+    blocks = list((epoch.graphic or {}).items())
+    for receiver, _ in blocks:
+        if receiver not in ("chief", "deputy"):
+            raise ValueError(f"unknown receiver id {receiver!r}")
+    blocks.append(("sdcp", epoch.sdcp or []))
+    for kind, obs_list in blocks:
+        obs = [(gid, value) for gid, value in obs_list
+               if gid in slot_by_id and gid in gps_positions]
+        if not obs:
+            continue
+        gids = [gid for gid, _ in obs]
+        slots = np.array([slot_by_id[g] for g in gids])
+        pred, h = _gps_rows(state.x, kind,
+                            np.array([gps_positions[g] for g in gids]),
+                            slots, wavelength)
+        value = np.array([v for _, v in obs], dtype=float)
+        if kind == "sdcp":
+            add(pred, h, wavelength * value, tuning.meas_carrier ** 2,
+                [f"sdcp:{g}" for g in gids])
+        else:
+            add(pred, h, value, tuning.meas_code ** 2,
+                [f"graphic:{kind}:{g}" for g in gids])
 
     want_range = use_range and epoch.range_obs is not None
     want_bearing = use_bearing and epoch.bearing_obs is not None
     if want_range or want_bearing:
         ext_pred, ext_rows = _external_rows(state, epoch.attitude)
         if want_range:
-            preds.append(ext_pred[0])
-            rows.append(ext_rows[0])
-            values.append(epoch.range_obs)
-            variances.append(tuning.meas_range ** 2
-                             + inflation.get("range", 0.0))
-            labels.append("range")
+            add(ext_pred[:1], ext_rows[:1], [epoch.range_obs],
+                tuning.meas_range ** 2, ["range"])
         if want_bearing:
-            for i, name in ((1, "azimuth"), (2, "elevation")):
-                preds.append(ext_pred[i])
-                rows.append(ext_rows[i])
-                values.append(epoch.bearing_obs[i - 1])
-                variances.append(tuning.meas_angle ** 2
-                                 + inflation.get(name, 0.0))
-                labels.append(name)
+            add(ext_pred[1:], ext_rows[1:], epoch.bearing_obs,
+                tuning.meas_angle ** 2, ["azimuth", "elevation"])
 
     if not rows:
         return state.copy(), UpdateReport(labels=[])
 
-    h_all = np.vstack(rows)
-    innov_all = np.asarray(values) - np.asarray(preds)
-    r_all = np.asarray(variances)
+    h_all = np.concatenate(rows)
+    innov_all = np.concatenate(values) - np.concatenate(preds)
+    r_all = np.concatenate(variances)
 
     # Scalar innovation gate per row.
     p = state.covariance
-    s_diag = np.einsum("ij,jk,ik->i", h_all, p, h_all) + r_all
+    s_diag = np.sum((h_all @ p) * h_all, axis=1) + r_all
     gate = np.abs(innov_all) <= tuning.gate_sigma * np.sqrt(s_diag)
 
     report = UpdateReport(
-        n_rows=len(rows), n_rejected=int(np.sum(~gate)),
+        n_rows=len(labels), n_rejected=int(np.sum(~gate)),
         innovations=innov_all, gate_flags=gate, labels=labels)
     if not np.any(gate):
         return state.copy(), report

@@ -36,8 +36,10 @@ __all__ = [
     "PropagationError",
     "DegenerateFrameError",
     "acceleration",
+    "cross",
     "propagate",
     "specific_energy",
+    "row_norm",
     "rtn_frame",
     "visibility",
     "kepler_elements_to_state",
@@ -112,23 +114,47 @@ def specific_energy(state: OrbitState, include_j2=True, mu=MU_EARTH,
     return e
 
 
+def cross(a, b):
+    """Cross product of 3-vectors or of stacked (..., 3) rows, which
+    broadcast.  The component arithmetic is ``np.cross``'s, so the result is
+    equal to it bit for bit, without its per-call axis bookkeeping."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def row_norm(v):
+    """Euclidean norms of a vector or of stacked (..., 3) rows, kept as
+    (..., 1); each equals ``np.linalg.norm`` of that row alone bit for bit."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
+
+
 def rtn_frame(state: OrbitState) -> np.ndarray:
     """DCM rotating ECI vectors into the radial/transverse/normal frame.
 
     Rows are R-hat (along position), T-hat (completing the triad, along
     velocity for circular orbits), N-hat (along orbital angular momentum).
+    Stacked (n, 3) rows give (n, 3, 3) frames, each equal to the frame of
+    that row alone.
     """
     r = state.position
     v = state.velocity
-    h = np.cross(r, v)
-    hn = np.linalg.norm(h)
-    rn = np.linalg.norm(r)
-    if rn == 0.0 or hn < 1e-9 * max(rn * np.linalg.norm(v), 1.0):
+    h = cross(r, v)
+    hn = row_norm(h)
+    rn = row_norm(r)
+    if np.any((rn == 0.0) | (hn < 1e-9 * np.maximum(rn * row_norm(v), 1.0))):
         raise DegenerateFrameError("position and velocity are parallel")
     radial = r / rn
     normal = h / hn
-    transverse = np.cross(normal, radial)
-    return np.vstack([radial, transverse, normal])
+    transverse = cross(normal, radial)
+    return np.stack([radial, transverse, normal], axis=-2)
 
 
 def _derivative(y, empirical_rtn, include_j2):
@@ -139,12 +165,12 @@ def _derivative(y, empirical_rtn, include_j2):
     a = acceleration(r, include_j2=include_j2)
     if empirical_rtn is not None:
         radial = r / np.linalg.norm(r, axis=-1, keepdims=True)
-        h = np.cross(r, v)
+        h = cross(r, v)
         hn = np.linalg.norm(h, axis=-1, keepdims=True)
         if not hn.all():
             raise DegenerateFrameError("position and velocity are parallel")
         normal = h / hn
-        transverse = np.cross(normal, radial)
+        transverse = cross(normal, radial)
         a = a + (radial * empirical_rtn[..., 0:1]
                  + transverse * empirical_rtn[..., 1:2]
                  + normal * empirical_rtn[..., 2:3])

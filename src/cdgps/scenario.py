@@ -109,6 +109,7 @@ from .navfilter import (
 )
 from .orbits import (
     OrbitState,
+    cross,
     default_constellation,
     kepler_elements_to_state,
     propagate,
@@ -426,7 +427,7 @@ def generate_truth(config: ScenarioConfig) -> Truth:
     el = config.chief_elements
     chief = kepler_elements_to_state(el["a"], el["e"], el["inc"], el["raan"],
                                      el["argp"], el["mean_anomaly"])
-    h = np.cross(chief.position, chief.velocity)
+    h = cross(chief.position, chief.velocity)
     rot = _rotation_about(h / np.linalg.norm(h),
                           config.separation / el["a"])
     deputy = OrbitState(rot @ chief.position, rot @ chief.velocity, 0.0)
@@ -475,13 +476,13 @@ def _pointing_frame(origin, target, normal_hint) -> np.ndarray:
     from ``origin`` at ``target``; +x is built from the orbit normal hint.
     Stacked (n, 3) inputs give (n, 3, 3) frames."""
     z = _unit(np.asarray(target, dtype=float) - np.asarray(origin, dtype=float))
-    x = np.cross(normal_hint, z)
+    x = cross(normal_hint, z)
     # Boresight along the hint: fall back to any transverse axis.
-    fallback = np.cross(np.where(np.abs(z[..., :1]) < 0.9, [1.0, 0.0, 0.0],
-                                 [0.0, 1.0, 0.0]), z)
+    fallback = cross(np.where(np.abs(z[..., :1]) < 0.9, [1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0]), z)
     x = _unit(np.where(np.linalg.norm(x, axis=-1, keepdims=True) < 1e-9,
                        fallback, x))
-    return np.stack([x, np.cross(z, x), z], axis=-2)
+    return np.stack([x, cross(z, x), z], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +578,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
     rx_pos = np.stack([truth.chief_pos[grid], truth.deputy_pos[grid]], axis=1)
     rx_vel = np.stack([truth.chief_vel[grid], truth.deputy_vel[grid]], axis=1)
     attitudes = _pointing_frame(rx_pos, rx_pos[:, ::-1],
-                                _unit(np.cross(rx_pos, rx_vel)))
+                                _unit(cross(rx_pos, rx_vel)))
 
     for t, i, pos, vel, att in zip(all_times, grid, rx_pos, rx_vel, attitudes):
         cpos, dpos = pos
@@ -1026,6 +1027,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     n_attempt_epochs = 0
     first_fix_index = None
     coupled = config.coupling_mode in ("loose", "full")
+    chief_rtn = rtn_frame(OrbitState(truth.chief_pos, truth.chief_vel))
 
     for t in times:
         dt = t - state.epoch
@@ -1077,7 +1079,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             first_fix_index = len(records)
 
         i = truth.index_of(t)
-        rtn = rtn_frame(truth.chief_state(i))
+        rtn = chief_rtn[i]
         rel_est = state.x[DEPUTY_POS] - state.x[CHIEF_POS]
         rel_true = truth.deputy_pos[i] - truth.chief_pos[i]
         vel_est = state.x[DEPUTY_VEL] - state.x[CHIEF_VEL]

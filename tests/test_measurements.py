@@ -283,6 +283,21 @@ def test_transform_jacobian():
         transform_jacobian(h, np.diag([1.0, 2.0, 1.0]))
 
 
+def test_transform_jacobian_tolerance_is_absolute():
+    # Every entry of dcm dcm^T - I must be within 1e-9: a rotation scaled by
+    # 1 + 1e-6 is off by 2e-6 on the diagonal, whatever its magnitude.
+    h = sensor_jacobian([3.0, -2.0, 7.0])
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    transform_jacobian(h, rot)
+    with pytest.raises(FrameError):
+        transform_jacobian(h, (1.0 + 1e-6) * rot)
+    with pytest.raises(FrameError):
+        transform_jacobian(h, np.eye(3) + np.diag([0.0, 0.0, 2e-9]))
+    with pytest.raises(FrameError):
+        transform_jacobian(h, np.full((3, 3), np.nan))
+
+
 def test_transform_jacobian_matches_fd_through_rotation():
     # The pipeline models rho = dcm @ (r_chief - r_deputy): by finite
     # differences the chief partials are H_sensor @ dcm and the deputy

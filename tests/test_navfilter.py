@@ -27,9 +27,8 @@ from cdgps.navfilter import (
     FilterTuning,
     TimeTagMismatchError,
     _external_rows,
-    _graphic_row,
+    _gps_rows,
     _joint_update,
-    _sdcp_row,
     allocate_channels,
     apply_fixes,
     constrain_linear,
@@ -115,6 +114,11 @@ def build_exact_epoch(chief, deputy, gps_positions, n_zd, n_sd,
                             attitude=att, gps_positions=dict(gps_positions))
 
 
+def slot_of(state, gid):
+    """Ambiguity slot holding satellite ``gid``."""
+    return int(np.flatnonzero(state.channel_ids == gid)[0])
+
+
 def one_track(gps_ids):
     """Tracks of satellites each held on one (chief, deputy) track."""
     return {gid: (gid + 1, gid + 1) for gid in gps_ids}
@@ -129,7 +133,7 @@ def truth_filter_state(chief, deputy, gps_positions, n_zd, n_sd,
     state.x[CHIEF_CLOCK] = clocks[0]
     state.x[DEPUTY_CLOCK] = clocks[1]
     for gid in gps_positions:
-        slot = state.slot_of(gid)
+        slot = slot_of(state, gid)
         state.x[AMB_ZD.start + slot] = n_zd[gid]
         state.x[AMB_SD.start + slot] = n_sd[gid]
     state.x[BIASES] = biases.as_array()
@@ -197,7 +201,7 @@ def test_channel_allocation_and_eviction():
     assert st.covariance[AMB_SD.start, AMB_SD.start] == tuning.init_amb ** 2
     assert st.x[AMB_SD.start] == 0.0
     # Persisting satellite keeps its slot
-    slot_5 = st.slot_of(5)
+    slot_5 = slot_of(st, 5)
     mapping = allocate_channels(st, MeasurementEpoch(time=200.0),
                                 one_track([5]), tuning)
     assert mapping[5] == slot_5
@@ -224,7 +228,7 @@ def test_channel_age_counts_epochs_on_one_track():
     # A slot whose satellite is not tracked this epoch reads 0.
     del tracks[5]
     allocate_channels(st, MeasurementEpoch(time=150.0), tracks, tuning)
-    assert st.slot_of(5) >= 0 and st.age[st.slot_of(5)] == 0
+    assert st.age[slot_of(st, 5)] == 0
     assert st.age[0] == 2
 
 
@@ -398,23 +402,37 @@ def _fd_row(fun, state, h_analytic, atol=1e-8):
         assert grad == pytest.approx(h_analytic[idx], rel=1e-6, abs=atol)
 
 
+def _all_gps_rows(state, gps, kind):
+    gids = sorted(gps)
+    return _gps_rows(state.x, kind, np.array([gps[g] for g in gids]),
+                     np.array([slot_of(state, g) for g in gids]),
+                     L1_WAVELENGTH)
+
+
 def test_graphic_row_jacobian():
     chief, deputy = make_truth()
     tuning = FilterTuning()
     gps = make_gps_positions()
     st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
-    slot = st.slot_of(2)
     for receiver in ("chief", "deputy"):
-        pred, h = _graphic_row(st, gps[2], slot, receiver, L1_WAVELENGTH)
-        _fd_row(lambda s: _graphic_row(s, gps[2], slot, receiver,
-                                       L1_WAVELENGTH)[0], st, h)
-        # Prediction equals the independent model
-        if receiver == "chief":
-            expect = true_graphic(chief.position, TRUE_CLOCKS[0], gps[2], N_ZD[2])
-        else:
-            expect = true_graphic(deputy.position, TRUE_CLOCKS[1], gps[2],
-                                  N_ZD[2] - N_SD[2])
-        assert pred == pytest.approx(expect, abs=1e-9)
+        pred, h = _all_gps_rows(st, gps, receiver)
+        assert pred.shape == (len(gps),) and h.shape == (len(gps), N_STATES)
+        for i, gid in enumerate(sorted(gps)):
+            _fd_row(lambda s, i=i: _all_gps_rows(s, gps, receiver)[0][i],
+                    st, h[i])
+            # Prediction equals the independent model
+            if receiver == "chief":
+                expect = true_graphic(chief.position, TRUE_CLOCKS[0], gps[gid],
+                                      N_ZD[gid])
+            else:
+                expect = true_graphic(deputy.position, TRUE_CLOCKS[1],
+                                      gps[gid], N_ZD[gid] - N_SD[gid])
+            assert pred[i] == pytest.approx(expect, abs=1e-9)
+            # The row sees its own slot and no other.
+            amb = np.flatnonzero(h[i, AMB_ZD.start:AMB_SD.stop])
+            slot = slot_of(st, gid)
+            assert amb.tolist() == ([slot] if receiver == "chief" else
+                                    [slot, N_CHANNELS + slot])
 
 
 def test_sdcp_row_jacobian_and_prediction():
@@ -422,14 +440,18 @@ def test_sdcp_row_jacobian_and_prediction():
     tuning = FilterTuning()
     gps = make_gps_positions()
     st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
-    slot = st.slot_of(4)
-    pred, h = _sdcp_row(st, gps[4], slot, L1_WAVELENGTH)
-    _fd_row(lambda s: _sdcp_row(s, gps[4], slot, L1_WAVELENGTH)[0], st, h)
-    expect_m = true_sdcp_cycles(chief.position, deputy.position, *TRUE_CLOCKS,
-                                gps[4], N_SD[4]) * L1_WAVELENGTH
-    assert pred == pytest.approx(expect_m, abs=1e-9)
-    assert h[AMB_SD.start + slot] == pytest.approx(L1_WAVELENGTH)
-    assert h[CHIEF_CLOCK] == 1.0 and h[DEPUTY_CLOCK] == -1.0
+    pred, h = _all_gps_rows(st, gps, "sdcp")
+    for i, gid in enumerate(sorted(gps)):
+        _fd_row(lambda s, i=i: _all_gps_rows(s, gps, "sdcp")[0][i], st, h[i])
+        expect_m = true_sdcp_cycles(chief.position, deputy.position,
+                                    *TRUE_CLOCKS, gps[gid],
+                                    N_SD[gid]) * L1_WAVELENGTH
+        assert pred[i] == pytest.approx(expect_m, abs=1e-9)
+        slot = slot_of(st, gid)
+        assert np.flatnonzero(h[i, AMB_ZD.start:AMB_SD.stop]).tolist() == [
+            N_CHANNELS + slot]
+        assert h[i, AMB_SD.start + slot] == pytest.approx(L1_WAVELENGTH)
+        assert h[i, CHIEF_CLOCK] == 1.0 and h[i, DEPUTY_CLOCK] == -1.0
 
 
 def test_external_rows_jacobian_and_bias_partials():
@@ -482,14 +504,136 @@ def test_update_variance_never_grows_on_observed_directions():
     epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD)
     out, report = measurement_update(st, epoch, tuning)
     # Reconstruct each accepted row and compare projected variances.
-    from cdgps.navfilter import _graphic_row as gr
-    for gid, gp in gps.items():
-        slot = st.slot_of(gid)
-        for receiver in ("chief", "deputy"):
-            _, h = gr(st, gp, slot, receiver, L1_WAVELENGTH)
-            before = h @ st.covariance @ h
-            after = h @ out.covariance @ h
-            assert after <= before * (1.0 + 1e-9)
+    assert report.n_rejected == 0
+    for kind in ("chief", "deputy", "sdcp"):
+        _, h = _all_gps_rows(st, gps, kind)
+        before = np.sum((h @ st.covariance) * h, axis=1)
+        after = np.sum((h @ out.covariance) * h, axis=1)
+        assert np.all(after <= before * (1.0 + 1e-9))
+
+
+def _reference_update(state, epoch, tuning):
+    """Row-by-row update: each GPS row built on its own with a linear slot
+    scan, the gate's variances from a three-operand einsum."""
+    x, wavelength = state.x, tuning.wavelength
+    half = 0.5 * wavelength
+    gps = epoch.gps_positions
+    inflation = epoch.noise_inflation
+
+    def slot(gid):
+        hits = np.nonzero(state.channel_ids == gid)[0]
+        return int(hits[0]) if hits.size else -1
+
+    preds, rows, values, variances, labels = [], [], [], [], []
+    for receiver, obs_list in epoch.graphic.items():
+        pos_sl, clk = ((CHIEF_POS, CHIEF_CLOCK) if receiver == "chief"
+                       else (DEPUTY_POS, DEPUTY_CLOCK))
+        for gid, value in obs_list:
+            k = slot(gid)
+            if k < 0 or gid not in gps:
+                continue
+            los = gps[gid] - x[pos_sl]
+            rng = float(np.linalg.norm(los))
+            los = los / rng
+            h = np.zeros(N_STATES)
+            pred = rng + x[clk]
+            h[pos_sl] = -los
+            h[clk] = 1.0
+            zd, sd = AMB_ZD.start + k, AMB_SD.start + k
+            h[zd] = half
+            if receiver == "chief":
+                pred += half * x[zd]
+            else:
+                pred += half * (x[zd] - x[sd])
+                h[sd] = -half
+            label = f"graphic:{receiver}:{gid}"
+            preds.append(pred)
+            rows.append(h)
+            values.append(value)
+            variances.append(tuning.meas_code ** 2 + inflation.get(label, 0.0))
+            labels.append(label)
+    for gid, cycles in epoch.sdcp:
+        k = slot(gid)
+        if k < 0 or gid not in gps:
+            continue
+        los_c = gps[gid] - x[CHIEF_POS]
+        rng_c = float(np.linalg.norm(los_c))
+        los_c = los_c / rng_c
+        los_d = gps[gid] - x[DEPUTY_POS]
+        rng_d = float(np.linalg.norm(los_d))
+        los_d = los_d / rng_d
+        sd = AMB_SD.start + k
+        h = np.zeros(N_STATES)
+        h[CHIEF_POS] = -los_c
+        h[DEPUTY_POS] = los_d
+        h[CHIEF_CLOCK] = 1.0
+        h[DEPUTY_CLOCK] = -1.0
+        h[sd] = wavelength
+        label = f"sdcp:{gid}"
+        preds.append((rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK])
+                     + wavelength * x[sd])
+        rows.append(h)
+        values.append(wavelength * cycles)
+        variances.append(tuning.meas_carrier ** 2 + inflation.get(label, 0.0))
+        labels.append(label)
+    ext_pred, ext_rows = _external_rows(state, epoch.attitude)
+    for i, (name, value, var) in enumerate((
+            ("range", epoch.range_obs, tuning.meas_range ** 2),
+            ("azimuth", epoch.bearing_obs[0], tuning.meas_angle ** 2),
+            ("elevation", epoch.bearing_obs[1], tuning.meas_angle ** 2))):
+        preds.append(ext_pred[i])
+        rows.append(ext_rows[i])
+        values.append(value)
+        variances.append(var + inflation.get(name, 0.0))
+        labels.append(name)
+
+    h_all = np.vstack(rows)
+    innov = np.asarray(values) - np.asarray(preds)
+    r_all = np.asarray(variances)
+    p = state.covariance
+    s_diag = np.einsum("ij,jk,ik->i", h_all, p, h_all) + r_all
+    gate = np.abs(innov) <= tuning.gate_sigma * np.sqrt(s_diag)
+    x_new, cov_new = _joint_update(x, p, h_all[gate], innov[gate], r_all[gate])
+    return x_new, cov_new, innov, gate, labels
+
+
+def test_update_matches_row_by_row_reference_bit_for_bit():
+    chief, deputy = make_truth()
+    tuning = FilterTuning()
+    gps = make_gps_positions()
+    st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
+    # A correlated prior tight enough for the gate to bite, and a mean off
+    # the truth so that every innovation is nonzero.
+    st.covariance = np.eye(N_STATES)
+    st.covariance = time_update(st, tuning, 30.0).covariance
+    rng = np.random.default_rng(31)
+    st.x = st.x + rng.normal(scale=0.3, size=N_STATES)
+    c, s = math.cos(0.7), math.sin(0.7)
+    att = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD, attitude=att,
+                              time=30.0)
+    # Satellite 9 has a position but no slot; satellite 2 holds a slot and
+    # is seen in GRAPHIC but not in SDCP; satellite 3's SDCP is spiked.
+    epoch.gps_positions[9] = 26560e3 * np.array([0.0, -0.6, 0.8])
+    epoch.graphic["chief"].append((9, 2.0e7))
+    epoch.graphic["deputy"].reverse()
+    epoch.sdcp = [(gid, cyc + (1e5 if gid == 3 else 0.0))
+                  for gid, cyc in epoch.sdcp if gid != 2] + [(9, 1.0)]
+    epoch.noise_inflation = {"graphic:deputy:1": 0.3, "sdcp:5": 1e-4,
+                             "elevation": 1e-10}
+
+    out, report = measurement_update(st, epoch, tuning)
+    x_ref, cov_ref, innov_ref, gate_ref, labels_ref = _reference_update(
+        st, epoch, tuning)
+    assert report.labels == labels_ref
+    assert len(labels_ref) == 6 + 6 + 5 + 3
+    assert "graphic:chief:2" in labels_ref and "sdcp:2" not in labels_ref
+    assert not any(label.endswith(":9") for label in labels_ref)
+    np.testing.assert_array_equal(report.gate_flags, gate_ref)
+    assert report.n_rejected == 1 and not gate_ref[labels_ref.index("sdcp:3")]
+    np.testing.assert_array_equal(report.innovations, innov_ref)
+    np.testing.assert_array_equal(out.x, x_ref)
+    np.testing.assert_array_equal(out.covariance, cov_ref)
 
 
 def test_update_without_rows_is_identity():

@@ -20,9 +20,11 @@ from cdgps.orbits import (
     OrbitState,
     PropagationError,
     acceleration,
+    cross,
     default_constellation,
     kepler_elements_to_state,
     propagate,
+    row_norm,
     rtn_frame,
     specific_energy,
     visibility,
@@ -218,6 +220,45 @@ def test_rtn_frame_degenerate():
     with pytest.raises(DegenerateFrameError):
         propagate(radial, 30.0, empirical_accel_rtn=[1e-7, 0.0, 0.0])
     propagate(radial, 30.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=40))
+def test_stacked_rtn_frame_matches_rows_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    pos, vel = _orbit_rows(rng, n)
+    stacked = rtn_frame(OrbitState(pos, vel))
+    assert stacked.shape == (n, 3, 3)
+    np.testing.assert_array_equal(row_norm(vel)[:, 0],
+                                  [np.linalg.norm(row) for row in vel])
+    for k in range(n):
+        np.testing.assert_array_equal(stacked[k],
+                                      rtn_frame(OrbitState(pos[k], vel[k])))
+    # One degenerate row fails the whole stack.
+    k = int(rng.integers(n))
+    vel[k] = 0.1 * pos[k]
+    with pytest.raises(DegenerateFrameError):
+        rtn_frame(OrbitState(pos, vel))
+
+
+_COMPONENTS = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False,
+                        allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.lists(_COMPONENTS, min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_cross_equals_numpy_bit_for_bit(n, fixed, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-9, 8, size=(2, n, 1))
+    a, b = rng.normal(size=(2, n, 3)) * scale
+    np.testing.assert_array_equal(cross(a, b), np.cross(a, b))
+    # One 3-vector against every row, on either side.
+    np.testing.assert_array_equal(cross(fixed, b), np.cross(fixed, b))
+    np.testing.assert_array_equal(cross(a, fixed), np.cross(a, fixed))
+    np.testing.assert_array_equal(cross(a[0], b[0]), np.cross(a[0], b[0]))
 
 
 # ---------------------------------------------------------------------------
