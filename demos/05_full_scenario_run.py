@@ -1,8 +1,8 @@
 """A complete rendezvous navigation run, from config to fix timeline.
 
-Runs the bundled low-orbit scenario at reduced duration: truth orbits are
-propagated, GPS observables synthesized with thermal noise, multipath, and
-ionosphere, the 71-state filter processes every epoch, and the
+Runs the low-orbit preset (``leo_preset()``) at reduced duration: truth
+orbits are propagated, GPS observables synthesized with thermal noise,
+multipath, and ionosphere, the 71-state filter processes every epoch, and the
 sensor-constrained integer search fires once enough channels mature.  The
 same entry point backs the command-line tool; here the report object is
 inspected directly, then a three-seed mini-sweep shows the run-to-run spread.

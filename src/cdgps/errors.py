@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import (
-    CA_CHIP_LENGTH,
-    L1_FREQUENCY,
-    L1_WAVELENGTH,
-    SPEED_OF_LIGHT,
-)
+from .constants import CA_CHIP_LENGTH, L1_WAVELENGTH, SPEED_OF_LIGHT
 from .orbits import cross
 
 __all__ = [
@@ -49,6 +44,15 @@ __all__ = [
 ]
 
 
+# Tracking-loop configuration shared by both spacecraft receivers (narrow
+# correlator, 25 ms coherent integration).
+PLL_BANDWIDTH = 15.0          # Hz
+DLL_BANDWIDTH = 0.02          # Hz
+DLL_CORRELATOR_SPACING = 0.2  # chips
+COHERENT_INTEGRATION = 0.025  # s
+TRACKING_THRESHOLD = 15.0     # dB-Hz
+
+
 class LossOfLockError(RuntimeError):
     """Signal power below the receiver tracking threshold."""
 
@@ -65,7 +69,7 @@ class LinkBudget:
     """
 
     frequency: float = 1575.42              # MHz
-    pll_bandwidth: float = 15.0             # Hz
+    pll_bandwidth: float = PLL_BANDWIDTH    # Hz
     rx_antenna_gain: float = 33.0           # dB
     rx_circuit_loss: float = -1.0           # dB
     rx_polarization_loss: float = -1.0      # dB
@@ -129,42 +133,33 @@ def carrier_to_noise(budget: LinkBudget):
 # Thermal noise
 # ---------------------------------------------------------------------------
 
-# Tracking-loop configuration shared by both spacecraft receivers (narrow
-# correlator, 25 ms coherent integration).
-DLL_BANDWIDTH = 0.02          # Hz
-DLL_CORRELATOR_SPACING = 0.2  # chips
-COHERENT_INTEGRATION = 0.025  # s
-TRACKING_THRESHOLD = 15.0     # dB-Hz
-
 # Calibration anchor: at this C/N0 the total sigmas must equal these values.
 _ANCHOR_CN0 = 45.0
 _ANCHOR_CODE_SIGMA = 0.20     # m
 _ANCHOR_PHASE_SIGMA = 2.0e-3  # m
 
 
-def dll_thermal_sigma(c_n0_dbhz, chip_length=CA_CHIP_LENGTH,
-                      bandwidth=DLL_BANDWIDTH, spacing=DLL_CORRELATOR_SPACING,
-                      t_int=COHERENT_INTEGRATION):
-    """Coherent early-late DLL thermal noise (floor-free component) [m]."""
+def dll_thermal_sigma(c_n0_dbhz):
+    """Coherent early-late DLL thermal noise (floor-free component) [m] of
+    the C/A code loop configured above."""
     cn0 = 10.0 ** (np.asarray(c_n0_dbhz) / 10.0)
-    var = (chip_length ** 2) * (spacing * bandwidth / (2.0 * cn0)) \
-        * (1.0 + 2.0 / ((2.0 - spacing) * t_int * cn0))
+    spacing = DLL_CORRELATOR_SPACING
+    var = (CA_CHIP_LENGTH ** 2) * (spacing * DLL_BANDWIDTH / (2.0 * cn0)) \
+        * (1.0 + 2.0 / ((2.0 - spacing) * COHERENT_INTEGRATION * cn0))
     return np.sqrt(var)
 
 
 def pll_thermal_sigma(c_n0_dbhz, wavelength=L1_WAVELENGTH,
-                      bandwidth=None, t_int=COHERENT_INTEGRATION):
+                      bandwidth=PLL_BANDWIDTH):
     """Costas-loop PLL thermal noise (floor-free component) [m].
 
     Follows the inverse-square-root carrier-to-noise law: +6 dB on C/N0
     halves the value (asymptotically; the squaring-loss term adds a small
     correction at low C/N0).
     """
-    if bandwidth is None:
-        bandwidth = 15.0
     cn0 = 10.0 ** (np.asarray(c_n0_dbhz) / 10.0)
     var = (wavelength / (2.0 * math.pi)) ** 2 * (bandwidth / cn0) \
-        * (1.0 + 1.0 / (2.0 * t_int * cn0))
+        * (1.0 + 1.0 / (2.0 * COHERENT_INTEGRATION * cn0))
     return np.sqrt(var)
 
 
@@ -179,24 +174,24 @@ def _noise_floors(pll_bw):
     return math.sqrt(floor_code_sq), math.sqrt(floor_phase_sq)
 
 
-def thermal_noise_sigmas(c_n0_dbhz, pll_bw=15.0, wavelength=L1_WAVELENGTH,
-                         threshold=TRACKING_THRESHOLD):
+def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH,
+                         wavelength=L1_WAVELENGTH):
     """Code and carrier thermal noise standard deviations [m].
 
     Root-sum-square of a fixed receiver noise floor (calibrated once at the
     45 dB-Hz anchor) with the C/N0-dependent tracking-loop thermal noise.
     An (n,) array of ratios gives (n,) sigmas; select the locked signals
-    first with ``c_n0 >= threshold``.
+    first with ``c_n0 >= TRACKING_THRESHOLD``.
 
     Raises
     ------
     LossOfLockError
         If any ``c_n0_dbhz`` is below the tracking threshold.
     """
-    if np.any(np.asarray(c_n0_dbhz) < threshold):
+    if np.any(np.asarray(c_n0_dbhz) < TRACKING_THRESHOLD):
         worst = float(np.min(c_n0_dbhz))
-        raise LossOfLockError(
-            f"C/N0 {worst:.2f} dB-Hz below threshold {threshold:.2f}")
+        raise LossOfLockError(f"C/N0 {worst:.2f} dB-Hz below threshold "
+                              f"{TRACKING_THRESHOLD:.2f}")
     floor_code, floor_phase = _noise_floors(pll_bw)
     sigma_code = np.hypot(floor_code, dll_thermal_sigma(c_n0_dbhz))
     sigma_phase = np.hypot(
@@ -379,7 +374,6 @@ class RoeError:
     """
 
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    target_rms: float = 0.0  # m
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
@@ -418,8 +412,7 @@ def calibrate_roe(target_rms, semimajor_axis) -> RoeError:
     array of semimajor axes gives stacked (n, 6) offsets.
     """
     s = target_rms / (np.asarray(semimajor_axis, dtype=float) * math.sqrt(7.0))
-    return RoeError(offsets=np.stack([np.zeros_like(s)] + [s] * 5, axis=-1),
-                    target_rms=target_rms)
+    return RoeError(offsets=np.stack([np.zeros_like(s)] + [s] * 5, axis=-1))
 
 
 def inject_roe_error(position, velocity, roe: RoeError):

@@ -154,9 +154,6 @@ class ConstraintContext:
         Carrier wavelength [m].
     range_enabled, bearing_enabled : bool
         Which external observables participate in the penalty.
-    fallback_range : float
-        Range used to weight the angle penalties when the ranging sensor is
-        disabled (e.g. the filter's current estimate) [m].
     free_rows : ndarray of int or None
         Indices of geometry rows whose ambiguities are being searched; the
         remaining rows are treated as known (integer already subtracted).
@@ -175,7 +172,6 @@ class ConstraintContext:
     wavelength: float = 0.19029367
     range_enabled: bool = True
     bearing_enabled: bool = True
-    fallback_range: float = None
     free_rows: np.ndarray = None
 
     @property
@@ -393,18 +389,18 @@ def success_rate(diag, subset_size=None, s_coefficient=1.0, gamma=1.0) -> float:
     return prob
 
 
-def discrimination_test(cost_best, cost_second, kappa=KAPPA_DISCRIMINATION) -> bool:
+def discrimination_test(cost_best, cost_second) -> bool:
     """True when the runner-up candidate is sufficiently worse than the best.
 
-    The ratio ``cost_second / cost_best`` must exceed ``kappa``.  A degenerate
-    tie at zero cost (both candidates sit exactly on the floats) cannot be
-    discriminated and is rejected.
+    The ratio ``cost_second / cost_best`` must exceed
+    ``KAPPA_DISCRIMINATION``.  A degenerate tie at zero cost (both candidates
+    sit exactly on the floats) cannot be discriminated and is rejected.
     """
     if cost_best < 0.0 or cost_second < cost_best:
         raise ValueError("costs must satisfy 0 <= cost_best <= cost_second")
     if cost_best == 0.0:
         return cost_second > 0.0 and not math.isclose(cost_second, 0.0)
-    return (cost_second / cost_best) > kappa
+    return (cost_second / cost_best) > KAPPA_DISCRIMINATION
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +466,13 @@ def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
     return exhausted
 
 
-def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> IntegerSearchResult:
+def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
     """Depth-first conditional search for the two best integer vectors.
 
     Minimizes the covariance-weighted squared distance from the floats.  The
-    search radius starts at the bootstrap cost plus ``extra_width`` and
-    shrinks as better pairs are found, so the enumeration is exact: for small
-    problems the result matches brute-force enumeration of the candidate box.
+    search radius starts at the bootstrap cost plus two and shrinks as
+    better pairs are found, so the enumeration is exact: for small problems
+    the result matches brute-force enumeration of the candidate box.
 
     Returns
     -------
@@ -502,7 +498,7 @@ def classical_ils_search(dist: AmbiguityDistribution, extra_width=2.0) -> Intege
     # Widen the admission radius until at least two candidates fall inside
     # (the bootstrap vector always does), then the shrinking bound keeps the
     # enumeration exact.
-    width = float(extra_width)
+    width = 2.0
     for _ in range(60):
         best.clear()
         bound = cost_boot + width
@@ -615,8 +611,8 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
     Angle residuals are weighted by the inter-satellite range so that the
     angular terms compare on a length-like footing; the range residual is
     weighted by its own variance only.  Disabled observables contribute
-    nothing; when ranging is disabled the angle weighting falls back to
-    ``ctx.fallback_range``.
+    nothing; when ranging is disabled the angles are weighted by the
+    computed range instead.
     """
     cost = 0.0
     if ctx.range_enabled:
@@ -624,7 +620,7 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
         dr = ctx.observed_range - computed_range
         cost += dr * dr / (ctx.sigma_range ** 2)
     else:
-        weight_range = max(ctx.fallback_range if ctx.fallback_range is not None else computed_range, 1e-9)
+        weight_range = max(computed_range, 1e-9)
     if ctx.bearing_enabled:
         da = ctx.observed_azimuth - computed_azimuth
         de = ctx.observed_elevation - computed_elevation
@@ -657,8 +653,8 @@ def _constraint_cost(ctx, z_inverse, cand_z):
     return penalty_cost(rng, az, el, ctx)
 
 
-def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = None,
-                       step: int = 2) -> IntegerSearchResult:
+def constrained_search(dist: AmbiguityDistribution,
+                       ctx: ConstraintContext = None) -> IntegerSearchResult:
     """Best-neighbour pattern search over integer candidates with an
     external-sensor penalty added to the ambiguity cost.
 
@@ -666,8 +662,8 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
     component, and every pair of components, by the current stride in each
     sign combination, committing the best improving move (the displaced
     vector becomes the incumbent, the previous incumbent becomes the
-    runner-up).  When a sweep yields no improvement the stride shrinks by
-    one; the walk ends at stride zero.
+    runner-up).  The stride starts at two cycles and shrinks by one after a
+    sweep without improvement; the walk ends at stride zero.
 
     The walk alone can stall: an external observable carves a curved valley
     into the cost surface (all candidates whose implied baseline matches the
@@ -688,8 +684,6 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
         Typically decorrelated; candidates are produced in its space.
     ctx : ConstraintContext, optional
         External evidence.  ``None`` disables the penalty.
-    step : int
-        Initial stride [cycles], default 2.
 
     Returns
     -------
@@ -717,7 +711,7 @@ def constrained_search(dist: AmbiguityDistribution, ctx: ConstraintContext = Non
 
     axes_groups = [(i,) for i in range(n)]
     axes_groups += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    stride = int(step)
+    stride = 2
     while stride > 0:
         base = incumbent.copy()
         improved = False
@@ -804,18 +798,17 @@ def _prefix_cost(dist, order, m, vector):
 
 
 def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
-                    kappa_success=KAPPA_SUCCESS,
-                    kappa_discrimination=KAPPA_DISCRIMINATION,
                     use_shrink=True) -> PartialFix:
     """Select the largest well-determined prefix of ambiguities to fix.
 
     Components are ordered by ascending conditional variance.  The subset is
     grown one component at a time; each size ``m`` must pass the modified
     success test (with evidence factor ``S = cost_best / cost_init`` raised
-    to ``1/m``) and a discrimination test on the subset (runner-up must be at
-    least ``kappa_discrimination`` times worse over the subset components,
-    unless the two candidates agree there).  Growth stops at the first size
-    that fails; the previous size is returned.
+    to ``1/m``, above ``KAPPA_SUCCESS``) and a discrimination test on the
+    subset (runner-up must be at least ``KAPPA_DISCRIMINATION`` times worse
+    over the subset components, unless the two candidates agree there).
+    Growth stops at the first size that fails; the previous size is
+    returned.
 
     With ``use_shrink=False`` the evidence factor is pinned to one (the
     plain acceptance test), appropriate when the search ran without
@@ -840,13 +833,13 @@ def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
         gamma = 1.0 / m
         prob = success_rate(dist.diag[order], subset_size=m,
                             s_coefficient=shrink, gamma=gamma)
-        if prob <= kappa_success:
+        if prob <= KAPPA_SUCCESS:
             break
         if not np.array_equal(result.best[order[:m]], result.second_best[order[:m]]):
             cb = _prefix_cost(dist, order, m, result.best)
             cs = _prefix_cost(dist, order, m, result.second_best)
             lo, hi = min(cb, cs), max(cb, cs)
-            if not discrimination_test(lo, hi, kappa_discrimination):
+            if not discrimination_test(lo, hi):
                 break
         accepted = m
 

@@ -48,9 +48,6 @@ class SensorBiases:
     azimuth_bias: float = 0.0     # rad
     elevation_bias: float = 0.0   # rad
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.range_bias, self.azimuth_bias, self.elevation_bias])
-
 
 @dataclass
 class MeasurementEpoch:
@@ -170,15 +167,8 @@ def sd_to_dd_matrix(n_channels, reference_index):
     """
     if not 0 <= reference_index < n_channels:
         raise IndexError("reference channel out of range")
-    rows = []
-    for i in range(n_channels):
-        if i == reference_index:
-            continue
-        r = np.zeros(n_channels)
-        r[i] = 1.0
-        r[reference_index] = -1.0
-        rows.append(r)
-    return np.array(rows) if rows else np.zeros((0, n_channels))
+    eye = np.eye(n_channels)
+    return np.delete(eye, reference_index, axis=0) - eye[reference_index]
 
 
 # ---------------------------------------------------------------------------

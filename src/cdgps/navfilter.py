@@ -183,7 +183,6 @@ class UpdateReport:
     n_rejected: int = 0
     innovations: np.ndarray = None
     gate_flags: np.ndarray = None
-    postfit: np.ndarray = None
     labels: list = None
 
 
@@ -308,8 +307,7 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
 _FD_STEPS = np.array([1.0] * 3 + [1.0e-3] * 3 + [1.0e-8] * 3)
 
 
-def time_update(state: FilterState, tuning: FilterTuning, dt,
-                include_j2=True) -> FilterState:
+def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
     """Propagate mean and covariance by ``dt`` seconds.
 
     Both orbits integrate through ``orbits.propagate``, the integrator that
@@ -343,8 +341,7 @@ def time_update(state: FilterState, tuning: FilterTuning, dt,
     offsets[2::2] = -np.diag(_FD_STEPS)
     start = np.stack([state.x[pos.start:acc.stop] for pos, _, acc, _ in crafts])
     rows = (start[:, None, :] + offsets).reshape(-1, 9)
-    end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:],
-                    include_j2=include_j2)
+    end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:])
     ends = np.concatenate([end.position, end.velocity], axis=1).reshape(2, 19, 6)
 
     phi = np.eye(N_STATES)
@@ -453,18 +450,18 @@ def _external_rows(state, attitude):
 
 
 def measurement_update(state: FilterState, epoch: MeasurementEpoch,
-                       tuning: FilterTuning,
-                       use_range=True, use_bearing=True):
+                       tuning: FilterTuning, use_external=True):
     """Joint EKF update over every observation in the epoch.
 
     GRAPHIC and SDCP rows require the epoch to carry broadcast GPS positions
     (``epoch.gps_positions``: gps_id -> ECI position) and an ambiguity slot
     for the satellite.  Rows come in blocks, in this order: the GRAPHIC
-    block of each receiver, the SDCP block, then range and bearing.  Each
-    GPS block is built as arrays in one ``_gps_rows`` call from the slot
-    indices of its satellites, in observation order.  Innovations failing
-    the scalar gate are excluded from the joint solve and flagged in the
-    report.  Returns ``(new_state, UpdateReport)``.
+    block of each receiver, the SDCP block, then range and bearing, which
+    enter only with ``use_external``.  Each GPS block is built as arrays in
+    one ``_gps_rows`` call from the slot indices of its satellites, in
+    observation order.  Innovations failing the scalar gate are excluded
+    from the joint solve and flagged in the report.  Returns
+    ``(new_state, UpdateReport)``.
 
     Raises
     ------
@@ -512,8 +509,8 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
             add(pred, h, value, tuning.meas_code ** 2,
                 [f"graphic:{kind}:{g}" for g in gids])
 
-    want_range = use_range and epoch.range_obs is not None
-    want_bearing = use_bearing and epoch.bearing_obs is not None
+    want_range = use_external and epoch.range_obs is not None
+    want_bearing = use_external and epoch.bearing_obs is not None
     if want_range or want_bearing:
         ext_pred, ext_rows = _external_rows(state, epoch.attitude)
         if want_range:
@@ -541,11 +538,9 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     if not np.any(gate):
         return state.copy(), report
 
-    h = h_all[gate]
-    innov = innov_all[gate]
     out = state.copy()
-    out.x, out.covariance = _joint_update(state.x, p, h, innov, r_all[gate])
-    report.postfit = innov - h @ (out.x - state.x)
+    out.x, out.covariance = _joint_update(state.x, p, h_all[gate],
+                                          innov_all[gate], r_all[gate])
     return out, report
 
 
@@ -616,17 +611,16 @@ def constrain_linear(state: FilterState, rows, values) -> FilterState:
 # Steady-state Riccati analysis
 # ---------------------------------------------------------------------------
 
-def dare_steady_state(process_noise_q, meas_noise_r, wavelength=L1_WAVELENGTH,
-                      n=10) -> DareResult:
+def dare_steady_state(process_noise_q, meas_noise_r, n=10) -> DareResult:
     """Steady-state ambiguity variances of the discrete Riccati recursion.
 
     The float-ambiguity channel model is static (A = I) with per-step
     process noise ``q`` [cycles^2], and each of the ``n`` channels is
-    observed on its own through the wavelength (C = wavelength * I) with
+    observed on its own through the L1 wavelength (C = lambda * I) with
     measurement variance ``r`` [m^2].  The channels decouple, and each
     predicted variance settles at the positive root of
-    ``v^2 - q v - q r / wavelength^2 = 0``:
-    ``v = q/2 + sqrt(q^2/4 + q r / wavelength^2)``.
+    ``v^2 - q v - q r / lambda^2 = 0``:
+    ``v = q/2 + sqrt(q^2/4 + q r / lambda^2)``.
 
     Returns
     -------
@@ -637,7 +631,8 @@ def dare_steady_state(process_noise_q, meas_noise_r, wavelength=L1_WAVELENGTH,
     r = float(meas_noise_r)
     if q < 0.0 or r <= 0.0:
         raise ValueError("need q >= 0 and r > 0")
-    v = 0.5 * q + math.sqrt(0.25 * q * q + q * r / (wavelength * wavelength))
+    lam = L1_WAVELENGTH
+    v = 0.5 * q + math.sqrt(0.25 * q * q + q * r / (lam * lam))
     return DareResult(diag=np.full(n, v), converged=True)
 
 

@@ -11,7 +11,6 @@ the filter's empirical acceleration states are there to absorb.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -88,29 +87,28 @@ class OrbitState:
 _J2_AXIS_FACTORS = np.array([1.0, 1.0, 3.0])
 
 
-def acceleration(position, include_j2=True, mu=MU_EARTH, j2=J2_EARTH,
-                 r_body=R_EARTH):
-    """Two-body plus (optionally) J2 gravitational acceleration [m/s^2] of
-    one position or of stacked (n, 3) rows."""
+def acceleration(position, include_j2=True):
+    """Earth's two-body plus (optionally) J2 gravitational acceleration
+    [m/s^2] of one position or of stacked (n, 3) rows."""
     r = np.asarray(position, dtype=float)
     rn2 = (r[..., None, :] @ r[..., :, None])[..., 0]
     rn = np.sqrt(rn2)
-    a = -mu / (rn2 * rn) * r
+    a = -MU_EARTH / (rn2 * rn) * r
     if include_j2:
         z2_r2 = r[..., 2:3] * r[..., 2:3] / rn2
-        k = -1.5 * mu * j2 * r_body * r_body / (rn2 * rn2 * rn)
+        k = -1.5 * MU_EARTH * J2_EARTH * R_EARTH * R_EARTH / (rn2 * rn2 * rn)
         a = a + k * (r * (_J2_AXIS_FACTORS - 5.0 * z2_r2))
     return a
 
 
-def specific_energy(state: OrbitState, include_j2=True, mu=MU_EARTH,
-                    j2=J2_EARTH, r_body=R_EARTH) -> float:
+def specific_energy(state: OrbitState, include_j2=True) -> float:
     """Conserved energy of the (two-body [+ J2]) motion [m^2/s^2]."""
     r = state.radius
-    e = 0.5 * state.speed ** 2 - mu / r
+    e = 0.5 * state.speed ** 2 - MU_EARTH / r
     if include_j2:
         z2_r2 = state.position[2] ** 2 / r ** 2
-        e += mu * j2 * r_body * r_body * (3.0 * z2_r2 - 1.0) / (2.0 * r ** 3)
+        e += (MU_EARTH * J2_EARTH * R_EARTH * R_EARTH * (3.0 * z2_r2 - 1.0)
+              / (2.0 * r ** 3))
     return e
 
 
@@ -222,10 +220,10 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
 # GPS constellation
 # ---------------------------------------------------------------------------
 
-def _kepler_solve(mean_anomaly, ecc, tol=1e-12):
+def _kepler_solve(mean_anomaly, ecc):
     """Newton iteration for the eccentric anomaly, elementwise over arrays;
     each element stops after the step at which its own residual is below
-    ``tol``."""
+    1e-12 rad."""
     m = np.fmod(mean_anomaly, 2.0 * math.pi)
     e_anom = np.where(ecc < 0.8, m, math.pi)
     active = np.ones(np.shape(e_anom), dtype=bool)
@@ -233,21 +231,21 @@ def _kepler_solve(mean_anomaly, ecc, tol=1e-12):
         f = e_anom - ecc * np.sin(e_anom) - m
         e_anom = np.where(active, e_anom - f / (1.0 - ecc * np.cos(e_anom)),
                           e_anom)
-        active &= ~(np.abs(f) < tol)
+        active &= ~(np.abs(f) < 1e-12)
         if not active.any():
             break
     return e_anom
 
 
-def kepler_elements_to_state(a, e, inc, raan, argp, mean_anomaly, at_time=0.0,
-                             mu=MU_EARTH) -> OrbitState:
+def kepler_elements_to_state(a, e, inc, raan, argp, mean_anomaly,
+                             at_time=0.0) -> OrbitState:
     """Two-body state from classical elements at ``at_time`` seconds past
     the element epoch.  Array elements of shape (n,) give stacked (n, 3)
     position and velocity rows."""
     a, e, inc, raan, argp, mean_anomaly = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (a, e, inc, raan, argp,
                                                mean_anomaly)))
-    n = np.sqrt(mu / a ** 3)
+    n = np.sqrt(MU_EARTH / a ** 3)
     m = mean_anomaly + n * at_time
     e_anom = _kepler_solve(m, e)
     cos_e, sin_e = np.cos(e_anom), np.sin(e_anom)
@@ -298,26 +296,6 @@ class GpsConstellation:
 
     def __len__(self):
         return len(self.satellites)
-
-    def to_dict(self) -> dict:
-        return {
-            "mainlobe_halfcone": self.mainlobe_halfcone,
-            "sidelobe_halfcone": self.sidelobe_halfcone,
-            "satellites": [dict(s) for s in self.satellites],
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "GpsConstellation":
-        return cls(
-            satellites=[dict(s) for s in d["satellites"]],
-            mainlobe_halfcone=d.get("mainlobe_halfcone", GPS_MAINLOBE_HALFCONE),
-            sidelobe_halfcone=d.get("sidelobe_halfcone", GPS_SIDELOBE_HALFCONE),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "GpsConstellation":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def default_constellation() -> GpsConstellation:

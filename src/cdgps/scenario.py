@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from .constants import ARCSEC, L1_WAVELENGTH, MU_EARTH, R_EARTH
+from .constants import ARCSEC, R_EARTH
 from .errors import (
     LinkBudget,
     MultipathParams,
@@ -296,11 +296,8 @@ class ScenarioConfig:
                              for t, dv in d["impulses"]]
         return cls(**d)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -365,9 +362,6 @@ def load_preset(name) -> ScenarioConfig:
     path = Path(name)
     if path.suffix == ".json" and path.exists():
         return ScenarioConfig.from_json(path)
-    bundled = Path(__file__).parent / "presets" / f"{name}.json"
-    if bundled.exists():
-        return ScenarioConfig.from_json(bundled)
     raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES} "
                      "or pass a JSON config path)")
 
@@ -401,10 +395,6 @@ class Truth:
     def deputy_state(self, i) -> OrbitState:
         return OrbitState(self.deputy_pos[i], self.deputy_vel[i],
                           float(self.times[i]))
-
-    def separation(self) -> np.ndarray:
-        """Chief-to-deputy distance at every grid time [m]."""
-        return np.linalg.norm(self.deputy_pos - self.chief_pos, axis=1)
 
 
 def _rotation_about(axis, angle) -> np.ndarray:
@@ -497,11 +487,9 @@ class SynthesisAux:
     pair_ids: dict           # epoch time -> {gps_id: (chief_trk, deputy_trk)}
     clock_chief: np.ndarray  # truth-grid receiver clock error [m]
     clock_deputy: np.ndarray
-    biases: SensorBiases     # true external-sensor biases
 
 
-def synthesize_measurements(config: ScenarioConfig, truth: Truth,
-                            constellation=None):
+def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     """Every observable of the run, through the full error stack.
 
     GPS epochs carry GRAPHIC [m] per receiver, single-differenced carrier
@@ -510,14 +498,15 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
     loses (occultation, transmit cone, or signal power below the tracking
     threshold) contributes nothing that epoch, and a re-acquired channel
     draws a fresh ambiguity.  External epochs carry biased, noisy range and
-    bearing of the chief as seen from the deputy docking sensor.
+    bearing of the chief as seen from the deputy docking sensor.  The
+    transmitters are the ``default_constellation()``.
 
     Returns
     -------
     (list of MeasurementEpoch, SynthesisAux)
     """
     config.validate()
-    const = constellation if constellation is not None else default_constellation()
+    const = default_constellation()
     noise = config.noise
     wavelength = config.tuning.wavelength
     budget0 = (LinkBudget.leo_mainlobe() if config.link_budget == "leo"
@@ -690,7 +679,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth,
         epochs.append(epoch)
 
     aux = SynthesisAux(true_sd=true_sd, pair_ids=pair_ids,
-                       clock_chief=clk_c, clock_deputy=clk_d, biases=biases)
+                       clock_chief=clk_c, clock_deputy=clk_d)
     return epochs, aux
 
 
@@ -917,8 +906,8 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     if partial.subset_size == 0:
         return state, float(result.success_prob), None
 
-    sel = np.asarray(partial.indices, dtype=np.int64)
-    values = np.rint(np.asarray(partial.values, dtype=float)).astype(np.int64)
+    sel = partial.indices
+    values = partial.values
 
     # Consistency veto: the accepted integers must agree with the float
     # solution within its own statistics.  A candidate that the search
@@ -933,31 +922,30 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     # Score against truth in the decorrelated double-difference space,
     # which is invariant to the floating single-difference datum.
     tsd = true_sd_map[epoch.time]
-    true_dd = np.array([tsd[g] - tsd[ref] for g in free], dtype=np.int64)
+    true_dd = tmat @ np.array([tsd[g] for g in free + [ref]])
     z_true = dist_z.z_matrix.T @ true_dd
     wrong = int(np.sum(values != z_true[sel]))
 
     full_fix = partial.subset_size == n_dd
     if full_fix:
-        n_dd_int = np.rint(inverse_transform(
-            dist_z.z_matrix, np.asarray(result.best))).astype(np.int64)
+        n_dd_int = inverse_transform(dist_z.z_matrix, result.best)
         rows = np.zeros((n_dd, navfilter.N_STATES))
         rows[:, idx] = tmat
-        state = constrain_linear(state, rows, n_dd_int.astype(float))
+        state = constrain_linear(state, rows, n_dd_int)
+        # A fixed reference holds its integer exactly.  An unfixed one is
+        # only code-level observable; round it and let the clock states
+        # absorb the common-mode residual.
+        ref_int = int(round_half_away(state.x[sd[ref]]))
         if state.fixed_mask[slots[ref]]:
-            ref_int = int(round(state.x[sd[ref]]))
             state = apply_fixes(state, [slots[g] for g in free],
                                 n_dd_int + ref_int)
         else:
-            # The datum channel is only code-level observable; round it and
-            # let the clock states absorb the common-mode residual.
-            ref_int = int(round_half_away(state.x[sd[ref]]))
-            vals = np.concatenate([n_dd_int + ref_int, [ref_int]])
+            vals = np.append(n_dd_int + ref_int, ref_int)
             state = apply_fixes(state, [slots[g] for g in free + [ref]], vals)
     else:
         rows = np.zeros((len(sel), navfilter.N_STATES))
         rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ tmat
-        state = constrain_linear(state, rows, values.astype(float))
+        state = constrain_linear(state, rows, values)
 
     event = {
         "time": float(epoch.time),
@@ -980,8 +968,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     return state, float(result.success_prob), event
 
 
-def run_scenario(config: ScenarioConfig, output_dir=None,
-                 constellation=None) -> RunReport:
+def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     """Simulate one full rendezvous and run the navigation pipeline on it.
 
     Per measurement epoch the pipeline is: time update to the epoch,
@@ -996,7 +983,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     """
     config.validate()
     truth = generate_truth(config)
-    epochs, aux = synthesize_measurements(config, truth, constellation)
+    epochs, aux = synthesize_measurements(config, truth)
     by_time = {e.time: e for e in epochs}
     tuning = config.tuning
 
@@ -1058,9 +1045,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             if is_gps:
                 slots = allocate_channels(state, epoch, aux.pair_ids[t], tuning)
 
-            state, report = measurement_update(
-                state, epoch, tuning,
-                use_range=coupled, use_bearing=coupled)
+            state, report = measurement_update(state, epoch, tuning,
+                                               use_external=coupled)
 
             if is_gps and coupled and t >= config.iar_warmup:
                 n_attempt_epochs += 1

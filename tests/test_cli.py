@@ -187,7 +187,7 @@ def test_run_accepts_config_file(capsys, tmp_path):
     cfg.duration = 900.0
     cfg.coupling_mode = "none"
     path = tmp_path / "custom.json"
-    cfg.to_json(path)
+    path.write_text(cfg.to_json())
     code, out, _ = _run(capsys, "run", "--config", str(path),
                         "--output", str(tmp_path / "out"))
     assert code == 0

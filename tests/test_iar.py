@@ -343,10 +343,10 @@ def test_penalty_cost_disabled_sensors():
     ctx = ConstraintContext(observed_range=1000.0, observed_azimuth=0.0,
                             observed_elevation=0.0, sigma_range=5.0,
                             sigma_azimuth=1e-3, sigma_elevation=1e-3,
-                            range_enabled=False, fallback_range=500.0)
-    # Range term absent; angles weighted by the fallback range.
+                            range_enabled=False)
+    # Range term absent; angles weighted by the computed range.
     c = penalty_cost(1234.0, 1e-3, 0.0, ctx)
-    assert c == pytest.approx(1.0 / 500.0)
+    assert c == pytest.approx(1.0 / 1234.0)
     ctx2 = ConstraintContext(range_enabled=False, bearing_enabled=False)
     assert penalty_cost(999.0, 1.0, 1.0, ctx2) == 0.0
 

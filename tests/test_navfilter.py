@@ -136,7 +136,8 @@ def truth_filter_state(chief, deputy, gps_positions, n_zd, n_sd,
         slot = slot_of(state, gid)
         state.x[AMB_ZD.start + slot] = n_zd[gid]
         state.x[AMB_SD.start + slot] = n_sd[gid]
-    state.x[BIASES] = biases.as_array()
+    state.x[BIASES] = [biases.range_bias, biases.azimuth_bias,
+                       biases.elevation_bias]
     return state
 
 
@@ -634,6 +635,22 @@ def test_update_matches_row_by_row_reference_bit_for_bit():
     np.testing.assert_array_equal(report.innovations, innov_ref)
     np.testing.assert_array_equal(out.x, x_ref)
     np.testing.assert_array_equal(out.covariance, cov_ref)
+
+
+def test_use_external_switches_the_range_and_bearing_rows():
+    chief, deputy = make_truth()
+    tuning = FilterTuning()
+    gps = make_gps_positions()
+    st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
+    epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD)
+    assert epoch.range_obs is not None and epoch.bearing_obs is not None
+    gps_labels = ([f"graphic:{rx}:{g}" for rx in ("chief", "deputy")
+                   for g in gps] + [f"sdcp:{g}" for g in gps])
+
+    _, off = measurement_update(st, epoch, tuning, use_external=False)
+    assert off.labels == gps_labels
+    _, on = measurement_update(st, epoch, tuning, use_external=True)
+    assert on.labels == gps_labels + ["range", "azimuth", "elevation"]
 
 
 def test_update_without_rows_is_identity():

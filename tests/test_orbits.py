@@ -1,6 +1,5 @@
 """Propagation accuracy, frames, constellation geometry, and visibility."""
 
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from cdgps.constants import (
 )
 from cdgps.orbits import (
     DegenerateFrameError,
-    GpsConstellation,
     OrbitState,
     PropagationError,
     acceleration,
@@ -276,18 +274,6 @@ def test_default_constellation_layout():
     # Orbital radius is honored by the element conversion.
     st = c.state_at(0, 0.0)
     assert st.radius == pytest.approx(26_560e3, rel=1e-12)
-
-
-def test_constellation_json_round_trip(tmp_path):
-    c = default_constellation()
-    p = tmp_path / "constellation.json"
-    p.write_text(json.dumps(c.to_dict()))
-    c2 = GpsConstellation.from_json(p)
-    assert len(c2) == len(c)
-    s1 = c.state_at(17, 1000.0)
-    s2 = c2.state_at(17, 1000.0)
-    np.testing.assert_allclose(s1.position, s2.position)
-    assert c2.sidelobe_halfcone == pytest.approx(math.radians(60.0))
 
 
 def test_kepler_elements_eccentric_orbit():

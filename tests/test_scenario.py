@@ -4,19 +4,19 @@ reproducibility, and the coupling-mode ablation."""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cdgps.scenario
 from cdgps.constants import MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
 from cdgps.measurements import MeasurementEpoch
 from cdgps.navfilter import (
     AMB_SD,
+    CHIEF_POS,
+    DEPUTY_POS,
     FilterTuning,
     allocate_channels,
     initialize_filter,
@@ -86,18 +86,10 @@ def test_presets_validate_and_resolve():
         load_preset("molniya")
 
 
-def test_bundled_preset_files_match_factories():
-    pdir = Path(cdgps.scenario.__file__).parent / "presets"
-    assert (pdir / "leo_iss.json").read_text() == leo_preset().to_json()
-    assert (pdir / "geo_sidelobe.json").read_text() == geo_preset().to_json()
-    # the bundled stems resolve through load_preset too
-    assert load_preset("leo_iss").to_json() == leo_preset().to_json()
-
-
 def test_config_json_roundtrip(tmp_path):
     cfg = _short_leo()
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    path.write_text(cfg.to_json())
     again = ScenarioConfig.from_json(path)
     assert again == cfg
     assert load_preset(str(path)) == cfg
@@ -129,7 +121,7 @@ def test_config_validation_rejects(mangle, match):
 def test_truth_holds_separation_without_maneuvers():
     cfg = _short_leo(duration=5520.0, impulses=[])
     truth = generate_truth(cfg)
-    sep = truth.separation()
+    sep = np.linalg.norm(truth.deputy_pos - truth.chief_pos, axis=1)
     assert abs(sep[0] - cfg.separation) < 1.0
     # co-orbital spacing holds to well under a percent over a revolution
     assert np.all(np.abs(sep - cfg.separation) < 0.01 * cfg.separation)
@@ -148,7 +140,7 @@ def test_truth_prograde_burn_drifts_deputy_back():
     cfg = _short_leo(duration=t_check + 300.0,
                      impulses=[(t_burn, (0.0, dv, 0.0))])
     truth = generate_truth(cfg)
-    sep = truth.separation()
+    sep = np.linalg.norm(truth.deputy_pos - truth.chief_pos, axis=1)
     expected_drop = 6.0 * math.pi * dv / n
     drop = sep[truth.index_of(t_burn)] - sep[truth.index_of(t_check)]
     assert 0.5 * expected_drop < drop < 1.5 * expected_drop
@@ -370,6 +362,42 @@ def test_attempt_fix_searches_the_tightest_floats_in_variance_order():
     assert fix["reference"] == by_variance[0]
     assert fix["channels"] == by_variance[1:1 + IAR_MAX_SEARCH]
     assert fix["wrong"] == 0
+
+
+def _with_sensor_epoch(state, epoch, true_sd):
+    """Give ``epoch`` SDCP, range and bearing consistent with the filter's
+    positions, the true integers and zero sensor biases."""
+    chief, deputy = state.x[CHIEF_POS], state.x[DEPUTY_POS]
+    lam = FilterTuning.leo().wavelength
+    epoch.sdcp = [(g, (np.linalg.norm(gp - chief) - np.linalg.norm(gp - deputy))
+                   / lam + true_sd[g])
+                  for g, gp in epoch.gps_positions.items()]
+    # Boresight from the deputy at the chief: the chief sits at zero azimuth
+    # and elevation.
+    z = (chief - deputy) / np.linalg.norm(chief - deputy)
+    x = np.cross([0.0, 0.0, 1.0], z)
+    x /= np.linalg.norm(x)
+    epoch.attitude = np.array([x, np.cross(z, x), z])
+    epoch.range_obs = float(np.linalg.norm(chief - deputy))
+    epoch.bearing_obs = (0.0, 0.0)
+    return epoch
+
+
+@pytest.mark.parametrize("n_sats, constrained", [(3, False), (4, True)])
+def test_full_mode_search_needs_three_independent_dd_rows(n_sats,
+                                                         constrained):
+    # Three satellites give two DD rows, too few to triangulate a baseline,
+    # so the sensor-constrained search gives way to the classical one; four
+    # give three independent rows and the constrained search runs.
+    config = _short_leo(coupling_mode="full")
+    state, epoch, slots, true_sd = _fix_ready_state(
+        {g: IAR_MIN_TRACK for g in range(n_sats)})
+    epoch = _with_sensor_epoch(state, epoch, true_sd[epoch.time])
+    fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    assert fix["constrained"] is constrained
+    assert fix["n_searched"] == n_sats - 1
+    assert fix["full"] and fix["wrong"] == 0
+    assert fixed.fixed_mask[list(slots.values())].all()
 
 
 # ---------------------------------------------------------------------------
