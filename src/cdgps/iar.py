@@ -59,6 +59,11 @@ def round_half_away(x):
     return out.astype(np.int64)
 
 
+def _round_scalar(x):
+    """``round_half_away`` of one float, without the array round trip."""
+    return math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
+
+
 @dataclass
 class AmbiguityDistribution:
     """Gaussian description of a float ambiguity vector.
@@ -231,7 +236,7 @@ def _gauss_reduce(lower, transform, floats):
     changed = False
     for i in range(1, n):
         for j in range(i - 1, -1, -1):
-            mu = int(round_half_away(lower[i, j]))
+            mu = _round_scalar(lower[i, j])
             if mu != 0:
                 lower[i, : j + 1] -= mu * lower[j, : j + 1]
                 transform[i, :] -= mu * transform[j, :]
@@ -343,7 +348,7 @@ def bootstrap(dist: AmbiguityDistribution) -> np.ndarray:
     fixed = np.zeros(dist.size, dtype=np.int64)
     lower = dist.lower
     for i in range(dist.size):
-        fixed[i] = round_half_away(cond[i])
+        fixed[i] = _round_scalar(cond[i])
         resid = cond[i] - fixed[i]
         if i + 1 < dist.size:
             cond[i + 1 :] -= lower[i + 1 :, i] * resid
@@ -436,7 +441,7 @@ def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
         # shallower levels: residuals equal the forward-substitution variable
         # y = L^-1 (cand - floats), so cost accumulates y_i^2 / d_i exactly.
         center = floats[level] + corrections[level]
-        base = int(round_half_away(center))
+        base = _round_scalar(center)
         toward = 1 if center - base >= 0.0 else -1
         # Enumerate base, base+t, base-t, base+2t, base-2t, ... which is
         # sorted by |cand - center| when t points toward the fractional side,
@@ -525,6 +530,23 @@ def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
 # Sensor-constrained search
 # ---------------------------------------------------------------------------
 
+def _normal_matrix(geometry):
+    """Geometry rows as floats and their normal matrix ``G^T G``.
+
+    Raises
+    ------
+    SingularGeometryError
+        If the rows span fewer than three directions.
+    """
+    g = np.asarray(geometry, dtype=float)
+    if g.ndim != 2 or g.shape[1] != 3:
+        raise ValueError("geometry must be (k, 3)")
+    gram = g.T @ g
+    if g.shape[0] < 3 or np.linalg.matrix_rank(gram, tol=1e-10 * max(np.trace(gram), 1e-30)) < 3:
+        raise SingularGeometryError("need three independent lines of sight")
+    return g, gram
+
+
 def candidate_baseline(geometry, ddcp_phases, candidate, wavelength):
     """Relative position implied by a double-difference integer candidate.
 
@@ -552,13 +574,8 @@ def candidate_baseline(geometry, ddcp_phases, candidate, wavelength):
     SingularGeometryError
         If the rows span fewer than three directions.
     """
-    g = np.asarray(geometry, dtype=float)
-    if g.ndim != 2 or g.shape[1] != 3:
-        raise ValueError("geometry must be (k, 3)")
+    g, gram = _normal_matrix(geometry)
     rhs = float(wavelength) * (np.asarray(ddcp_phases, dtype=float) - np.asarray(candidate, dtype=float))
-    gram = g.T @ g
-    if g.shape[0] < 3 or np.linalg.matrix_rank(gram, tol=1e-10 * max(np.trace(gram), 1e-30)) < 3:
-        raise SingularGeometryError("need three independent lines of sight")
     return np.linalg.solve(gram, g.T @ rhs)
 
 
@@ -629,28 +646,47 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
     return cost
 
 
-def _constraint_cost(ctx, z_inverse, cand_z):
-    """Penalty contribution of a decorrelated candidate, via its baseline;
-    ``z_inverse`` maps the candidate back to the original space."""
+def _constraint_cost(ctx, z_matrix):
+    """Penalty of a decorrelated candidate as a function of the candidate.
+
+    The candidate goes back to the original space through the integer
+    inverse of ``z_matrix`` and into the baseline it implies (the
+    arithmetic of :func:`candidate_baseline`); the geometry check, the
+    normal matrix and the phases of the known rows are prepared here once.
+
+    Raises
+    ------
+    SingularGeometryError
+        If a penalty is enabled and the geometry cannot support a baseline.
+    """
     if ctx is None or not ctx.any_enabled:
-        return 0.0
-    cand_orig = z_inverse @ cand_z
-    k = ctx.ddcp_phases.shape[0]
-    full = np.zeros(k)
-    if ctx.free_rows is None:
-        full[:] = cand_orig
-    else:
-        full[np.asarray(ctx.free_rows)] = cand_orig
-    baseline_eci = candidate_baseline(ctx.geometry, ctx.ddcp_phases, full, ctx.wavelength)
-    rho = ctx.dcm_eci_to_sensor @ baseline_eci
-    rng = float(np.linalg.norm(rho))
-    if rng < 1e-12:
-        az = 0.0
-        el = 0.0
-    else:
-        az = math.asin(np.clip(rho[1] / rng, -1.0, 1.0))
-        el = math.atan2(rho[0], rho[2])
-    return penalty_cost(rng, az, el, ctx)
+        return lambda cand_z: 0.0
+    z_inverse = _integer_inverse(z_matrix)
+    g, gram = _normal_matrix(ctx.geometry)
+    gt = g.T
+    lam = float(ctx.wavelength)
+    phases = np.asarray(ctx.ddcp_phases, dtype=float)
+    free = slice(None) if ctx.free_rows is None else np.asarray(ctx.free_rows)
+    free_phases = phases[free]
+    # Known rows hold phases with their integers already removed.
+    rhs_known = lam * phases
+    dcm = ctx.dcm_eci_to_sensor
+
+    def cost(cand_z):
+        rhs = rhs_known.copy()
+        rhs[free] = lam * (free_phases - z_inverse @ cand_z)
+        rho = dcm @ np.linalg.solve(gram, gt @ rhs)
+        rng = math.sqrt(rho @ rho)
+        if rng < 1e-12:
+            az = 0.0
+            el = 0.0
+        else:
+            x, y, z = rho.tolist()
+            az = math.asin(min(max(y / rng, -1.0), 1.0))
+            el = math.atan2(x, z)
+        return penalty_cost(rng, az, el, ctx)
+
+    return cost
 
 
 def constrained_search(dist: AmbiguityDistribution,
@@ -697,11 +733,10 @@ def constrained_search(dist: AmbiguityDistribution,
         :func:`classical_ils_search`.
     """
     n = dist.size
-    z_inverse = (_integer_inverse(dist.z_matrix)
-                 if ctx is not None and ctx.any_enabled else None)
+    penalty = _constraint_cost(ctx, dist.z_matrix)
 
     def total_cost(cand):
-        return dist.mahalanobis(cand) + _constraint_cost(ctx, z_inverse, cand)
+        return dist.mahalanobis(cand) + penalty(cand)
 
     incumbent = bootstrap(dist)
     cost_incumbent = total_cost(incumbent)
@@ -747,7 +782,7 @@ def constrained_search(dist: AmbiguityDistribution,
     # bound so the second best is exact too, where the budget allows).
     def consider(vec, distance):
         nonlocal incumbent, cost_incumbent, runner, cost_runner
-        total = distance + _constraint_cost(ctx, z_inverse, vec)
+        total = distance + penalty(vec)
         if np.array_equal(vec, incumbent) or (
                 total >= cost_runner and not np.array_equal(vec, runner)):
             return
