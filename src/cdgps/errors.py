@@ -174,12 +174,13 @@ def _noise_floors(pll_bw):
     return math.sqrt(floor_code_sq), math.sqrt(floor_phase_sq)
 
 
-def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH,
-                         wavelength=L1_WAVELENGTH):
-    """Code and carrier thermal noise standard deviations [m].
+def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH):
+    """Code and L1 carrier thermal noise standard deviations [m].
 
     Root-sum-square of a fixed receiver noise floor (calibrated once at the
     45 dB-Hz anchor) with the C/N0-dependent tracking-loop thermal noise.
+    The floors are calibrated at L1, so the carrier sigma is for the L1
+    wavelength only.
     An (n,) array of ratios gives (n,) sigmas; select the locked signals
     first with ``c_n0 >= TRACKING_THRESHOLD``.
 
@@ -195,7 +196,7 @@ def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH,
     floor_code, floor_phase = _noise_floors(pll_bw)
     sigma_code = np.hypot(floor_code, dll_thermal_sigma(c_n0_dbhz))
     sigma_phase = np.hypot(
-        floor_phase, pll_thermal_sigma(c_n0_dbhz, wavelength, pll_bw))
+        floor_phase, pll_thermal_sigma(c_n0_dbhz, bandwidth=pll_bw))
     return sigma_code, sigma_phase
 
 

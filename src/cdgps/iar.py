@@ -9,13 +9,21 @@ finally resolved partially: the largest well-determined subset is fixed while
 the remainder stays float.  Both searches finish with the same conditional
 tree enumeration.  ``constraint_context`` builds the external evidence from
 the double-difference geometry and phases, and ``candidate_baseline`` turns
-each candidate back into the baseline that evidence is compared against.
+a candidate back into the baseline that evidence is compared against.
+
+The constrained search does that per-search work once: it checks the
+geometry, forms its normal matrix and lays out the known-row phases before
+it evaluates any candidate, and it evaluates the probes of a sweep as one
+stack, with the arithmetic of ``candidate_baseline`` done row by row so
+every cost is the one a single evaluation would give.  Scalars are rounded
+with ``math.floor``/``math.ceil``; ``round_half_away`` serves arrays.
 
 All ambiguities are in units of carrier cycles; covariances in cycles^2.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,12 +113,14 @@ class AmbiguityDistribution:
     def size(self) -> int:
         return self.floats.size
 
-    def mahalanobis(self, candidate) -> float:
-        """Squared covariance-weighted distance of ``candidate`` from the floats."""
+    def mahalanobis(self, candidate):
+        """Squared covariance-weighted distance of ``candidate`` from the
+        floats; stacked candidates (m, n) give an array of m distances."""
         r = np.asarray(candidate, dtype=float) - self.floats
         # Solve L y = r, then chi = sum(y_i^2 / d_i); avoids forming Q^-1.
-        y = np.linalg.solve(self.lower, r)
-        return float(np.sum(y * y / self.diag))
+        y = np.linalg.solve(self.lower, r[..., None])[..., 0]
+        chi = np.sum(y * y / self.diag, axis=-1)
+        return float(chi) if r.ndim == 1 else chi
 
 
 @dataclass
@@ -235,12 +245,14 @@ def _gauss_reduce(lower, transform, floats):
     n = lower.shape[0]
     changed = False
     for i in range(1, n):
+        row = lower[i].tolist()
         for j in range(i - 1, -1, -1):
-            mu = _round_scalar(lower[i, j])
+            mu = _round_scalar(row[j])
             if mu != 0:
                 lower[i, : j + 1] -= mu * lower[j, : j + 1]
                 transform[i, :] -= mu * transform[j, :]
                 floats[i] -= mu * floats[j]
+                row = lower[i].tolist()
                 changed = True
     return changed
 
@@ -279,17 +291,18 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
         # Find the first adjacent pair whose swap lowers the pair's leading
         # conditional variance: new_d[j] = d[j+1] + l^2 d[j] < d[j].
         swapped = False
+        d = diag.tolist()
+        sub = np.diagonal(lower, -1).tolist()
         for j in range(n - 1):
-            lj = lower[j + 1, j]
-            new_lead = diag[j + 1] + lj * lj * diag[j]
-            if new_lead < diag[j] * (1.0 - 1e-12):
-                perm = np.arange(n)
-                perm[j], perm[j + 1] = j + 1, j
-                zt = zt[perm, :]
-                floats = floats[perm]
+            new_lead = d[j + 1] + sub[j] * sub[j] * d[j]
+            if new_lead < d[j] * (1.0 - 1e-12):
+                pair, swap = [j, j + 1], [j + 1, j]
+                zt[pair] = zt[swap]
+                floats[pair] = floats[swap]
                 # Re-factor the permuted covariance of the current stage.
                 cov_z = (lower * diag) @ lower.T
-                cov_z = cov_z[np.ix_(perm, perm)]
+                cov_z[pair] = cov_z[swap]
+                cov_z[:, pair] = cov_z[:, swap]
                 lower, diag = ldl_decompose(cov_z)
                 swapped = True
                 break
@@ -647,12 +660,15 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
 
 
 def _constraint_cost(ctx, z_matrix):
-    """Penalty of a decorrelated candidate as a function of the candidate.
+    """Penalties of stacked decorrelated candidates (m, n), as a function
+    returning a list of m floats.
 
-    The candidate goes back to the original space through the integer
-    inverse of ``z_matrix`` and into the baseline it implies (the
-    arithmetic of :func:`candidate_baseline`); the geometry check, the
-    normal matrix and the phases of the known rows are prepared here once.
+    Each candidate goes back to the original space through the integer
+    inverse of ``z_matrix`` and into the baseline it implies, with the
+    arithmetic of :func:`candidate_baseline` done row by row, so a
+    candidate's penalty does not depend on what it is stacked with.  The
+    geometry check, the normal matrix and the phases of the known rows are
+    prepared here once.
 
     Raises
     ------
@@ -660,7 +676,7 @@ def _constraint_cost(ctx, z_matrix):
         If a penalty is enabled and the geometry cannot support a baseline.
     """
     if ctx is None or not ctx.any_enabled:
-        return lambda cand_z: 0.0
+        return lambda cands: [0.0] * len(cands)
     z_inverse = _integer_inverse(z_matrix)
     g, gram = _normal_matrix(ctx.geometry)
     gt = g.T
@@ -672,21 +688,42 @@ def _constraint_cost(ctx, z_matrix):
     rhs_known = lam * phases
     dcm = ctx.dcm_eci_to_sensor
 
-    def cost(cand_z):
-        rhs = rhs_known.copy()
-        rhs[free] = lam * (free_phases - z_inverse @ cand_z)
-        rho = dcm @ np.linalg.solve(gram, gt @ rhs)
-        rng = math.sqrt(rho @ rho)
-        if rng < 1e-12:
-            az = 0.0
-            el = 0.0
-        else:
-            x, y, z = rho.tolist()
-            az = math.asin(min(max(y / rng, -1.0), 1.0))
-            el = math.atan2(x, z)
-        return penalty_cost(rng, az, el, ctx)
+    def costs(cands):
+        rhs = np.repeat(rhs_known[np.newaxis], len(cands), axis=0)
+        rhs[:, free] = lam * (free_phases - cands @ z_inverse.T)
+        # (3, 1) right-hand sides keep one LAPACK solve per candidate, the
+        # same call (and bits) as a single candidate's 1-D solve.
+        rho = (dcm @ np.linalg.solve(gram, gt @ rhs[..., np.newaxis]))[..., 0]
+        ranges = np.sqrt(rho[:, np.newaxis, :] @ rho[:, :, np.newaxis])
+        out = []
+        for (x, y, z), rng in zip(rho.tolist(), ranges.ravel().tolist()):
+            if rng < 1e-12:
+                az = 0.0
+                el = 0.0
+            else:
+                az = math.asin(min(max(y / rng, -1.0), 1.0))
+                el = math.atan2(x, z)
+            out.append(penalty_cost(rng, az, el, ctx))
+        return out
 
-    return cost
+    return costs
+
+
+@functools.lru_cache(maxsize=32)
+def _probe_moves(n):
+    """Unit displacements the walk of :func:`constrained_search` probes, in
+    sweep order: each axis, then each pair of axes, in each sign
+    combination.  Returns ``(rows, bounds)``; axis group ``g`` owns rows
+    ``bounds[g]:bounds[g + 1]``."""
+    eye = np.eye(n, dtype=np.int64)
+    rows, bounds = [], [0]
+    for axes in [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2)):
+        signs = np.array(list(itertools.product((-1, 1), repeat=len(axes))))
+        rows.append(signs @ eye[list(axes)])
+        bounds.append(bounds[-1] + len(signs))
+    rows = np.concatenate(rows)
+    rows.flags.writeable = False
+    return rows, tuple(bounds)
 
 
 def constrained_search(dist: AmbiguityDistribution,
@@ -728,49 +765,55 @@ def constrained_search(dist: AmbiguityDistribution,
     Raises
     ------
     SingularGeometryError
-        If the penalty is enabled but the geometry cannot support a
-        baseline solution; callers should fall back to
-        :func:`classical_ils_search`.
+        At entry, before any candidate is evaluated, if the penalty is
+        enabled but the geometry cannot support a baseline solution (fewer
+        than three rows, or rows spanning fewer than three directions);
+        callers should fall back to :func:`classical_ils_search`.
     """
-    n = dist.size
     penalty = _constraint_cost(ctx, dist.z_matrix)
 
-    def total_cost(cand):
-        return dist.mahalanobis(cand) + penalty(cand)
+    def total_costs(cands):
+        return [d + p for d, p in
+                zip(dist.mahalanobis(cands).tolist(), penalty(cands))]
 
     incumbent = bootstrap(dist)
-    cost_incumbent = total_cost(incumbent)
+    [cost_incumbent] = total_costs(incumbent[np.newaxis])
     cost_init = cost_incumbent
     runner = incumbent.copy()
     cost_runner = cost_incumbent
 
-    axes_groups = [(i,) for i in range(n)]
-    axes_groups += [(i, j) for i in range(n) for j in range(i + 1, n)]
+    unit, bounds = _probe_moves(dist.size)
+    n_groups = len(bounds) - 1
     stride = 2
     while stride > 0:
-        base = incumbent.copy()
+        base = incumbent
         improved = False
-        for axes in axes_groups:
-            best_move = None
-            best_move_cost = np.inf
-            for signs in itertools.product((-stride, stride), repeat=len(axes)):
-                cand = incumbent.copy()
-                for ax, delta in zip(axes, signs):
-                    cand[ax] += delta
-                c = total_cost(cand)
-                if c < best_move_cost:
-                    best_move_cost = c
-                    best_move = cand
-            if best_move_cost < cost_incumbent:
-                runner, cost_runner = incumbent, cost_incumbent
-                incumbent, cost_incumbent = best_move, best_move_cost
-                improved = True
+        first = 0
+        while first < n_groups:
+            # Probe every group not yet swept from the current incumbent at
+            # once; after a committed move the later groups are probed again
+            # from the new incumbent.
+            offset = bounds[first]
+            cands = incumbent + stride * unit[offset:]
+            costs = total_costs(cands)
+            for g in range(first, n_groups):
+                best_move = None
+                best_move_cost = math.inf
+                for k in range(bounds[g] - offset, bounds[g + 1] - offset):
+                    if costs[k] < best_move_cost:
+                        best_move, best_move_cost = k, costs[k]
+                if best_move_cost < cost_incumbent:
+                    runner, cost_runner = incumbent, cost_incumbent
+                    incumbent, cost_incumbent = cands[best_move], best_move_cost
+                    improved = True
+                    break
+            first = g + 1
         if improved:
             # Acceleration move: repeat the net displacement of the whole
             # sweep, so the walk can track a valley floor that runs obliquely
             # to every probed axis pair.
             pattern = incumbent + (incumbent - base)
-            cost_pattern = total_cost(pattern)
+            [cost_pattern] = total_costs(pattern[np.newaxis])
             if cost_pattern < cost_incumbent:
                 runner, cost_runner = incumbent, cost_incumbent
                 incumbent, cost_incumbent = pattern, cost_pattern
@@ -782,7 +825,7 @@ def constrained_search(dist: AmbiguityDistribution,
     # bound so the second best is exact too, where the budget allows).
     def consider(vec, distance):
         nonlocal incumbent, cost_incumbent, runner, cost_runner
-        total = distance + penalty(vec)
+        total = distance + penalty(vec[np.newaxis])[0]
         if np.array_equal(vec, incumbent) or (
                 total >= cost_runner and not np.array_equal(vec, runner)):
             return

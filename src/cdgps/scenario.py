@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from .constants import ARCSEC, R_EARTH
+from .constants import ARCSEC, L1_WAVELENGTH, R_EARTH
 from .errors import (
     LinkBudget,
     MultipathParams,
@@ -499,7 +499,9 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     threshold) contributes nothing that epoch, and a re-acquired channel
     draws a fresh ambiguity.  External epochs carry biased, noisy range and
     bearing of the chief as seen from the deputy docking sensor.  The
-    transmitters are the ``default_constellation()``.
+    transmitters are the ``default_constellation()``, and every carrier is
+    simulated at ``L1_WAVELENGTH``: ``config.tuning`` tunes the filter, not
+    the world it observes.
 
     Returns
     -------
@@ -508,7 +510,6 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     config.validate()
     const = default_constellation()
     noise = config.noise
-    wavelength = config.tuning.wavelength
     budget0 = (LinkBudget.leo_mainlobe() if config.link_budget == "leo"
                else LinkBudget.geo_sidelobe())
     biases = config.sensors.as_biases()
@@ -601,8 +602,8 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
             mp = np.zeros(locked.shape + (2,))   # code, phase sigma
             if noise.thermal:
                 draw = rng_thermal.normal(scale=np.column_stack(
-                    thermal_noise_sigmas(c_n0[sig], pll_bw=budget0.pll_bandwidth,
-                                         wavelength=wavelength)))
+                    thermal_noise_sigmas(c_n0[sig],
+                                         pll_bw=budget0.pll_bandwidth)))
                 noise_code[sig] = draw[:, 0]
                 noise_phase[sig] = draw[:, 1]
             if noise.multipath:
@@ -634,17 +635,16 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                 iono = klobuchar_delay(pos, to_gps[common], float(t) % 86400.0)
             windup_m = 0.0
             if noise.windup:
-                windup_m = (wavelength * noise.windup_amplitude
+                windup_m = (L1_WAVELENGTH * noise.windup_amplitude
                             * np.sin(2.0 * math.pi * float(t) / 3600.0
                                      + windup_phase[common]))[:, None]
             clock = np.array([clk_c[i], clk_d[i]])
             code = rho + iono + clock + noise_code[common]
             phase = undifferenced_phase(
                 rho, amb[common], iono=-iono, rx_clock=clock,
-                windup=windup_m, noise=noise_phase[common],
-                wavelength=wavelength)
+                windup=windup_m, noise=noise_phase[common])
             sd_phase = phase[:, 0] - phase[:, 1]
-            gra = graphic(code, phase, wavelength)
+            gra = graphic(code, phase)
             # Calibrated multipath map: weight each row by the
             # direction-dependent error on top of the thermal floor.
             mp_m = mp[common]

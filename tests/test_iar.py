@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdgps import iar
 from cdgps.iar import (
     AmbiguityDistribution,
     ConstraintContext,
@@ -30,6 +31,7 @@ from cdgps.iar import (
     round_half_away,
     success_rate,
 )
+from cdgps.iar import _round_scalar
 
 RNG = np.random.default_rng
 
@@ -59,6 +61,30 @@ def brute_force_two_best(dist, radius=6, cost_fn=None):
 def test_round_half_away_from_zero():
     x = np.array([0.5, -0.5, 1.5, -1.5, 2.49, -2.49, 0.0])
     np.testing.assert_array_equal(round_half_away(x), [1, -1, 2, -2, 2, -2, 0])
+
+
+def _near_tie(k, ulps):
+    """``k + 0.5`` moved by ``ulps`` units in the last place."""
+    x = k + 0.5
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.floats(min_value=-2.0 ** 52, max_value=2.0 ** 52),
+    st.builds(_near_tie, st.integers(-2 ** 52 + 1, 2 ** 52 - 2),
+              st.integers(-1, 1)),
+    st.builds(_near_tie, st.integers(-3, 2), st.integers(-1, 1)),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.49999999999999994,
+                     -0.49999999999999994, 2.0 ** 52, -2.0 ** 52,
+                     2.0 ** 52 - 0.5, -2.0 ** 52 + 0.5])))
+def test_scalar_rounding_matches_round_half_away(x):
+    want = int(round_half_away(x))
+    for value in (x, np.float64(x)):
+        got = _round_scalar(value)
+        assert type(got) is int and got == want
 
 
 def test_ldl_reconstructs_and_is_unit_lower():
@@ -324,6 +350,33 @@ def test_candidate_baseline_singular_geometry():
         candidate_baseline(g, np.zeros(3), np.zeros(3), 0.19)
     with pytest.raises(SingularGeometryError):
         candidate_baseline(g[:2], np.zeros(2), np.zeros(2), 0.19)
+
+
+@pytest.mark.parametrize("rows", [
+    # Coplanar rows (all in the z = 0 plane): rank 2.
+    np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.8, 0.2, 0.0],
+              [0.0, 1.0, 0.0]]),
+    # Two rows: fewer than three lines of sight.
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]),
+])
+def test_constrained_search_rejects_singular_geometry_before_any_candidate(
+        rows, monkeypatch):
+    k = len(rows)
+    with pytest.raises(SingularGeometryError):
+        candidate_baseline(rows, np.zeros(k), np.zeros(k), 0.19)
+    dist = decorrelate(AmbiguityDistribution(
+        RNG(5).normal(scale=2.0, size=k), random_spd(RNG(6), k, 0.01)))
+    ctx = ConstraintContext(observed_range=100.0, geometry=rows,
+                            ddcp_phases=np.zeros(k),
+                            dcm_eci_to_sensor=np.eye(3))
+    evaluated = []
+    monkeypatch.setattr(AmbiguityDistribution, "mahalanobis",
+                        lambda self, cand: evaluated.append(cand))
+    monkeypatch.setattr(iar, "penalty_cost",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(SingularGeometryError):
+        constrained_search(dist, ctx)
+    assert evaluated == []
 
 
 def test_penalty_cost_zero_at_observations():

@@ -217,6 +217,23 @@ def test_synthesis_is_deterministic():
     assert a1.true_sd == a2.true_sd
 
 
+def test_filter_wavelength_does_not_change_the_simulated_world():
+    # FilterTuning.wavelength tunes the filter; every synthesized carrier,
+    # GRAPHIC and thermal sigma stays at L1.
+    cfg = _short_leo(duration=600.0)
+    truth = generate_truth(cfg)
+    e1, a1 = synthesize_measurements(cfg, truth)
+    cfg.tuning.wavelength *= 1.001
+    e2, a2 = synthesize_measurements(cfg, truth)
+    assert len(e1) == len(e2)
+    for x, y in zip(e1, e2):
+        assert x.time == y.time and x.sdcp == y.sdcp
+        assert x.graphic == y.graphic
+        assert x.noise_inflation == y.noise_inflation
+        assert x.range_obs == y.range_obs and x.bearing_obs == y.bearing_obs
+    assert a1.true_sd == a2.true_sd and a1.pair_ids == a2.pair_ids
+
+
 def test_noise_inflation_reflects_multipath_map():
     cfg = _short_leo(duration=120.0, impulses=[])
     truth = generate_truth(cfg)
