@@ -245,14 +245,12 @@ def _gauss_reduce(lower, transform, floats):
     n = lower.shape[0]
     changed = False
     for i in range(1, n):
-        row = lower[i].tolist()
         for j in range(i - 1, -1, -1):
-            mu = _round_scalar(row[j])
+            mu = _round_scalar(lower[i, j])
             if mu != 0:
                 lower[i, : j + 1] -= mu * lower[j, : j + 1]
                 transform[i, :] -= mu * transform[j, :]
                 floats[i] -= mu * floats[j]
-                row = lower[i].tolist()
                 changed = True
     return changed
 
@@ -291,18 +289,17 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
         # Find the first adjacent pair whose swap lowers the pair's leading
         # conditional variance: new_d[j] = d[j+1] + l^2 d[j] < d[j].
         swapped = False
-        d = diag.tolist()
-        sub = np.diagonal(lower, -1).tolist()
         for j in range(n - 1):
-            new_lead = d[j + 1] + sub[j] * sub[j] * d[j]
-            if new_lead < d[j] * (1.0 - 1e-12):
-                pair, swap = [j, j + 1], [j + 1, j]
-                zt[pair] = zt[swap]
-                floats[pair] = floats[swap]
+            lj = lower[j + 1, j]
+            new_lead = diag[j + 1] + lj * lj * diag[j]
+            if new_lead < diag[j] * (1.0 - 1e-12):
+                perm = np.arange(n)
+                perm[j], perm[j + 1] = j + 1, j
+                zt = zt[perm, :]
+                floats = floats[perm]
                 # Re-factor the permuted covariance of the current stage.
                 cov_z = (lower * diag) @ lower.T
-                cov_z[pair] = cov_z[swap]
-                cov_z[:, pair] = cov_z[:, swap]
+                cov_z = cov_z[np.ix_(perm, perm)]
                 lower, diag = ldl_decompose(cov_z)
                 swapped = True
                 break
@@ -544,13 +541,8 @@ def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
 # ---------------------------------------------------------------------------
 
 def _normal_matrix(geometry):
-    """Geometry rows as floats and their normal matrix ``G^T G``.
-
-    Raises
-    ------
-    SingularGeometryError
-        If the rows span fewer than three directions.
-    """
+    """Geometry rows as floats and their normal matrix ``G^T G``; raises
+    ``SingularGeometryError`` if the rows span fewer than three directions."""
     g = np.asarray(geometry, dtype=float)
     if g.ndim != 2 or g.shape[1] != 3:
         raise ValueError("geometry must be (k, 3)")
@@ -667,33 +659,27 @@ def _constraint_cost(ctx, z_matrix):
     inverse of ``z_matrix`` and into the baseline it implies, with the
     arithmetic of :func:`candidate_baseline` done row by row, so a
     candidate's penalty does not depend on what it is stacked with.  The
-    geometry check, the normal matrix and the phases of the known rows are
-    prepared here once.
-
-    Raises
-    ------
-    SingularGeometryError
-        If a penalty is enabled and the geometry cannot support a baseline.
+    geometry check (``SingularGeometryError`` when a penalty is enabled),
+    the normal matrix and the phases of the known rows are done here once.
     """
     if ctx is None or not ctx.any_enabled:
         return lambda cands: [0.0] * len(cands)
     z_inverse = _integer_inverse(z_matrix)
     g, gram = _normal_matrix(ctx.geometry)
-    gt = g.T
     lam = float(ctx.wavelength)
     phases = np.asarray(ctx.ddcp_phases, dtype=float)
     free = slice(None) if ctx.free_rows is None else np.asarray(ctx.free_rows)
     free_phases = phases[free]
     # Known rows hold phases with their integers already removed.
     rhs_known = lam * phases
-    dcm = ctx.dcm_eci_to_sensor
 
     def costs(cands):
         rhs = np.repeat(rhs_known[np.newaxis], len(cands), axis=0)
         rhs[:, free] = lam * (free_phases - cands @ z_inverse.T)
         # (3, 1) right-hand sides keep one LAPACK solve per candidate, the
         # same call (and bits) as a single candidate's 1-D solve.
-        rho = (dcm @ np.linalg.solve(gram, gt @ rhs[..., np.newaxis]))[..., 0]
+        baselines = np.linalg.solve(gram, g.T @ rhs[..., np.newaxis])
+        rho = (ctx.dcm_eci_to_sensor @ baselines)[..., 0]
         ranges = np.sqrt(rho[:, np.newaxis, :] @ rho[:, :, np.newaxis])
         out = []
         for (x, y, z), rng in zip(rho.tolist(), ranges.ravel().tolist()):

@@ -361,9 +361,8 @@ def test_candidate_baseline_singular_geometry():
 ])
 def test_constrained_search_rejects_singular_geometry_before_any_candidate(
         rows, monkeypatch):
+    # candidate_baseline's own check is pinned by the test above.
     k = len(rows)
-    with pytest.raises(SingularGeometryError):
-        candidate_baseline(rows, np.zeros(k), np.zeros(k), 0.19)
     dist = decorrelate(AmbiguityDistribution(
         RNG(5).normal(scale=2.0, size=k), random_spd(RNG(6), k, 0.01)))
     ctx = ConstraintContext(observed_range=100.0, geometry=rows,
