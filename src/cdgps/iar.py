@@ -90,6 +90,12 @@ class AmbiguityDistribution:
         Unit lower-triangular factor of ``covariance = L diag(d) L^T``.
     diag : ndarray, shape (n,)
         Conditional variances ``d`` of the factorization [cycles^2].
+
+    Raises
+    ------
+    ValueError
+        If the shapes disagree, or ``floats`` or ``covariance`` holds a NaN
+        or an infinity (the message names the field).
     """
 
     floats: np.ndarray
@@ -104,6 +110,9 @@ class AmbiguityDistribution:
         n = self.floats.size
         if self.covariance.shape != (n, n):
             raise ValueError("covariance shape does not match float vector")
+        for name in ("floats", "covariance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.z_matrix is None:
             self.z_matrix = np.eye(n, dtype=np.int64)
         if self.lower is None or self.diag is None:
@@ -230,9 +239,8 @@ def ldl_decompose(cov):
     """
     cov = np.asarray(cov, dtype=float)
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-    s = np.diag(chol).copy()
-    lower = chol / s[np.newaxis, :]
-    return lower, s * s
+    s = chol.diagonal()
+    return chol / s, s * s
 
 
 def _gauss_reduce(lower, transform, floats):
@@ -241,17 +249,37 @@ def _gauss_reduce(lower, transform, floats):
     Applies integer row combinations; mirrors them on the accumulated
     transform and the float vector.  Works in place, returns True if any
     entry changed.
+
+    An entry ``x`` rounds to zero exactly when ``x + 0.5 < 1`` and
+    ``x - 0.5 > -1``, the additions ``_round_scalar`` itself makes
+    (``abs(x) < 0.5`` is not the same test: 0.49999999999999994 rounds
+    to 1), so such entries are skipped without rounding.  Row ``i`` changes
+    only through its own nonzero roundings, so a row whose entries all
+    pass is left as it is.  The other rows are reduced on Python floats
+    with the arithmetic of the array update, ``row[k] - mu * row_j[k]``,
+    and written back once.
     """
-    n = lower.shape[0]
+    rows = lower.tolist()
     changed = False
-    for i in range(1, n):
-        for j in range(i - 1, -1, -1):
-            mu = _round_scalar(lower[i, j])
-            if mu != 0:
-                lower[i, : j + 1] -= mu * lower[j, : j + 1]
+    for i in range(1, len(rows)):
+        row = rows[i]
+        reduced = False
+        try:
+            for j in range(i - 1, -1, -1):
+                x = row[j]
+                if x + 0.5 < 1.0 and x - 0.5 > -1.0:
+                    continue
+                mu = _round_scalar(x)
+                row_j = rows[j]
+                for k in range(j + 1):
+                    row[k] -= mu * row_j[k]
                 transform[i, :] -= mu * transform[j, :]
                 floats[i] -= mu * floats[j]
-                changed = True
+                reduced = True
+        finally:
+            if reduced:
+                lower[i, :i] = row[:i]
+        changed = changed or reduced
     return changed
 
 
@@ -265,6 +293,15 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     distribution satisfies ``floats_z = Z^T floats`` and
     ``cov_z = Z^T cov Z`` and never has a larger worst-case off-diagonal
     correlation than the input.
+
+    After each swap the pair is swapped in the covariance of the current
+    stage, ``L diag(d) L^T``, and that covariance is factored again, once.
+    An O(n) swap update of ``L`` and ``d`` (LAMBDA, de Jonge & Tiberius
+    1996) would be cheaper but rounds differently, so every decorrelated
+    distribution would change in its last bits.  The refactorization
+    changes the bits of every entry, so each sweep screens them all again;
+    ``_gauss_reduce`` skips, without rounding, the entries that round to
+    zero, which are most of them.
 
     Parameters
     ----------
@@ -288,23 +325,23 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
         _gauss_reduce(lower, zt, floats)
         # Find the first adjacent pair whose swap lowers the pair's leading
         # conditional variance: new_d[j] = d[j+1] + l^2 d[j] < d[j].
-        swapped = False
+        d = diag.tolist()
+        sub = lower.diagonal(-1).tolist()
         for j in range(n - 1):
-            lj = lower[j + 1, j]
-            new_lead = diag[j + 1] + lj * lj * diag[j]
-            if new_lead < diag[j] * (1.0 - 1e-12):
-                perm = np.arange(n)
-                perm[j], perm[j + 1] = j + 1, j
-                zt = zt[perm, :]
-                floats = floats[perm]
-                # Re-factor the permuted covariance of the current stage.
-                cov_z = (lower * diag) @ lower.T
-                cov_z = cov_z[np.ix_(perm, perm)]
-                lower, diag = ldl_decompose(cov_z)
-                swapped = True
+            lj = sub[j]
+            if d[j + 1] + lj * lj * d[j] < d[j] * (1.0 - 1e-12):
                 break
-        if not swapped:
+        else:
             break
+        pair = slice(j, j + 2)
+        zt[pair] = zt[pair][::-1]
+        floats[pair] = floats[pair][::-1]
+        # Re-factor the covariance of the current stage with the pair
+        # swapped; the swap only moves entries, so it is exact.
+        cov_z = (lower * diag) @ lower.T
+        cov_z[pair] = cov_z[pair][::-1]
+        cov_z[:, pair] = cov_z[:, pair][:, ::-1]
+        lower, diag = ldl_decompose(cov_z)
     else:  # pragma: no cover - safety stop
         raise RuntimeError("decorrelation did not converge")
 

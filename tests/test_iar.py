@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdgps import iar
 from cdgps.iar import (
@@ -103,6 +103,16 @@ def test_ldl_rejects_indefinite():
         ldl_decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("field", ["floats", "covariance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite_inputs(field, bad):
+    inputs = {"floats": np.array([0.3, -1.2, 4.0]),
+              "covariance": random_spd(RNG(1), 3, scale=0.1)}
+    inputs[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        AmbiguityDistribution(**inputs)
+
+
 def test_mahalanobis_matches_direct_inverse():
     rng = RNG(3)
     q = random_spd(rng, 4)
@@ -169,6 +179,142 @@ def test_inverse_transform_roundtrip():
         v = rng2.integers(-50, 50, size=4)
         fwd = dz.z_matrix.T @ v
         np.testing.assert_array_equal(inverse_transform(dz.z_matrix, fwd), v)
+
+
+def _reference_gauss_reduce(lower, transform, floats):
+    """The full scalar pass: every strictly-lower entry is rounded and any
+    nonzero multiple is subtracted from the array row at once."""
+    n = lower.shape[0]
+    changed = False
+    for i in range(1, n):
+        for j in range(i - 1, -1, -1):
+            mu = _round_scalar(lower[i, j])
+            if mu != 0:
+                lower[i, : j + 1] -= mu * lower[j, : j + 1]
+                transform[i, :] -= mu * transform[j, :]
+                floats[i] -= mu * floats[j]
+                changed = True
+    return changed
+
+
+def _reference_decorrelate(dist):
+    """Decorrelation with a full Gauss pass per sweep and, after each swap,
+    the covariance of the current stage permuted and factored again."""
+    n = dist.size
+    lower, diag = dist.lower.copy(), dist.diag.copy()
+    floats = dist.floats.copy()
+    zt = np.eye(n, dtype=np.int64)
+    while True:
+        _reference_gauss_reduce(lower, zt, floats)
+        for j in range(n - 1):
+            lj = lower[j + 1, j]
+            if diag[j + 1] + lj * lj * diag[j] < diag[j] * (1.0 - 1e-12):
+                perm = np.arange(n)
+                perm[j], perm[j + 1] = j + 1, j
+                zt, floats = zt[perm, :], floats[perm]
+                cov_z = ((lower * diag) @ lower.T)[np.ix_(perm, perm)]
+                chol = np.linalg.cholesky(0.5 * (cov_z + cov_z.T))
+                s = np.diag(chol).copy()
+                lower, diag = chol / s[np.newaxis, :], s * s
+                break
+        else:
+            break
+    cov_z = (lower * diag) @ lower.T
+    return AmbiguityDistribution(floats, 0.5 * (cov_z + cov_z.T),
+                                 (zt @ dist.z_matrix.T).T, lower, diag)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Entries next to the rounding boundary: 0.49999999999999994 + 0.5 rounds
+# to 1.0, so it rounds to 1 although its magnitude is below one half.
+BOUNDARY_ENTRIES = (0.5, -0.5, 0.49999999999999994, -0.49999999999999994,
+                    1.5, -1.5)
+
+
+def _unit_lower_dist(entries, diag, floats=None):
+    """A distribution whose factor has ``entries`` below the diagonal (row
+    by row) exactly, so the first Gauss pass sees them as given."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.size
+    lower = np.eye(n)
+    lower[np.tril_indices(n, -1)] = entries
+    cov = (lower * diag) @ lower.T
+    if floats is None:
+        floats = np.linspace(-7.3, 11.9, n)
+    return AmbiguityDistribution(floats, 0.5 * (cov + cov.T), lower=lower,
+                                 diag=diag)
+
+
+@st.composite
+def decorrelation_inputs(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    kind = draw(st.sampled_from(("random", "near-singular", "boundary")))
+    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    floats = rng.normal(scale=30.0, size=n)
+    if kind == "random":
+        return AmbiguityDistribution(
+            floats, random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 1)))
+    if kind == "near-singular":
+        # Condition number 1e8, with the small directions spread over
+        # every component, as in a float solution of tightly coupled DDs.
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = rng.permutation(np.geomspace(1.0, 1e-8, n))
+        q = (u * eig) @ u.T
+        return AmbiguityDistribution(floats, 0.5 * (q + q.T))
+    m = n * (n - 1) // 2
+    entries = draw(st.lists(
+        st.one_of(st.sampled_from(BOUNDARY_ENTRIES),
+                  st.floats(min_value=-3.0, max_value=3.0)),
+        min_size=m, max_size=m))
+    diag = rng.uniform(0.01, 1.0, size=n)
+    if draw(st.booleans()):
+        diag = np.sort(diag)  # no swap helps: only the Gauss pass acts
+    return _unit_lower_dist(entries, diag, floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorrelation_inputs())
+@example(_unit_lower_dist([0.49999999999999994], [1.0, 2.0]))
+@example(_unit_lower_dist([-0.49999999999999994, 0.5, -1.5], [0.1, 0.2, 0.3]))
+@example(_unit_lower_dist([1.5, 0.49999999999999994, -0.5], [0.3, 0.2, 0.1]))
+def test_decorrelate_matches_full_pass_reference_bit_for_bit(dist):
+    got = decorrelate(dist)
+    want = _reference_decorrelate(dist)
+    for name in ("floats", "covariance", "z_matrix", "lower", "diag"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def _gauss_reduce_outcome(reduce, lower, transform, floats):
+    lower, transform, floats = lower.copy(), transform.copy(), floats.copy()
+    try:
+        outcome = reduce(lower, transform, floats)
+    except Exception as exc:  # compared with the reference's exception
+        outcome = (type(exc), str(exc))
+    return outcome, lower, transform, floats
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("value", [0.49999999999999994, -0.49999999999999994,
+                                   0.5, -0.5, -0.0, math.inf, -math.inf,
+                                   math.nan])
+def test_gauss_reduce_boundary_entries_match_reference(value, position):
+    rng = RNG(29)
+    lower = np.eye(4)
+    rows, cols = np.tril_indices(4, -1)
+    lower[rows, cols] = rng.uniform(-2.0, 2.0, size=rows.size)
+    lower[rows[position], cols[position]] = value
+    transform = rng.integers(-3, 4, size=(4, 4))
+    floats = rng.normal(scale=20.0, size=4)
+    got = _gauss_reduce_outcome(iar._gauss_reduce, lower, transform, floats)
+    want = _gauss_reduce_outcome(_reference_gauss_reduce, lower, transform,
+                                 floats)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert _same_bits(a, b)
 
 
 # ---------------------------------------------------------------------------
