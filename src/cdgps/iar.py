@@ -255,11 +255,14 @@ def _gauss_reduce(lower, transform, floats):
     (``abs(x) < 0.5`` is not the same test: 0.49999999999999994 rounds
     to 1), so such entries are skipped without rounding.  Row ``i`` changes
     only through its own nonzero roundings, so a row whose entries all
-    pass is left as it is.  The other rows are reduced on Python floats
-    with the arithmetic of the array update, ``row[k] - mu * row_j[k]``,
-    and written back once.
+    pass is left as it is.  The other rows, and their rows of the
+    transform, are reduced on Python floats and ints with the arithmetic
+    of the array update, ``row[k] - mu * row_j[k]``, and written back
+    once.  Integer updates are exact, so a transform entry outside the
+    range of the transform's dtype raises ``OverflowError`` on write-back.
     """
     rows = lower.tolist()
+    trows = None
     changed = False
     for i in range(1, len(rows)):
         row = rows[i]
@@ -270,15 +273,19 @@ def _gauss_reduce(lower, transform, floats):
                 if x + 0.5 < 1.0 and x - 0.5 > -1.0:
                     continue
                 mu = _round_scalar(x)
-                row_j = rows[j]
+                if trows is None:
+                    trows = transform.tolist()
+                row_j, trow, trow_j = rows[j], trows[i], trows[j]
                 for k in range(j + 1):
                     row[k] -= mu * row_j[k]
-                transform[i, :] -= mu * transform[j, :]
+                for k in range(len(trow)):
+                    trow[k] -= mu * trow_j[k]
                 floats[i] -= mu * floats[j]
                 reduced = True
         finally:
             if reduced:
                 lower[i, :i] = row[:i]
+                transform[i, :] = trow
         changed = changed or reduced
     return changed
 

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
 
 from .constants import ARCSEC, L1_WAVELENGTH, R_EARTH
 from .errors import (
@@ -749,6 +748,16 @@ _INT_FIELDS = {"n_fixed", "n_rows", "n_rejected", "skipped"}
 # is fixed.
 IAR_MAX_SEARCH = 10
 
+# The consistency veto's limits: entry k - 1 is the 0.999 quantile of the
+# chi-square distribution with k degrees of freedom, for k = 1 ...
+# IAR_MAX_SEARCH, written out from SciPy 1.17.1 ``chi2.ppf(0.999, k)`` so
+# that the runtime does not import SciPy.
+CHI2_999 = (
+    10.827566170662733, 13.815510557964274, 16.26623619623813,
+    18.46682695290317, 20.515005652432873, 22.457744484825323,
+    24.321886347856854, 26.12448155837614, 27.877164871256568,
+    29.58829844507442)
+
 # A channel must have been on one track this many consecutive GPS epochs
 # before it may enter the integer search; fresh floats carry initialization
 # transients that the formal covariance understates.
@@ -916,7 +925,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     resid = values - dist_z.floats[sel]
     cov_sel = dist_z.covariance[np.ix_(sel, sel)]
     m2 = float(resid @ np.linalg.solve(cov_sel, resid))
-    if m2 > chi2.ppf(0.999, len(sel)):
+    if m2 > CHI2_999[len(sel) - 1]:
         return state, float(result.success_prob), None
 
     # Score against truth in the decorrelated double-difference space,

@@ -317,6 +317,23 @@ def test_gauss_reduce_boundary_entries_match_reference(value, position):
         assert _same_bits(a, b)
 
 
+def test_gauss_reduce_raises_where_the_array_update_wrapped():
+    # Row 1 takes -2**62 times row 0 and row 2 then takes -4 times row 1,
+    # so the transform's entry (2, 0) is 2**64: out of int64 range.
+    lower = np.eye(3)
+    lower[1, 0], lower[2, 1] = 2.0 ** 62, 4.0
+    transform = np.eye(3, dtype=np.int64)
+    floats = np.array([0.25, 1.0, 2.0])
+
+    wrapped = transform.copy()
+    _reference_gauss_reduce(lower.copy(), wrapped, floats.copy())
+    assert wrapped[2].tolist() == [0, -4, 1]  # 2**64 wrapped to 0
+
+    with pytest.raises(OverflowError):
+        iar._gauss_reduce(lower, transform, floats)
+    assert transform[1].tolist() == [-2 ** 62, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap
 # ---------------------------------------------------------------------------

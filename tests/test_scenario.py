@@ -4,6 +4,8 @@ reproducibility, and the coupling-mode ablation."""
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cdgps.navfilter import (
 )
 from cdgps.orbits import OrbitState, default_constellation
 from cdgps.scenario import (
+    CHI2_999,
     IAR_MAX_SEARCH,
     IAR_MIN_TRACK,
     RECORD_FIELDS,
@@ -362,6 +365,58 @@ def test_attempt_fix_waits_for_mature_tracks():
     assert fix["channels"] == [1, 2, 3]
     assert fix["full"] and fix["wrong"] == 0
     assert fixed.fixed_mask[list(slots.values())].all()
+
+
+def test_veto_quantiles_equal_scipy_bit_for_bit():
+    # One entry per searchable size: a larger IAR_MAX_SEARCH fails here
+    # until the table is extended.
+    from scipy.stats import chi2
+
+    assert len(CHI2_999) == IAR_MAX_SEARCH
+    for k in range(1, IAR_MAX_SEARCH + 1):
+        assert CHI2_999[k - 1].hex() == float(chi2.ppf(0.999, k)).hex(), k
+
+
+# A fresh interpreter that cannot import SciPy runs the CLI on the LEO
+# preset just past the IAR warm-up, with the veto's table replaced by one
+# that records its lookups.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(name + " is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import cdgps.cli
+from cdgps import scenario
+
+lookups = []
+
+class Recorded(tuple):
+    def __getitem__(self, k):
+        lookups.append(k)
+        return super().__getitem__(k)
+
+scenario.CHI2_999 = Recorded(scenario.CHI2_999)
+code = cdgps.cli.main(["run", "--preset", "leo", "--coupling", "full",
+                       "--duration", "1900", "--output", sys.argv[1]])
+print(json.dumps({"code": code, "lookups": lookups,
+                  "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_runtime_runs_without_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["lookups"]  # at least one fix attempt reached the veto
+    assert not result["scipy"]
 
 
 def test_attempt_fix_searches_the_tightest_floats_in_variance_order():
