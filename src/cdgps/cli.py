@@ -61,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _finite(text):
+    """argparse type for float flags: NaN and infinities exit 1."""
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def _g(value):
     """Human-facing number: 4 significant figures, n/a for missing."""
     if value is None:
@@ -194,8 +202,8 @@ DARE_REFERENCE = (("lambda/4", 0.25, 28.17),
 
 
 def cmd_dare(args) -> int:
-    if args.n < 1:
-        raise CliError("--n must be at least 1")
+    if args.n < 1 or args.q < 0.0:
+        raise CliError("--n must be at least 1 and --q non-negative")
 
     if args.d is not None:
         # Direct mode: evaluate the success test at a given conditional
@@ -354,6 +362,10 @@ def cmd_link_budget(args) -> int:
 def cmd_multipath_map(args) -> int:
     if args.grid < 2:
         raise CliError("--grid needs at least 2 points per axis")
+    if args.size <= 0.0 or min(args.amplitude_code, args.amplitude_phase,
+                               args.target_range) < 0.0:
+        raise CliError("--size must be positive, the amplitudes and "
+                       "--target-range non-negative")
     params = MultipathParams(
         amplitude_code=args.amplitude_code,
         amplitude_phase=args.amplitude_phase,
@@ -383,7 +395,7 @@ def _add_scenario_flags(sub):
     sub.add_argument("--seed", type=int, help="override the RNG seed")
     sub.add_argument("--coupling", choices=("none", "loose", "full"),
                      help="override the sensor coupling mode")
-    sub.add_argument("--duration", type=float,
+    sub.add_argument("--duration", type=_finite,
                      help="override the run duration [s]")
     sub.add_argument("--output", help="output directory (default: "
                      f"${ENV_OUTPUT_DIR} or ./{DEFAULT_OUTPUT_DIR})")
@@ -408,14 +420,14 @@ def _build_parser() -> _Parser:
 
     p_dare = subs.add_parser(
         "dare", help="steady-state integer success-rate table")
-    p_dare.add_argument("--q", type=float, default=1e-3,
+    p_dare.add_argument("--q", type=_finite, default=1e-3,
                         help="per-step ambiguity process noise [cy^2]")
     p_dare.add_argument("--n", type=int, default=10,
                         help="number of float ambiguities")
-    p_dare.add_argument("--r", type=float, nargs="+",
+    p_dare.add_argument("--r", type=_finite, nargs="+",
                         help="measurement noise variances (default: the "
                              "reference row's three wavelength fractions)")
-    p_dare.add_argument("--d", type=float,
+    p_dare.add_argument("--d", type=_finite,
                         help="direct mode: conditional sigma [cy], skip "
                              "the Riccati solve")
     p_dare.set_defaults(func=cmd_dare)
@@ -423,9 +435,9 @@ def _build_parser() -> _Parser:
     p_link = subs.add_parser("link-budget", help="L1 link budget chain")
     p_link.add_argument("--scenario", choices=("leo", "geo", "both"),
                         default="both")
-    p_link.add_argument("--slant-range", type=float,
+    p_link.add_argument("--slant-range", type=_finite,
                         help="override the slant range [km]")
-    p_link.add_argument("--rx-gain", type=float,
+    p_link.add_argument("--rx-gain", type=_finite,
                         help="offset on the receiver antenna gain [dB]")
     p_link.add_argument("--json", action="store_true",
                         help="machine-readable output")
@@ -433,13 +445,13 @@ def _build_parser() -> _Parser:
 
     p_map = subs.add_parser("multipath-map",
                             help="direction-dependent multipath sigmas (CSV)")
-    p_map.add_argument("--amplitude-code", type=float, default=5.0,
+    p_map.add_argument("--amplitude-code", type=_finite, default=5.0,
                        help="near-field code amplitude [m]")
-    p_map.add_argument("--amplitude-phase", type=float, default=0.05,
+    p_map.add_argument("--amplitude-phase", type=_finite, default=0.05,
                        help="near-field carrier amplitude [m]")
-    p_map.add_argument("--size", type=float, default=5.0,
+    p_map.add_argument("--size", type=_finite, default=5.0,
                        help="reflector footprint size factor")
-    p_map.add_argument("--target-range", type=float, default=1000.0,
+    p_map.add_argument("--target-range", type=_finite, default=1000.0,
                        help="reflector (partner) range [m]")
     p_map.add_argument("--grid", type=int, default=7,
                        help="elevation grid points (azimuth uses 2n-1)")

@@ -147,28 +147,17 @@ def double_difference(sd_p, sd_q):
     return sd_p - sd_q
 
 
-def sd_to_dd_matrix(n_channels, reference_index):
-    """Differencing matrix mapping single differences to double differences.
+def sd_to_dd_matrix(n_channels):
+    """(n_channels - 1, n_channels) matrix ``T`` with ``dd = T @ sd``
+    against the last channel, the reference: row i is ``e_i - e_last``.
 
-    Row i of the result is ``e_i - e_ref`` for each non-reference channel, so
-    ``dd = T @ sd``.  For iid single differences the DD covariance is
-    ``T T^T`` = 2 on the diagonal and 1 off it.
-
-    Parameters
-    ----------
-    n_channels : int
-        Number of single-difference channels.
-    reference_index : int
-        Index of the reference satellite's channel.
-
-    Returns
-    -------
-    ndarray, shape (n_channels - 1, n_channels)
+    With one +1 and one -1 per row, each entry of ``T @ v`` and
+    ``T @ P @ T.T`` is one rounded difference, whatever other channels ride
+    along.  For iid single differences ``T T^T`` is 2 on the diagonal and 1
+    off it.
     """
-    if not 0 <= reference_index < n_channels:
-        raise IndexError("reference channel out of range")
     eye = np.eye(n_channels)
-    return np.delete(eye, reference_index, axis=0) - eye[reference_index]
+    return eye[:-1] - eye[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,6 @@ from .orbits import (
 )
 
 __all__ = [
-    "InsufficientChannelsError",
     "SensorConfig",
     "NoiseConfig",
     "ScenarioConfig",
@@ -126,17 +125,12 @@ __all__ = [
     "RunReport",
     "generate_truth",
     "synthesize_measurements",
-    "sd_to_dd",
     "run_scenario",
     "leo_preset",
     "geo_preset",
     "load_preset",
     "PRESET_NAMES",
 ]
-
-
-class InsufficientChannelsError(ValueError):
-    """Fewer single-difference channels than a differencing op requires."""
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +474,10 @@ def _pointing_frame(origin, target, normal_hint) -> np.ndarray:
 
 @dataclass
 class SynthesisAux:
-    """Ground truth the runner needs for scoring but the filter never sees."""
+    """Synthesis products that are not observables.  ``pair_ids`` are the
+    receivers' lock reports (track ids), which ``allocate_channels`` reads to
+    detect re-acquisition; ``true_sd`` and the clocks are truth, for scoring
+    only."""
 
     true_sd: dict            # epoch time -> {gps_id: true SD integer [cy]}
     pair_ids: dict           # epoch time -> {gps_id: (chief_trk, deputy_trk)}
@@ -683,57 +680,6 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
 
 
 # ---------------------------------------------------------------------------
-# Differencing operator
-# ---------------------------------------------------------------------------
-
-def sd_to_dd(floats, covariance, reference_index):
-    """Double-difference an ambiguity set against one reference channel.
-
-    Parameters
-    ----------
-    floats : (k,) array
-        Single-difference float ambiguities [cycles].
-    covariance : (k, k) array
-        Their covariance [cycles^2].
-    reference_index : int
-        Channel subtracted from every other one.
-
-    Returns
-    -------
-    (AmbiguityDistribution, ndarray)
-        The (k-1)-dimensional double-difference distribution and the
-        (k-1, k) differencing matrix that produced it.
-
-    Raises
-    ------
-    InsufficientChannelsError
-        With fewer than two channels there is nothing to difference.
-
-    Examples
-    --------
-    Two independent unit-variance channels difference into variance two::
-
-        >>> dist, t = sd_to_dd([0.2, -0.1], np.eye(2), 0)
-        >>> float(dist.covariance[0, 0])
-        2.0
-
-    Integers stay integers under the map: row sums are zero, entries +-1.
-    """
-    floats = np.asarray(floats, dtype=float)
-    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-    k = floats.size
-    if k < 2:
-        raise InsufficientChannelsError(
-            "double differencing needs at least two channels")
-    if not 0 <= int(reference_index) < k:
-        raise IndexError(f"reference index {reference_index} out of range")
-    t = sd_to_dd_matrix(k, int(reference_index))
-    dd_cov = t @ cov @ t.T
-    return AmbiguityDistribution(floats=t @ floats,
-                                 covariance=0.5 * (dd_cov + dd_cov.T)), t
-
-
-# ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
 
@@ -825,22 +771,20 @@ def _jsonable(obj):
     return obj
 
 
-def _sensor_context(state, epoch, tuning, slots, order, n_free):
+def _sensor_context(state, epoch, tuning, tmat, order, idx, n_free):
     """Range/bearing evidence for a search over ``order[:n_free]``.
 
-    ``order`` ends with the reference, and the ids between it and the
-    searched ones have fixed integers, taken out of their DD phases.  LOS
-    rows and SDCP are differenced through the same ``sd_to_dd_matrix`` as
-    the floats; the geometry is negated to resolve chief minus deputy.
+    ``tmat`` is the attempt's operator over ``order`` (state indices
+    ``idx``), which ends with the reference; the ids between it and the
+    searched ones have fixed integers, taken out of their DD phases.  The
+    geometry is negated to resolve chief minus deputy.
     """
     x = state.x
-    tmat = sd_to_dd_matrix(len(order), len(order) - 1)
     los = _unit(np.array([epoch.gps_positions[g] for g in order])
                 - x[CHIEF_POS])
     sdcp = dict(epoch.sdcp)
     phases = tmat @ np.array([sdcp[g] for g in order])
-    phases[n_free:] -= tmat[n_free:] @ x[[AMB_SD.start + slots[g]
-                                          for g in order]]
+    phases[n_free:] -= tmat[n_free:] @ x[idx]
     inflation = epoch.noise_inflation or {}
     sd_var = np.array([tuning.meas_carrier ** 2
                        + inflation.get(f"sdcp:{g}", 0.0) for g in order])
@@ -857,10 +801,11 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     """One integer-resolution attempt at a GPS epoch.
 
     Selects a reference channel (a fixed one when available, otherwise the
-    tightest float), double-differences the single-difference bank against
-    it, decorrelates, searches (sensor-constrained when the coupling mode
-    and epoch allow), and feeds any accepted subset back into the filter:
-    a full acceptance pins channels to integers, a partial one conditions
+    tightest float), double-differences against it with one operator (the
+    floats, the sensor context, the truth and the feedback rows alike),
+    decorrelates, searches (sensor-constrained when the coupling mode and
+    epoch allow), and feeds any accepted subset back into the filter: a
+    full acceptance pins channels to integers, a partial one conditions
     the filter on the accepted decorrelated combinations only.
 
     ``slots`` maps the epoch's GPS ids to ambiguity slots (as returned by
@@ -869,7 +814,6 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
 
     Returns ``(state, success_prob or nan, fix_event or None)``.
     """
-    x = state.x
     p = state.covariance
 
     gids = sorted(slots)
@@ -892,18 +836,23 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
         free = sorted(free, key=lambda g: (p[sd[g], sd[g]], g))
         free = free[:IAR_MAX_SEARCH]
 
-    # The reference channel goes last, so it is the DD reference index.
-    idx = [sd[g] for g in free] + [sd[ref]]
+    # The reference goes last and the other fixed ids before it, so the
+    # operator's first ``n_dd`` rows are the searched DDs.
+    order = free + [g for g in fixed if g != ref] + [ref]
+    idx = [sd[g] for g in order]
     n_dd = len(free)
-    dd, tmat = sd_to_dd(x[idx], p[np.ix_(idx, idx)], n_dd)
+    tmat = sd_to_dd_matrix(len(order))
+    t_dd = tmat[:n_dd]
+    dd_cov = t_dd @ p[np.ix_(idx, idx)] @ t_dd.T
+    dd = AmbiguityDistribution(floats=t_dd @ state.x[idx],
+                               covariance=0.5 * (dd_cov + dd_cov.T))
     dist_z = decorrelate(dd)
 
     ctx = None
     if (config.coupling_mode == "full" and epoch.range_obs is not None
             and epoch.bearing_obs is not None):
-        known = [g for g in fixed if g != ref]
-        ctx = _sensor_context(state, epoch, config.tuning, slots,
-                              free + known + [ref], n_dd)
+        ctx = _sensor_context(state, epoch, config.tuning, tmat, order, idx,
+                              n_dd)
         try:
             result = constrained_search(dist_z, ctx)
         except SingularGeometryError:
@@ -931,7 +880,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     # Score against truth in the decorrelated double-difference space,
     # which is invariant to the floating single-difference datum.
     tsd = true_sd_map[epoch.time]
-    true_dd = tmat @ np.array([tsd[g] for g in free + [ref]])
+    true_dd = t_dd @ np.array([tsd[g] for g in order])
     z_true = dist_z.z_matrix.T @ true_dd
     wrong = int(np.sum(values != z_true[sel]))
 
@@ -939,7 +888,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     if full_fix:
         n_dd_int = inverse_transform(dist_z.z_matrix, result.best)
         rows = np.zeros((n_dd, navfilter.N_STATES))
-        rows[:, idx] = tmat
+        rows[:, idx] = t_dd
         state = constrain_linear(state, rows, n_dd_int)
         # A fixed reference holds its integer exactly.  An unfixed one is
         # only code-level observable; round it and let the clock states
@@ -953,7 +902,7 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
             state = apply_fixes(state, [slots[g] for g in free + [ref]], vals)
     else:
         rows = np.zeros((len(sel), navfilter.N_STATES))
-        rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ tmat
+        rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ t_dd
         state = constrain_linear(state, rows, values)
 
     event = {

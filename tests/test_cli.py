@@ -229,6 +229,27 @@ def test_sweep_rejects_duplicate_seeds(capsys, tmp_path):
 # invocation errors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ("dare", "--q", "-1"),
+    ("dare", "--q", "nan"),
+    ("dare", "--r", "nan"),
+    ("dare", "--d", "nan"),
+    ("link-budget", "--slant-range", "nan"),
+    ("link-budget", "--rx-gain", "nan"),
+    ("multipath-map", "--size", "0"),
+    ("multipath-map", "--amplitude-code", "-1"),
+    ("multipath-map", "--target-range", "-5"),
+    ("run", "--duration", "inf"),
+])
+def test_invalid_float_flag_exits_one(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("CDGPS_OUTPUT_DIR", str(tmp_path / "out"))
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = _run(capsys, "run", "--warp-speed")
     assert code == 1

@@ -145,16 +145,39 @@ def test_double_difference_cancels_rx_clock():
 
 
 def test_sd_to_dd_matrix_structure():
-    t = sd_to_dd_matrix(4, reference_index=1)
+    t = sd_to_dd_matrix(4)
     assert t.shape == (3, 4)
+    np.testing.assert_array_equal(t[:, :-1], np.eye(3))
+    np.testing.assert_array_equal(t[:, -1], [-1.0, -1.0, -1.0])
     np.testing.assert_array_equal(t @ np.ones(4), np.zeros(3))
     # iid single differences -> 2 on the diagonal, 1 off.
     cov = t @ t.T
     np.testing.assert_array_equal(np.diag(cov), [2.0, 2.0, 2.0])
     off = cov[~np.eye(3, dtype=bool)]
     np.testing.assert_array_equal(off, np.ones(6))
-    with pytest.raises(IndexError):
-        sd_to_dd_matrix(3, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10 ** 6))
+def test_sd_to_dd_matrix_differences_against_the_last_channel(k, seed):
+    tmat = sd_to_dd_matrix(k)
+    assert tmat.shape == (k - 1, k)
+    eye = np.eye(k)
+    for i in range(k - 1):
+        np.testing.assert_array_equal(tmat[i], eye[i] - eye[-1])
+    # every row is insensitive to a common shift of the whole bank
+    np.testing.assert_array_equal(tmat @ np.ones(k), np.zeros(k - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, k))
+    cov = a @ a.T + 0.1 * np.eye(k)
+    floats = rng.normal(scale=5.0, size=k)
+    # Each entry is one rounded difference, so extra channels riding along
+    # as zero columns cannot change a bit.
+    np.testing.assert_array_equal(tmat @ floats, floats[:-1] - floats[-1])
+    dd_cov = tmat @ cov @ tmat.T
+    rows = cov[:-1] - cov[-1]
+    np.testing.assert_array_equal(dd_cov, rows[:, :-1] - rows[:, -1:])
+    np.testing.assert_allclose(dd_cov, dd_cov.T, rtol=1e-12, atol=1e-12)
 
 
 def test_geometry_row_baseline_round_trip():

@@ -1,5 +1,5 @@
 """Scenario tests: truth trajectories, measurement synthesis against
-independent observable models, the differencing operator, report
+independent observable models, integer-resolution attempts, report
 reproducibility, and the coupling-mode ablation."""
 
 import json
@@ -9,8 +9,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cdgps.constants import MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
@@ -21,6 +19,7 @@ from cdgps.navfilter import (
     DEPUTY_POS,
     FilterTuning,
     allocate_channels,
+    apply_fixes,
     initialize_filter,
 )
 from cdgps.orbits import OrbitState, default_constellation
@@ -29,7 +28,6 @@ from cdgps.scenario import (
     IAR_MAX_SEARCH,
     IAR_MIN_TRACK,
     RECORD_FIELDS,
-    InsufficientChannelsError,
     NoiseConfig,
     ScenarioConfig,
     generate_truth,
@@ -38,7 +36,6 @@ from cdgps.scenario import (
     load_preset,
     _attempt_fix,
     run_scenario,
-    sd_to_dd,
     synthesize_measurements,
 )
 
@@ -281,48 +278,6 @@ def test_geo_sidelobe_geometry_and_link():
 
 
 # ---------------------------------------------------------------------------
-# Differencing operator
-# ---------------------------------------------------------------------------
-
-def test_sd_to_dd_two_channels():
-    dist, tmat = sd_to_dd([1.0, 4.0], np.eye(2), 0)
-    np.testing.assert_allclose(dist.floats, [3.0])
-    np.testing.assert_allclose(dist.covariance, [[2.0]])
-    np.testing.assert_allclose(tmat @ np.ones(2), 0.0, atol=1e-15)
-
-
-def test_sd_to_dd_iid_structure():
-    k = 5
-    dist, _ = sd_to_dd(np.arange(k, dtype=float), np.eye(k), 2)
-    np.testing.assert_allclose(dist.covariance, np.eye(k - 1) + 1.0)
-
-
-def test_sd_to_dd_rejects_degenerate_input():
-    with pytest.raises(InsufficientChannelsError):
-        sd_to_dd([1.0], np.eye(1), 0)
-    with pytest.raises(IndexError):
-        sd_to_dd([1.0, 2.0], np.eye(2), 5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 10 ** 6))
-def test_sd_to_dd_is_the_returned_linear_map(k, seed):
-    rng = np.random.default_rng(seed)
-    ref = int(rng.integers(k))
-    a = rng.normal(size=(k, k))
-    cov = a @ a.T + 0.1 * np.eye(k)
-    floats = rng.normal(scale=5.0, size=k)
-    dist, tmat = sd_to_dd(floats, cov, ref)
-    assert tmat.shape == (k - 1, k)
-    np.testing.assert_allclose(dist.floats, tmat @ floats, atol=1e-12)
-    np.testing.assert_allclose(dist.covariance, tmat @ cov @ tmat.T,
-                               atol=1e-10)
-    np.testing.assert_array_equal(dist.covariance, dist.covariance.T)
-    # every row is insensitive to a common shift of the whole bank
-    np.testing.assert_allclose(tmat @ np.ones(k), 0.0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # Integer-resolution attempt
 # ---------------------------------------------------------------------------
 
@@ -468,6 +423,29 @@ def test_full_mode_search_needs_three_independent_dd_rows(n_sats,
     fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
     assert fix["constrained"] is constrained
     assert fix["n_searched"] == n_sats - 1
+    assert fix["full"] and fix["wrong"] == 0
+    assert fixed.fixed_mask[list(slots.values())].all()
+
+
+@pytest.mark.parametrize("n_sats, n_fixed, constrained",
+                         [(3, 1, False), (4, 2, True)])
+def test_fixed_channels_enter_the_sensor_context(n_sats, n_fixed,
+                                                 constrained):
+    # Every fix after the first searches against a fixed reference.  Other
+    # fixed channels add known DD rows to the sensor context: with three
+    # satellites the two searched rows stay too few for the constrained
+    # search, while four satellites make three rows only with the known one.
+    config = _short_leo(coupling_mode="full")
+    state, epoch, slots, true_sd = _fix_ready_state(
+        {g: IAR_MIN_TRACK for g in range(n_sats)})
+    truth = true_sd[epoch.time]
+    state = apply_fixes(state, [slots[g] for g in range(n_fixed)],
+                        [truth[g] for g in range(n_fixed)])
+    epoch = _with_sensor_epoch(state, epoch, truth)
+    fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    assert fix["reference"] == 0
+    assert fix["channels"] == list(range(n_fixed, n_sats))
+    assert fix["constrained"] is constrained
     assert fix["full"] and fix["wrong"] == 0
     assert fixed.fixed_mask[list(slots.values())].all()
 
