@@ -305,6 +305,16 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
 # Central-difference steps of the numerical state transition, per craft:
 # position [m], velocity [m/s], RTN empirical acceleration [m/s^2].
 _FD_STEPS = np.array([1.0] * 3 + [1.0e-3] * 3 + [1.0e-8] * 3)
+# Per craft, the nominal start and then each of its 9 inputs stepped up and
+# down; the central differences divide by twice the step.
+_FD_OFFSETS = np.zeros((19, 9))
+_FD_OFFSETS[1::2] = np.diag(_FD_STEPS)
+_FD_OFFSETS[2::2] = -np.diag(_FD_STEPS)
+_FD_DENOM = 2.0 * _FD_STEPS[:, None]
+# The transition differs from the identity only on the two crafts' states.
+_N_DYN = DEPUTY_CLOCK + 1
+_CRAFTS = ((CHIEF_POS, CHIEF_VEL, CHIEF_ACC, CHIEF_CLOCK),
+           (DEPUTY_POS, DEPUTY_VEL, DEPUTY_ACC, DEPUTY_CLOCK))
 
 
 def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
@@ -316,7 +326,10 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
     (finite-tau) clock states then decay as first-order Gauss-Markov
     processes.  The covariance maps through a central-difference transition
     matrix, propagated in the same call as the mean, and gains the
-    configured process noise; fixed ambiguity channels receive none.
+    configured process noise; fixed ambiguity channels receive none.  The
+    transition is the identity outside its leading block ``a`` over the
+    crafts' states, so ``phi P phi^T`` is formed as ``a`` applied to the
+    leading rows and then to the leading columns.
 
     Raises
     ------
@@ -334,44 +347,40 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
     # One propagation of 38 rows: per craft the nominal start, then each of
     # its 9 inputs (position, velocity and empirical acceleration, which are
     # contiguous in the state) stepped up and down.
-    crafts = ((CHIEF_POS, CHIEF_VEL, CHIEF_ACC, CHIEF_CLOCK),
-              (DEPUTY_POS, DEPUTY_VEL, DEPUTY_ACC, DEPUTY_CLOCK))
-    offsets = np.zeros((19, 9))
-    offsets[1::2] = np.diag(_FD_STEPS)
-    offsets[2::2] = -np.diag(_FD_STEPS)
-    start = np.stack([state.x[pos.start:acc.stop] for pos, _, acc, _ in crafts])
-    rows = (start[:, None, :] + offsets).reshape(-1, 9)
+    start = np.stack([state.x[pos.start:acc.stop]
+                      for pos, _, acc, _ in _CRAFTS])
+    rows = (start[:, None, :] + _FD_OFFSETS).reshape(-1, 9)
     end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:])
     ends = np.concatenate([end.position, end.velocity], axis=1).reshape(2, 19, 6)
 
-    phi = np.eye(N_STATES)
-    for (pos, vel, acc, clk), y in zip(crafts, ends):
+    a = np.eye(_N_DYN)
+    q = np.zeros(N_STATES)
+    scale = dt / tuning.reference_step
+    for (pos, vel, acc, clk), y in zip(_CRAFTS, ends):
         out.x[pos] = y[0, :3]
         out.x[vel] = y[0, 3:]
         out.x[acc] = decay_acc * state.x[acc]
         out.x[clk] = decay_clk * state.x[clk]
         # Columns: sensitivity of the end position/velocity to the start
         # position, velocity and (held-constant) empirical acceleration.
-        phi[pos.start:vel.stop, pos.start:acc.stop] = (
-            (y[1::2] - y[2::2]) / (2.0 * _FD_STEPS[:, None])).T
-        phi[acc, acc] = decay_acc * np.eye(3)
-        phi[clk, clk] = decay_clk
-
-    q = np.zeros(N_STATES)
-    scale = dt / tuning.reference_step
-    for pos, vel, acc, clk in crafts:
+        a[pos.start:vel.stop, pos.start:acc.stop] = (
+            (y[1::2] - y[2::2]) / _FD_DENOM).T
+        a[acc, acc] = decay_acc * np.eye(3)
+        a[clk, clk] = decay_clk
         q[pos] = tuning.proc_pos ** 2 * scale
         q[vel] = tuning.proc_vel ** 2 * scale
         q[acc] = np.square(tuning.proc_accel) * scale
         q[clk] = tuning.proc_clock ** 2 * scale
     amb_q = tuning.proc_amb ** 2 * scale
     q[AMB_ZD] = amb_q
-    sd_q = np.full(N_CHANNELS, amb_q)
-    sd_q[state.fixed_mask] = 0.0
-    q[AMB_SD] = sd_q
+    q[AMB_SD] = amb_q
+    q[AMB_SD][state.fixed_mask] = 0.0
     # Biases are constant instrument properties: no process noise.
 
-    cov = phi @ state.covariance @ phi.T + np.diag(q)
+    cov = out.covariance
+    cov[:_N_DYN] = a @ cov[:_N_DYN]
+    cov[:, :_N_DYN] = cov[:, :_N_DYN] @ a.T
+    cov.flat[::N_STATES + 1] += q
     out.covariance = 0.5 * (cov + cov.T)
     out.epoch = state.epoch + dt
     return out
@@ -546,11 +555,11 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
 
 def _joint_update(x, p, h, innov, r_diag):
     """Joseph-form Kalman update with diagonal measurement noise."""
-    r = np.diag(r_diag)
-    s = h @ p @ h.T + r
+    s = h @ p @ h.T
+    s.flat[::len(r_diag) + 1] += r_diag
     k = np.linalg.solve(s.T, (p @ h.T).T).T
     ikh = np.eye(len(x)) - k @ h
-    cov = ikh @ p @ ikh.T + k @ r @ k.T
+    cov = ikh @ p @ ikh.T + (k * r_diag) @ k.T
     return x + k @ innov, 0.5 * (cov + cov.T)
 
 

@@ -112,20 +112,19 @@ def specific_energy(state: OrbitState, include_j2=True) -> float:
     return e
 
 
+# Component order of each factor in ``cross``: c_i = a_j b_k - a_k b_j.
+_CROSS_J = np.array([1, 2, 0])
+_CROSS_K = np.array([2, 0, 1])
+
+
 def cross(a, b):
     """Cross product of 3-vectors or of stacked (..., 3) rows, which
     broadcast.  The component arithmetic is ``np.cross``'s, so the result is
     equal to it bit for bit, without its per-call axis bookkeeping."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(c0.shape + (3,))
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return (a.take(_CROSS_J, axis=-1) * b.take(_CROSS_K, axis=-1)
+            - a.take(_CROSS_K, axis=-1) * b.take(_CROSS_J, axis=-1))
 
 
 def row_norm(v):
@@ -155,24 +154,34 @@ def rtn_frame(state: OrbitState) -> np.ndarray:
     return np.stack([radial, transverse, normal], axis=-2)
 
 
-def _derivative(y, empirical_rtn, include_j2):
-    """Time derivative of (..., 6) position/velocity rows; the empirical
-    acceleration of each row is resolved in that row's own RTN frame."""
+def _linalg_norm(v):
+    """Euclidean norms of (..., 3) rows, kept as (..., 1): the arithmetic of
+    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its wrapper."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
+def _derivative(y, empirical_rtn, include_j2, out):
+    """Time derivative of (..., 6) position/velocity rows, written into
+    ``out``.  ``empirical_rtn`` is None or the (radial, transverse, normal)
+    column slices of the empirical acceleration, each (..., 1), resolved in
+    each row's own RTN frame."""
     r = y[..., :3]
     v = y[..., 3:]
     a = acceleration(r, include_j2=include_j2)
-    if empirical_rtn is not None:
-        radial = r / np.linalg.norm(r, axis=-1, keepdims=True)
-        h = cross(r, v)
-        hn = np.linalg.norm(h, axis=-1, keepdims=True)
-        if not hn.all():
-            raise DegenerateFrameError("position and velocity are parallel")
-        normal = h / hn
-        transverse = cross(normal, radial)
-        a = a + (radial * empirical_rtn[..., 0:1]
-                 + transverse * empirical_rtn[..., 1:2]
-                 + normal * empirical_rtn[..., 2:3])
-    return np.concatenate([v, a], axis=-1)
+    out[..., :3] = v
+    if empirical_rtn is None:
+        out[..., 3:] = a
+        return
+    e_r, e_t, e_n = empirical_rtn
+    radial = r / _linalg_norm(r)
+    h = cross(r, v)
+    hn = _linalg_norm(h)
+    if not hn.all():
+        raise DegenerateFrameError("position and velocity are parallel")
+    normal = h / hn
+    transverse = cross(normal, radial)
+    np.add(a, radial * e_r + transverse * e_t + normal * e_n,
+           out=out[..., 3:])
 
 
 def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
@@ -201,17 +210,23 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    emp = None if empirical_accel_rtn is None else np.asarray(empirical_accel_rtn, dtype=float)
+    emp = None
+    if empirical_accel_rtn is not None:
+        e = np.asarray(empirical_accel_rtn, dtype=float)
+        emp = (e[..., 0:1], e[..., 1:2], e[..., 2:3])
     n_steps = max(1, int(math.ceil(dt / max_step)))
     h = dt / n_steps
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     y = np.concatenate([state.position, state.velocity], axis=-1)
+    k1, k2, k3, k4 = (np.empty(y.shape) for _ in range(4))
     for _ in range(n_steps):
-        k1 = _derivative(y, emp, include_j2)
-        k2 = _derivative(y + 0.5 * h * k1, emp, include_j2)
-        k3 = _derivative(y + 0.5 * h * k2, emp, include_j2)
-        k4 = _derivative(y + h * k3, emp, include_j2)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(np.linalg.norm(y[..., :3], axis=-1) < R_EARTH):
+        _derivative(y, emp, include_j2, k1)
+        _derivative(y + half_h * k1, emp, include_j2, k2)
+        _derivative(y + half_h * k2, emp, include_j2, k3)
+        _derivative(y + h * k3, emp, include_j2, k4)
+        y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.any(_linalg_norm(y[..., :3]) < R_EARTH):
             raise PropagationError("trajectory descended below the surface")
     return OrbitState(y[..., :3], y[..., 3:], epoch=state.epoch + dt)
 

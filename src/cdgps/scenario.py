@@ -21,8 +21,11 @@ resolution in a configurable coupling mode:
 Everything stochastic draws from named substreams of a single seed, so a
 run is bit-reproducible: same config in, same report bytes out.
 
-Synthesis evaluates each GPS epoch as one array pass over every
-(satellite, receiver) pair, and each substream draws in a fixed order:
+Synthesis evaluates the draw-free geometry of a block of GPS epochs
+(satellite states, visibility, C/N0 and lock, ionospheric delay, broadcast
+ephemeris) as one array pass over every (epoch, satellite, receiver)
+triple, and then walks the epochs one by one, where each substream draws
+in a fixed order, whatever the block size:
 
 ``clock-chief``, ``clock-deputy``
     One increment per truth-grid step after the first, drawn up front.
@@ -228,11 +231,33 @@ class ScenarioConfig:
     sensors: SensorConfig = field(default_factory=SensorConfig)
     tuning: FilterTuning = field(default_factory=FilterTuning)
 
+    def _numeric_settings(self):
+        """(label, value) of every numeric setting, nested ones included."""
+        for key, value in self.chief_elements.items():
+            yield f"chief_elements.{key}", value
+        for prefix, part in (("", self), ("noise.", self.noise),
+                             ("sensors.", self.sensors),
+                             ("tuning.", self.tuning)):
+            for f in dataclasses.fields(part):
+                value = getattr(part, f.name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if isinstance(v, (int, float)) and not isinstance(v, bool):
+                        yield prefix + f.name, v
+        for t, dv in self.impulses:
+            yield "impulse time", t
+            for c in dv:
+                yield "impulse delta-v", c
+
     def validate(self):
         el = self.chief_elements
         for key in ("a", "e", "inc", "raan", "argp", "mean_anomaly"):
             if key not in el:
                 raise ValueError(f"chief_elements missing {key!r}")
+        for label, value in self._numeric_settings():
+            # An infinite clock time constant is a pure random walk.
+            if not (math.isfinite(value) or (label == "tuning.tau_clock"
+                                             and value == math.inf)):
+                raise ValueError(f"{label} must be finite, got {value!r}")
         if el["a"] <= R_EARTH:
             raise ValueError("semimajor axis below the Earth surface")
         if not 0.0 <= el["e"] < 1.0:
@@ -485,6 +510,57 @@ class SynthesisAux:
     clock_deputy: np.ndarray
 
 
+# GPS epochs whose geometry synthesis evaluates in one array pass.  A block
+# is computed when the epoch loop reaches it and dropped after it, so memory
+# does not grow with the run length.
+SYNTHESIS_BLOCK = 64
+
+
+def _gps_geometry(const, times, pos, vel, att, config, budget0, roes):
+    """Draw-free GPS geometry of the GPS epochs, one tuple per epoch.
+
+    ``times`` (m,) are the epochs, ``pos``/``vel`` (m, 2, 3) both receivers
+    and ``att`` (m, 2, 3, 3) their attitudes.  Each epoch's tuple holds,
+    with one row per satellite and columns chief and deputy: the ranges,
+    the arrival azimuth and elevation, C/N0 and the locked mask; then the
+    common ids (satellites locked by both receivers, ascending), their
+    ionospheric delays (zero with the ionosphere off) and their broadcast
+    positions.  A generator: each block of ``SYNTHESIS_BLOCK`` epochs is
+    computed in one array pass when the first of its epochs is asked for.
+    """
+    noise = config.noise
+    sats = np.arange(len(const))
+    for lo in range(0, len(times), SYNTHESIS_BLOCK):
+        blk = slice(lo, lo + SYNTHESIS_BLOCK)
+        t, p = times[blk], pos[blk]
+        gps = const.state_at(sats, t[:, None])
+        to_gps = gps.position[:, :, None, :] - p[:, None]
+        ranges = np.linalg.norm(to_gps, axis=-1)
+        visible, (az, el) = visibility(
+            OrbitState(p[:, None], vel[blk, None]),
+            OrbitState(gps.position[:, :, None], gps.velocity[:, :, None]),
+            const, config.visibility_mode, att[blk, None])
+        c_n0 = carrier_to_noise(
+            dataclasses.replace(budget0, slant_range=ranges / 1e3))
+        locked = visible & (c_n0 >= TRACKING_THRESHOLD)
+
+        # Rows locked by both receivers: epoch-major, ascending satellite.
+        rows_e, rows_s = np.nonzero(locked.all(axis=-1))
+        iono = np.zeros((rows_e.size, 2))
+        if noise.ionosphere and rows_e.size:
+            iono = klobuchar_delay(p[rows_e], to_gps[rows_e, rows_s],
+                                   (t % 86400.0)[rows_e, None])
+        broadcast = gps.position[rows_e, rows_s]
+        if noise.ephemeris and rows_e.size:
+            broadcast = inject_roe_error(
+                broadcast, gps.velocity[rows_e, rows_s],
+                dataclasses.replace(roes, offsets=roes.offsets[rows_s]))
+        cuts = np.cumsum(np.bincount(rows_e, minlength=len(t)))[:-1]
+        yield from zip(ranges, az, el, c_n0, locked,
+                       np.split(rows_s, cuts), np.split(iono, cuts),
+                       np.split(broadcast, cuts))
+
+
 def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     """Every observable of the run, through the full error stack.
 
@@ -530,6 +606,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     # Broadcast-ephemeris corruption: drift-free ROE offsets per satellite
     # with randomized signs, calibrated to the configured RMS.
     sats = np.arange(len(const))
+    roes = None
     if noise.ephemeris:
         a_gps = np.linalg.norm(const.state_at(sats, 0.0).position, axis=1)
         roes = calibrate_roe(noise.ephemeris_rms, a_gps)
@@ -565,12 +642,18 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     rx_vel = np.stack([truth.chief_vel[grid], truth.deputy_vel[grid]], axis=1)
     attitudes = _pointing_frame(rx_pos, rx_pos[:, ::-1],
                                 _unit(cross(rx_pos, rx_vel)))
+    gps_at = [k for k, t in enumerate(all_times) if t in gps_times]
+    geometry = _gps_geometry(const, np.array(all_times)[gps_at],
+                             rx_pos[gps_at], rx_vel[gps_at],
+                             attitudes[gps_at], config, budget0, roes)
 
-    for t, i, pos, vel, att in zip(all_times, grid, rx_pos, rx_vel, attitudes):
+    for t, i, pos, att in zip(all_times, grid, rx_pos, attitudes):
         cpos, dpos = pos
         epoch = MeasurementEpoch(time=float(t), attitude=att[1])
 
         if t in gps_times:
+            (ranges, az, el, c_n0, locked, common, iono,
+             broadcast) = next(geometry)
             baseline = float(np.linalg.norm(dpos - cpos))
             mp_params = MultipathParams(
                 amplitude_code=noise.multipath_amp_code,
@@ -578,18 +661,6 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                 size_factor=noise.multipath_size,
                 target_direction=(0.0, 0.0),  # partner sits on the boresight
                 target_range=baseline)
-            # Every (satellite, receiver) pair at once: one row per
-            # satellite, columns chief and deputy.
-            gps = const.state_at(sats, float(t))
-            to_gps = gps.position[:, None, :] - pos
-            ranges = np.linalg.norm(to_gps, axis=2)
-            visible, (az, el) = visibility(
-                OrbitState(pos, vel, float(t)),
-                OrbitState(gps.position[:, None], gps.velocity[:, None]),
-                const, config.visibility_mode, att)
-            c_n0 = carrier_to_noise(
-                dataclasses.replace(budget0, slant_range=ranges / 1e3))
-            locked = visible & (c_n0 >= TRACKING_THRESHOLD)
 
             # Signals in draw order: satellite-major, chief before deputy.
             sig = np.nonzero(locked)
@@ -623,12 +694,8 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                 amb[new_sat, new_rx] = rng_amb.integers(
                     -100_000, 100_001, size=new_sat.size)
 
-            common = np.flatnonzero(locked.all(axis=1))
             gids = common.tolist()
             rho = ranges[common]
-            iono = np.zeros(rho.shape)
-            if noise.ionosphere and gids:
-                iono = klobuchar_delay(pos, to_gps[common], float(t) % 86400.0)
             windup_m = 0.0
             if noise.windup:
                 windup_m = (L1_WAVELENGTH * noise.windup_amplitude
@@ -651,12 +718,10 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                          for r, g in enumerate(gids) if extra[r, k] > 0.0}
             inflation.update({f"sdcp:{g}": float(sd_extra[r])
                               for r, g in enumerate(gids) if sd_extra[r] > 0.0})
-            broadcast = (inject_roe_error(gps.position, gps.velocity, roes)
-                         if noise.ephemeris else gps.position)
             epoch.graphic = {"chief": list(zip(gids, gra[:, 0].tolist())),
                              "deputy": list(zip(gids, gra[:, 1].tolist()))}
             epoch.sdcp = list(zip(gids, sd_phase.tolist()))
-            epoch.gps_positions = dict(zip(gids, broadcast[common]))
+            epoch.gps_positions = dict(zip(gids, broadcast))
             epoch.noise_inflation = inflation
             true_sd[float(t)] = dict(zip(
                 gids, (amb[common, 0] - amb[common, 1]).tolist()))

@@ -194,6 +194,23 @@ def test_run_accepts_config_file(capsys, tmp_path):
     assert "epochs" in out
 
 
+@pytest.mark.parametrize("key, literal", [("duration", "Infinity"),
+                                          ("iar_warmup", "NaN")])
+def test_run_rejects_non_finite_config_file(capsys, tmp_path, key, literal):
+    from cdgps.scenario import leo_preset
+    cfg = json.loads(leo_preset().to_json())
+    cfg[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    code, out, err = _run(capsys, "run", "--config", str(path),
+                          "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert "must be finite" in json.loads(err)["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_uses_env_output_dir(capsys, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("CDGPS_OUTPUT_DIR", str(target))

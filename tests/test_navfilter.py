@@ -383,6 +383,56 @@ def test_time_update_covariance_psd_and_growth():
         time_update(st, tuning, 0.0)
 
 
+def _dense_time_update_covariance(st, tuning, dt):
+    """``phi P phi^T + diag(q)``, symmetrized, with the dense 71 x 71
+    central-difference transition rebuilt from one 38-row propagation."""
+    steps = np.array([1.0] * 3 + [1.0e-3] * 3 + [1.0e-8] * 3)
+    offsets = np.zeros((19, 9))
+    offsets[1::2] = np.diag(steps)
+    offsets[2::2] = -np.diag(steps)
+    rows = np.concatenate([st.x[0:9] + offsets, st.x[10:19] + offsets])
+    end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:])
+    ends = np.concatenate([end.position, end.velocity], axis=1).reshape(2, 19, 6)
+    decay_acc = math.exp(-dt / tuning.tau_accel)
+    decay_clk = math.exp(-dt / tuning.tau_clock)
+    scale = dt / tuning.reference_step
+    phi = np.eye(N_STATES)
+    q = np.zeros(N_STATES)
+    for c, y in zip((0, 10), ends):
+        phi[c:c + 6, c:c + 9] = ((y[1::2] - y[2::2]) / (2.0 * steps[:, None])).T
+        phi[c + 6:c + 9, c + 6:c + 9] = decay_acc * np.eye(3)
+        phi[c + 9, c + 9] = decay_clk
+        q[c:c + 3] = tuning.proc_pos ** 2 * scale
+        q[c + 3:c + 6] = tuning.proc_vel ** 2 * scale
+        q[c + 6:c + 9] = np.square(tuning.proc_accel) * scale
+        q[c + 9] = tuning.proc_clock ** 2 * scale
+    q[AMB_ZD] = tuning.proc_amb ** 2 * scale
+    q[AMB_SD] = np.where(st.fixed_mask, 0.0, tuning.proc_amb ** 2 * scale)
+    cov = phi @ st.covariance @ phi.T + np.diag(q)
+    return 0.5 * (cov + cov.T)
+
+
+def test_time_update_covariance_equals_dense_reference_bit_for_bit():
+    chief, deputy = make_truth()
+    tuning = FilterTuning(tau_clock=600.0)
+    st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
+    st.x[6:9] = [3e-7, -2e-7, 1e-7]
+    st.x[16:19] = [-1e-7, 2e-7, 5e-8]
+    # A correlated prior: every pair of states correlates.
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(N_STATES, N_STATES))
+    corr = g @ g.T
+    sd = np.sqrt(np.diag(st.covariance) / np.diag(corr))
+    st.covariance = sd[:, None] * corr * sd[None, :]
+    st = apply_fixes(st, [2], [N_SD[2]])
+    for dt in (30.0, 10.0, 25.0):
+        out = time_update(st, tuning, dt)
+        ref = _dense_time_update_covariance(st, tuning, dt)
+        np.testing.assert_array_equal(out.covariance, ref)
+        assert out.covariance.tobytes() == ref.tobytes()  # signed zeros too
+        assert np.all(np.abs(out.covariance[:20, :20]) > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Measurement rows: finite-difference Jacobian checks
 # ---------------------------------------------------------------------------

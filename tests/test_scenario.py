@@ -2,6 +2,7 @@
 independent observable models, integer-resolution attempts, report
 reproducibility, and the coupling-mode ablation."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdgps import scenario
 from cdgps.constants import MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
 from cdgps.measurements import MeasurementEpoch
@@ -114,6 +116,47 @@ def test_config_validation_rejects(mangle, match):
         cfg.validate()
 
 
+@pytest.mark.parametrize("path, value", [
+    ("duration", math.inf),
+    ("duration", math.nan),
+    ("truth_step", math.nan),
+    ("separation", math.nan),
+    ("iar_warmup", math.nan),
+    ("external_enable_time", math.inf),
+    ("init_pos_error", math.nan),
+    ("init_vel_error", -math.inf),
+    ("chief_elements.a", math.inf),
+    ("chief_elements.raan", math.nan),
+    ("noise.multipath_amp_phase", math.nan),
+    ("sensors.range_noise", math.inf),
+    ("tuning.meas_carrier", math.nan),
+    ("tuning.tau_clock", math.nan),
+    ("tuning.tau_clock", -math.inf),
+    ("tuning.init_accel", (1e-6, math.nan, 1e-6)),
+    ("impulse time", math.nan),
+    ("impulse delta-v", math.inf),
+])
+def test_config_validation_rejects_non_finite(path, value):
+    cfg = _short_leo()
+    if path == "impulse time":
+        cfg.impulses = [(value, (0.0, 0.01, 0.0))]
+    elif path == "impulse delta-v":
+        cfg.impulses = [(300.0, (0.0, value, 0.0))]
+    elif path.startswith("chief_elements."):
+        cfg.chief_elements[path.split(".")[1]] = value
+    else:
+        owner, _, name = path.rpartition(".")
+        setattr(getattr(cfg, owner) if owner else cfg, name, value)
+    with pytest.raises(ValueError, match="must be finite"):
+        cfg.validate()
+
+
+def test_infinite_clock_time_constant_is_valid():
+    cfg = _short_leo()
+    assert math.isinf(cfg.tuning.tau_clock)
+    cfg.validate()
+
+
 # ---------------------------------------------------------------------------
 # Truth trajectories
 # ---------------------------------------------------------------------------
@@ -215,6 +258,33 @@ def test_synthesis_is_deterministic():
         assert x.graphic == y.graphic
         assert x.range_obs == y.range_obs and x.bearing_obs == y.bearing_obs
     assert a1.true_sd == a2.true_sd
+
+
+def _bits(obj):
+    """A synthesis product as nested plain data, floats by their bits."""
+    if dataclasses.is_dataclass(obj):
+        return _bits(vars(obj))
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, float):
+        return float(obj).hex()
+    return obj
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_synthesis_does_not_depend_on_the_block_size(monkeypatch, block):
+    # 3600 s holds 121 GPS epochs: several blocks at every size tried.
+    cfg = leo_preset()
+    cfg.duration = 3600.0
+    truth = generate_truth(cfg)
+    want = _bits(synthesize_measurements(cfg, truth))
+    assert scenario.SYNTHESIS_BLOCK < 121
+    monkeypatch.setattr(scenario, "SYNTHESIS_BLOCK", block)
+    assert _bits(synthesize_measurements(cfg, truth)) == want
 
 
 def test_filter_wavelength_does_not_change_the_simulated_world():
