@@ -2,29 +2,32 @@
 
 Float ambiguity estimates pulled from a navigation filter are decorrelated
 with a unimodular integer transform, bootstrapped by conditional rounding,
-refined by an integer search (either a classical shrinking-radius ILS search
-or a pattern search whose cost is augmented with external range/bearing
-constraints), screened with success-rate and discrimination tests, and
-finally resolved partially: the largest well-determined subset is fixed while
-the remainder stays float.  Both searches finish with the same conditional
-tree enumeration.  ``constraint_context`` builds the external evidence from
-the double-difference geometry and phases, and ``candidate_baseline`` turns
-a candidate back into the baseline that evidence is compared against.
+searched for the best and the runner-up integer vectors, screened with
+success-rate and discrimination tests, and finally resolved partially: the
+largest well-determined subset is fixed while the remainder stays float.
 
-The constrained search does that per-search work once: it checks the
-geometry, forms its normal matrix and lays out the known-row phases before
-it evaluates any candidate, and it evaluates the probes of a sweep as one
-stack, with the arithmetic of ``candidate_baseline`` done row by row so
-every cost is the one a single evaluation would give.  Scalars are rounded
-with ``math.floor``/``math.ceil``; ``round_half_away`` serves arrays.
+One integer least-squares search serves both coupling modes.  It ranks
+candidates by their covariance-weighted distance from the floats plus a
+non-negative penalty: none for ``classical_ils_search``, the misfit to
+external range/bearing observations for ``constrained_search``.  A
+conditional-tree enumeration keeps the two best total costs and prunes the
+distance at the runner-up's total, so the best vector and the runner-up are
+both exact unless the enumeration stops at the leaf budget the two modes
+share.  ``constraint_context`` builds the external evidence from the
+double-difference geometry and phases, and ``candidate_baseline`` turns a
+candidate back into the baseline that evidence is compared against.
+
+The penalty does its per-search work once: it checks the geometry, forms
+its normal matrix and lays out the known-row phases before it prices any
+candidate, and it prices with the arithmetic of ``candidate_baseline`` done
+row by row.  Scalars are rounded with ``math.floor``/``math.ceil``;
+``round_half_away`` serves arrays.
 
 All ambiguities are in units of carrier cycles; covariances in cycles^2.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,11 +139,14 @@ class AmbiguityDistribution:
 class IntegerSearchResult:
     """Outcome of an integer candidate search.
 
-    ``best``/``second_best`` live in the same space as the distribution that
-    was searched (decorrelated space if the distribution carried a non-trivial
-    ``z_matrix``).  ``cost_init`` is the cost of the bootstrapped start point.
-    ``budget_exhausted`` is set when a search stopped at its leaf budget
-    with candidates left unvisited, so the result may not be the minimum.
+    ``best``/``second_best`` are two distinct vectors in the same space as
+    the distribution that was searched (decorrelated space if the
+    distribution carried a non-trivial ``z_matrix``).  Every cost is a total,
+    distance plus penalty, priced the same way for all three vectors:
+    ``cost_best <= cost_second``, and ``cost_init`` is the cost of the
+    bootstrapped vector.  ``budget_exhausted`` is set when the search
+    stopped at its leaf budget with candidates left unvisited, so the two
+    vectors may not be the two best.
     """
 
     best: np.ndarray
@@ -150,7 +156,6 @@ class IntegerSearchResult:
     cost_init: float
     success_prob: float
     discrimination_ratio: float
-    degenerate_search: bool = False
     budget_exhausted: bool = False
 
 
@@ -463,7 +468,7 @@ def discrimination_test(cost_best, cost_second) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Conditional tree enumeration and the classical integer least-squares search
+# Conditional tree enumeration
 # ---------------------------------------------------------------------------
 
 def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
@@ -525,63 +530,8 @@ def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
     return exhausted
 
 
-def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
-    """Depth-first conditional search for the two best integer vectors.
-
-    Minimizes the covariance-weighted squared distance from the floats.  The
-    search radius starts at the bootstrap cost plus two and shrinks as
-    better pairs are found, so the enumeration is exact: for small problems
-    the result matches brute-force enumeration of the candidate box.
-
-    Returns
-    -------
-    IntegerSearchResult
-        ``degenerate_search`` is set if the region contained only the
-        bootstrapped vector.
-    """
-    boot = bootstrap(dist)
-    cost_boot = dist.mahalanobis(boot)
-
-    # Two best candidates found so far (cost, tuple).
-    best: list[tuple[float, tuple]] = []
-    bound = cost_boot
-
-    def consider(cand, cost):
-        nonlocal bound
-        best.append((cost, tuple(cand)))
-        best.sort(key=lambda t: t[0])
-        del best[2:]
-        if len(best) == 2:
-            bound = best[1][0]
-
-    # Widen the admission radius until at least two candidates fall inside
-    # (the bootstrap vector always does), then the shrinking bound keeps the
-    # enumeration exact.
-    width = 2.0
-    for _ in range(60):
-        best.clear()
-        bound = cost_boot + width
-        _enumerate(dist, lambda: bound, consider)
-        if len(best) >= 2:
-            break
-        width = 2.0 * width + 1.0
-
-    if len(best) == 0:  # pragma: no cover - bootstrap always admissible
-        best = [(cost_boot, tuple(boot))]
-    degenerate = len(best) == 1
-    (c1, v1), (c2, v2) = best * 2 if degenerate else best
-    ratio = 1.0 if degenerate else (c2 / c1) if c1 > 0.0 else np.inf
-    return IntegerSearchResult(
-        best=np.array(v1, dtype=np.int64),
-        second_best=np.array(v2, dtype=np.int64),
-        cost_best=c1, cost_second=c2, cost_init=cost_boot,
-        success_prob=success_rate(dist.diag),
-        discrimination_ratio=float(ratio), degenerate_search=degenerate,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Sensor-constrained search
+# External-sensor penalty
 # ---------------------------------------------------------------------------
 
 def _normal_matrix(geometry):
@@ -739,47 +689,85 @@ def _constraint_cost(ctx, z_matrix):
     return costs
 
 
-@functools.lru_cache(maxsize=32)
-def _probe_moves(n):
-    """Unit displacements the walk of :func:`constrained_search` probes, in
-    sweep order: each axis, then each pair of axes, in each sign
-    combination.  Returns ``(rows, bounds)``; axis group ``g`` owns rows
-    ``bounds[g]:bounds[g + 1]``."""
-    eye = np.eye(n, dtype=np.int64)
-    rows, bounds = [], [0]
-    for axes in [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2)):
-        signs = np.array(list(itertools.product((-1, 1), repeat=len(axes))))
-        rows.append(signs @ eye[list(axes)])
-        bounds.append(bounds[-1] + len(signs))
-    rows = np.concatenate(rows)
-    rows.flags.writeable = False
-    return rows, tuple(bounds)
+# ---------------------------------------------------------------------------
+# Integer least-squares search, plain or with the sensor penalty
+# ---------------------------------------------------------------------------
+
+def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
+    """Exact two best integer vectors of distance plus penalty.
+
+    ``penalty(cands)`` maps stacked candidates (m, n) to m non-negative
+    floats.  A candidate can beat the runner-up only if its distance alone
+    stays below the runner-up's total cost, so the enumeration is pruned
+    there and the best vector and the runner-up are both exact, unless
+    the enumeration stops at its leaf budget.
+    """
+    def price(cands):
+        return [d + p for d, p in
+                zip(dist.mahalanobis(cands).tolist(), penalty(cands))]
+
+    boot = bootstrap(dist)
+    [cost_boot] = price(boot[np.newaxis])
+
+    # Two best candidates found so far (total cost, tuple).
+    best: list[tuple[float, tuple]] = []
+
+    def consider(cand, distance):
+        nonlocal bound
+        best.append((distance + penalty(cand[np.newaxis])[0], tuple(cand)))
+        best.sort(key=lambda t: t[0])
+        del best[2:]
+        if len(best) == 2:
+            bound = best[1][0]
+
+    # Widen the admission radius until two candidates fall inside (the
+    # bootstrap vector always does); the radius grows geometrically, so
+    # this ends.  From then on the runner-up bound keeps it exact.
+    width = 2.0
+    while len(best) < 2:
+        best.clear()
+        bound = cost_boot + width
+        exhausted = _enumerate(dist, lambda: bound, consider,
+                               leaf_budget=20_000)
+        width = 2.0 * width + 1.0
+
+    # Price the survivors as the bootstrap is priced, so that
+    # S = cost_best / cost_init is exactly one when the bootstrap wins.
+    survivors = np.array([v for _, v in best], dtype=np.int64)
+    (c1, v1), (c2, v2) = sorted(zip(price(survivors), survivors),
+                                key=lambda t: t[0])
+    return IntegerSearchResult(
+        best=v1, second_best=v2, cost_best=c1, cost_second=c2,
+        cost_init=cost_boot, success_prob=success_rate(dist.diag),
+        discrimination_ratio=c2 / c1 if c1 > 0.0 else math.inf,
+        budget_exhausted=exhausted,
+    )
+
+
+def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
+    """Integer least-squares search for the two best integer vectors.
+
+    Minimizes the covariance-weighted squared distance from the floats.
+    The search radius starts at the bootstrap cost plus two and shrinks to
+    the runner-up's cost as candidates arrive, so the best vector and the
+    runner-up are exact unless the leaf budget it shares with
+    :func:`constrained_search` stops it (``budget_exhausted``).
+    """
+    return _search(dist, _constraint_cost(None, dist.z_matrix))
 
 
 def constrained_search(dist: AmbiguityDistribution,
                        ctx: ConstraintContext = None) -> IntegerSearchResult:
-    """Best-neighbour pattern search over integer candidates with an
-    external-sensor penalty added to the ambiguity cost.
+    """Integer least-squares search with an external-sensor penalty added
+    to the ambiguity cost.
 
-    Starting from the bootstrapped vector, each sweep tries displacing every
-    component, and every pair of components, by the current stride in each
-    sign combination, committing the best improving move (the displaced
-    vector becomes the incumbent, the previous incumbent becomes the
-    runner-up).  The stride starts at two cycles and shrinks by one after a
-    sweep without improvement; the walk ends at stride zero.
-
-    The walk alone can stall: an external observable carves a curved valley
-    into the cost surface (all candidates whose implied baseline matches the
-    measured range form a shell crossing the lattice obliquely), and cells on
-    that shell can beat every probed neighbour without being the minimum.
-    Since the penalty is non-negative, any candidate beating the incumbent
-    must keep its pure covariance-weighted distance below the incumbent's
-    total cost, so the search finishes with a conditional-tree enumeration
-    over that shrinking ellipsoid, which makes the returned minimum exact
-    unless the enumeration hits its leaf-count safety cap (then the result
-    says ``budget_exhausted``).  With every external observable
-    disabled the cost reduces to the classical objective and the result
-    matches exhaustive enumeration.
+    The search of :func:`classical_ils_search` on the total cost, distance
+    plus ``penalty_cost``.  An external observable carves a curved valley
+    into the cost surface (the candidates whose implied baseline matches
+    the measured range form a shell crossing the lattice obliquely), so the
+    two best totals can sit far from the bootstrap; the enumeration finds
+    them, bounded by the runner-up's total.  With ``ctx`` None, or every
+    observable disabled, the result is the classical one.
 
     Parameters
     ----------
@@ -800,93 +788,7 @@ def constrained_search(dist: AmbiguityDistribution,
         than three rows, or rows spanning fewer than three directions);
         callers should fall back to :func:`classical_ils_search`.
     """
-    penalty = _constraint_cost(ctx, dist.z_matrix)
-
-    def total_costs(cands):
-        return [d + p for d, p in
-                zip(dist.mahalanobis(cands).tolist(), penalty(cands))]
-
-    incumbent = bootstrap(dist)
-    [cost_incumbent] = total_costs(incumbent[np.newaxis])
-    cost_init = cost_incumbent
-    runner = incumbent.copy()
-    cost_runner = cost_incumbent
-
-    unit, bounds = _probe_moves(dist.size)
-    n_groups = len(bounds) - 1
-    stride = 2
-    while stride > 0:
-        base = incumbent
-        improved = False
-        first = 0
-        while first < n_groups:
-            # Probe every group not yet swept from the current incumbent at
-            # once; after a committed move the later groups are probed again
-            # from the new incumbent.
-            offset = bounds[first]
-            cands = incumbent + stride * unit[offset:]
-            costs = total_costs(cands)
-            for g in range(first, n_groups):
-                best_move = None
-                best_move_cost = math.inf
-                for k in range(bounds[g] - offset, bounds[g + 1] - offset):
-                    if costs[k] < best_move_cost:
-                        best_move, best_move_cost = k, costs[k]
-                if best_move_cost < cost_incumbent:
-                    runner, cost_runner = incumbent, cost_incumbent
-                    incumbent, cost_incumbent = cands[best_move], best_move_cost
-                    improved = True
-                    break
-            first = g + 1
-        if improved:
-            # Acceleration move: repeat the net displacement of the whole
-            # sweep, so the walk can track a valley floor that runs obliquely
-            # to every probed axis pair.
-            pattern = incumbent + (incumbent - base)
-            [cost_pattern] = total_costs(pattern[np.newaxis])
-            if cost_pattern < cost_incumbent:
-                runner, cost_runner = incumbent, cost_incumbent
-                incumbent, cost_incumbent = pattern, cost_pattern
-        else:
-            stride -= 1
-
-    # Exact finish: enumerate every candidate whose covariance-weighted
-    # distance stays below the best total cost seen (pruned by the runner-up
-    # bound so the second best is exact too, where the budget allows).
-    def consider(vec, distance):
-        nonlocal incumbent, cost_incumbent, runner, cost_runner
-        total = distance + penalty(vec[np.newaxis])[0]
-        if np.array_equal(vec, incumbent) or (
-                total >= cost_runner and not np.array_equal(vec, runner)):
-            return
-        if np.array_equal(vec, runner):
-            cost_runner = min(cost_runner, total)
-        elif total < cost_incumbent:
-            runner, cost_runner = incumbent, cost_incumbent
-            incumbent, cost_incumbent = vec.copy(), total
-        else:
-            runner, cost_runner = vec.copy(), total
-        if cost_runner < cost_incumbent:
-            incumbent, cost_incumbent, runner, cost_runner = (
-                runner, cost_runner, incumbent, cost_incumbent)
-
-    exhausted = _enumerate(dist, lambda: max(cost_runner, cost_incumbent),
-                           consider, leaf_budget=20_000)
-
-    degenerate = bool(np.array_equal(incumbent, runner))
-    ratio = (cost_runner / cost_incumbent) if cost_incumbent > 0.0 else (
-        np.inf if cost_runner > 0.0 else 1.0)
-    return IntegerSearchResult(
-        best=incumbent,
-        second_best=runner,
-        cost_best=float(cost_incumbent),
-        cost_second=float(cost_runner),
-        cost_init=float(cost_init),
-        success_prob=success_rate(dist.diag),
-        discrimination_ratio=float(ratio if not degenerate else 1.0),
-        degenerate_search=degenerate,
-        budget_exhausted=exhausted,
-    )
+    return _search(dist, _constraint_cost(ctx, dist.z_matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "acceleration",
     "cross",
     "propagate",
-    "specific_energy",
     "row_norm",
     "rtn_frame",
     "visibility",
@@ -99,17 +98,6 @@ def acceleration(position, include_j2=True):
         k = -1.5 * MU_EARTH * J2_EARTH * R_EARTH * R_EARTH / (rn2 * rn2 * rn)
         a = a + k * (r * (_J2_AXIS_FACTORS - 5.0 * z2_r2))
     return a
-
-
-def specific_energy(state: OrbitState, include_j2=True) -> float:
-    """Conserved energy of the (two-body [+ J2]) motion [m^2/s^2]."""
-    r = state.radius
-    e = 0.5 * state.speed ** 2 - MU_EARTH / r
-    if include_j2:
-        z2_r2 = state.position[2] ** 2 / r ** 2
-        e += (MU_EARTH * J2_EARTH * R_EARTH * R_EARTH * (3.0 * z2_r2 - 1.0)
-              / (2.0 * r ** 3))
-    return e
 
 
 # Component order of each factor in ``cross``: c_i = a_j b_k - a_k b_j.

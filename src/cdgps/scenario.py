@@ -51,6 +51,7 @@ in a fixed order, whatever the block size:
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,6 +141,11 @@ __all__ = [
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """A real number, and not a ``bool`` (which Python counts as one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SensorConfig:
     """True error budget of the external range/bearing sensor suite.
@@ -192,12 +198,6 @@ class NoiseConfig:
         return cls(ionosphere=False, multipath_amp_code=1.0,
                    multipath_amp_phase=0.01, multipath_size=1.0)
 
-    @classmethod
-    def disabled(cls) -> "NoiseConfig":
-        """Every stochastic corruption off (noise-free synthesis)."""
-        return cls(thermal=False, multipath=False, ionosphere=False,
-                   clock_walk=False, ephemeris=False, windup=False)
-
 
 @dataclass
 class ScenarioConfig:
@@ -232,17 +232,20 @@ class ScenarioConfig:
     tuning: FilterTuning = field(default_factory=FilterTuning)
 
     def _numeric_settings(self):
-        """(label, value) of every numeric setting, nested ones included."""
+        """(label, value) of every numeric setting, nested ones included:
+        the chief's elements, the impulses, and each field whose default is
+        a number or a tuple, whatever type its value has now."""
         for key, value in self.chief_elements.items():
             yield f"chief_elements.{key}", value
         for prefix, part in (("", self), ("noise.", self.noise),
                              ("sensors.", self.sensors),
                              ("tuning.", self.tuning)):
             for f in dataclasses.fields(part):
+                if not (_is_number(f.default) or isinstance(f.default, tuple)):
+                    continue
                 value = getattr(part, f.name)
                 for v in value if isinstance(value, tuple) else (value,):
-                    if isinstance(v, (int, float)) and not isinstance(v, bool):
-                        yield prefix + f.name, v
+                    yield prefix + f.name, v
         for t, dv in self.impulses:
             yield "impulse time", t
             for c in dv:
@@ -254,10 +257,15 @@ class ScenarioConfig:
             if key not in el:
                 raise ValueError(f"chief_elements missing {key!r}")
         for label, value in self._numeric_settings():
+            if not _is_number(value):
+                raise ValueError(f"{label} must be a number, got {value!r}")
             # An infinite clock time constant is a pure random walk.
             if not (math.isfinite(value) or (label == "tuning.tau_clock"
                                              and value == math.inf)):
                 raise ValueError(f"{label} must be finite, got {value!r}")
+        # A fractional seed would run as its integer part.
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if el["a"] <= R_EARTH:
             raise ValueError("semimajor axis below the Earth surface")
         if not 0.0 <= el["e"] < 1.0:

@@ -211,6 +211,42 @@ def test_run_rejects_non_finite_config_file(capsys, tmp_path, key, literal):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("duration", "900", "duration must be a number"),
+    ("separation", None, "separation must be a number"),
+    ("iar_warmup", True, "iar_warmup must be a number"),
+    ("seed", 1.5, "seed must be an integer"),
+])
+def test_run_rejects_wrongly_typed_config_file(capsys, tmp_path, key, value,
+                                               message):
+    from cdgps.scenario import leo_preset
+    cfg = json.loads(leo_preset().to_json())
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "run", "--config", str(path),
+                          "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert message in json.loads(err)["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("coupling", ["none", "loose", "full"])
+@pytest.mark.parametrize("preset", ["leo", "geo"])
+def test_echoed_config_reproduces_the_run(capsys, tmp_path, preset, coupling):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = _run(capsys, "run", "--preset", preset, "--duration", "2700",
+                      "--coupling", coupling, "--output", str(first))
+    assert code == 0
+    code, _, _ = _run(capsys, "run", "--config", str(first / "config.json"),
+                      "--output", str(second))
+    assert code == 0
+    for fname in ("report.json", "history.csv", "config.json"):
+        assert (first / fname).read_bytes() == (second / fname).read_bytes()
+
+
 def test_run_uses_env_output_dir(capsys, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("CDGPS_OUTPUT_DIR", str(target))

@@ -644,8 +644,7 @@ def test_constrained_search_finds_truth():
 
 def test_constrained_search_without_sensors_is_classical_descent():
     # Without sensors both searches minimize the same objective exactly, so
-    # they agree on the best vector.  (The runner-up is not compared: the
-    # constrained walk may report it degenerate.)
+    # they agree on the best vector and on the runner-up.
     rng = RNG(8)
     for _ in range(300):
         n = int(rng.integers(1, 9))
@@ -654,6 +653,7 @@ def test_constrained_search_without_sensors_is_classical_descent():
         res = constrained_search(dz, None)
         exact = classical_ils_search(dz)
         np.testing.assert_array_equal(res.best, exact.best)
+        np.testing.assert_array_equal(res.second_best, exact.second_best)
         assert math.isclose(res.cost_best, exact.cost_best, rel_tol=1e-9)
         assert res.cost_best <= res.cost_init + 1e-12
 
@@ -691,15 +691,70 @@ def test_constrained_search_beats_classical_when_floats_are_bad():
     assert hits_constrained > hits_classical
 
 
-def test_constrained_search_degenerate_flag():
-    # Floats exactly on integers with tiny covariance: no move improves, the
-    # runner-up equals the start and the result is flagged degenerate.
+def test_constrained_search_runner_up_off_the_integers():
+    # Floats exactly on integers with tiny covariance: every other vector is
+    # far outside the first radius, which widens until a runner-up is in.
     q = 1e-6 * np.eye(2)
     dist = AmbiguityDistribution([4.0, -2.0], q)
     res = constrained_search(dist, None)
-    assert res.degenerate_search
     np.testing.assert_array_equal(res.best, [4, -2])
-    assert res.discrimination_ratio == 1.0
+    assert not np.array_equal(res.second_best, res.best)
+    assert res.cost_second > res.cost_best
+
+
+@pytest.mark.parametrize("sensors", [(True, True), (True, False),
+                                     (False, True)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constrained_search_two_best_match_brute_force(n, sensors):
+    # The oracle ranks a box of candidates by the total cost, priced with
+    # the public candidate_baseline and penalty_cost in the original space;
+    # two more rows carry known integers.  The floats are off by a few
+    # tenths of a cycle, so the penalty moves the best vector or the
+    # runner-up away from the classical ones on some draws.
+    lam = 0.19029367
+    radius = 3
+    for seed in range(4):
+        rng = RNG(1000 * n + seed)
+        g, phases, truth, baseline = make_geometry_problem(
+            rng, n_rows=n + 2, wavelength=lam)
+        phases[n:] -= truth[n:]
+        dist = AmbiguityDistribution(
+            truth[:n] + rng.normal(scale=0.4, size=n),
+            random_spd(rng, n, scale=0.1 ** 2 / n))
+        rho = float(np.linalg.norm(baseline))
+        ctx = ConstraintContext(
+            observed_range=rho + float(rng.normal(scale=0.05)),
+            observed_azimuth=math.asin(baseline[1] / rho)
+            + float(rng.normal(scale=200e-6)),
+            observed_elevation=math.atan2(baseline[0], baseline[2])
+            + float(rng.normal(scale=200e-6)),
+            sigma_range=0.05, sigma_azimuth=200e-6, sigma_elevation=200e-6,
+            geometry=g, ddcp_phases=phases, dcm_eci_to_sensor=np.eye(3),
+            wavelength=lam, range_enabled=sensors[0],
+            bearing_enabled=sensors[1], free_rows=np.arange(n))
+
+        def total(cand):
+            b = candidate_baseline(g, phases, np.concatenate([cand, [0, 0]]),
+                                   lam)
+            r = float(np.linalg.norm(b))
+            return dist.mahalanobis(cand) + penalty_cost(
+                r, math.asin(b[1] / r), math.atan2(b[0], b[2]), ctx)
+
+        bf_best, bf_second, bf_c1, bf_c2 = brute_force_two_best(
+            dist, radius, total)
+        # A vector outside the box is more than radius + 1/2 cycles off the
+        # floats on some axis, so its distance alone exceeds the runner-up's.
+        assert (radius + 0.5) ** 2 / np.linalg.eigvalsh(
+            dist.covariance)[-1] > bf_c2
+        dz = decorrelate(dist)
+        res = constrained_search(dz, ctx)
+        np.testing.assert_array_equal(
+            inverse_transform(dz.z_matrix, res.best), bf_best)
+        np.testing.assert_array_equal(
+            inverse_transform(dz.z_matrix, res.second_best), bf_second)
+        assert res.cost_best < res.cost_second
+        assert math.isclose(res.cost_best, bf_c1, rel_tol=1e-9)
+        assert math.isclose(res.cost_second, bf_c2, rel_tol=1e-9)
 
 
 def _wide_range_problem(baseline_sigma):

@@ -10,6 +10,7 @@ The snapshot keeps every integer outcome and the ``float.hex`` of every
 float, so a change to the search's arithmetic must show here unless it
 keeps every bit.  Problems cycle through range and bearing, range only,
 bearing only, and no sensor, so each branch of the penalty is covered.
+A second test scores the integers each path accepts against the truth.
 
 The floats are exact on the platform that wrote the snapshot (x86-64,
 NumPy with OpenBLAS); another BLAS may round the factorizations
@@ -51,7 +52,8 @@ def _unit(v):
 
 def make_problem(rng, n, sensors):
     """Float DD ambiguities over the first ``n`` of ``ROWS`` rows, with
-    their phases and a noisy range/bearing observation of the baseline."""
+    their phases, a noisy range/bearing observation of the baseline, and
+    the true integers."""
     lam = L1_WAVELENGTH
     az = rng.uniform(0.0, 2.0 * math.pi, size=ROWS + 1)
     el = np.arcsin(rng.uniform(math.sin(math.radians(10.0)), 1.0,
@@ -91,7 +93,15 @@ def make_problem(rng, n, sensors):
         geometry=geometry, ddcp_phases=phases, dcm_eci_to_sensor=np.eye(3),
         wavelength=lam, range_enabled=sensors[0], bearing_enabled=sensors[1],
         free_rows=np.arange(n))
-    return AmbiguityDistribution(floats=floats, covariance=cov), ctx
+    return AmbiguityDistribution(floats=floats, covariance=cov), ctx, true_n
+
+
+def problems():
+    """The snapshot's problems, decorrelated: ``(dist_z, ctx, true_n)``."""
+    for k, n in enumerate(SIZES):
+        dist, ctx, true_n = make_problem(np.random.default_rng([SEED, k]), n,
+                                         SENSORS[k % len(SENSORS)])
+        yield decorrelate(dist), ctx, true_n
 
 
 def _hex(values):
@@ -108,7 +118,6 @@ def _search(res):
         "second_best": _ints(res.second_best),
         "costs": _hex([res.cost_best, res.cost_second, res.cost_init,
                        res.success_prob, res.discrimination_ratio]),
-        "degenerate": bool(res.degenerate_search),
         "exhausted": bool(res.budget_exhausted),
     }
 
@@ -125,14 +134,11 @@ def _fix(fix):
 def snapshot():
     """Every outcome of the decorrelate, search, partial-fix chain."""
     out = []
-    for k, n in enumerate(SIZES):
-        dist, ctx = make_problem(np.random.default_rng([SEED, k]), n,
-                                 SENSORS[k % len(SENSORS)])
-        dz = decorrelate(dist)
+    for dz, ctx, _ in problems():
         classical = classical_ils_search(dz)
         constrained = constrained_search(dz, ctx)
         out.append({
-            "n": n,
+            "n": dz.size,
             "z_matrix": _ints(dz.z_matrix),
             "floats": _hex(dz.floats),
             "diag": _hex(dz.diag),
@@ -152,6 +158,21 @@ def test_iar_chain_matches_snapshot_bit_for_bit():
     for k, (g, w) in enumerate(zip(got, want)):
         for key in w:
             assert g[key] == w[key], f"problem {k} (n = {w['n']}): {key}"
+
+
+def test_constrained_fixes_no_more_wrong_integers_than_classical():
+    # The floats here are off by one to four sigma, so both paths accept
+    # some wrong integers; the sensors must not add to them.
+    wrong = {"classical": 0, "constrained": 0}
+    for dz, ctx, true_n in problems():
+        z_true = dz.z_matrix.T @ true_n
+        for kind, fix in (
+                ("classical", partial_resolve(dz, classical_ils_search(dz),
+                                              use_shrink=False)),
+                ("constrained", partial_resolve(dz,
+                                                constrained_search(dz, ctx)))):
+            wrong[kind] += int(np.sum(fix.values != z_true[fix.indices]))
+    assert wrong["constrained"] <= wrong["classical"], wrong
 
 
 if __name__ == "__main__":

@@ -24,13 +24,23 @@ from cdgps.orbits import (
     propagate,
     row_norm,
     rtn_frame,
-    specific_energy,
     visibility,
 )
 
 LEO_ALT = 370e3
 LEO_A = R_EARTH + LEO_ALT
 LEO_PERIOD = 2.0 * math.pi * math.sqrt(LEO_A ** 3 / MU_EARTH)
+
+
+def specific_energy(state, include_j2=True):
+    """Conserved energy of the (two-body [+ J2]) motion [m^2/s^2]."""
+    r = state.radius
+    e = 0.5 * state.speed ** 2 - MU_EARTH / r
+    if include_j2:
+        z2_r2 = state.position[2] ** 2 / r ** 2
+        e += (MU_EARTH * J2_EARTH * R_EARTH * R_EARTH * (3.0 * z2_r2 - 1.0)
+              / (2.0 * r ** 3))
+    return e
 
 
 def circular_leo(inclination=math.radians(51.6)):

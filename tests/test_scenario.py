@@ -42,6 +42,12 @@ from cdgps.scenario import (
 )
 
 
+def _noise_off():
+    """Every stochastic corruption off (noise-free synthesis)."""
+    return NoiseConfig(thermal=False, multipath=False, ionosphere=False,
+                       clock_walk=False, ephemeris=False, windup=False)
+
+
 def _leo_elements():
     return {"a": R_EARTH + 370e3, "e": 1e-4, "inc": math.radians(51.6),
             "raan": 0.6, "argp": 0.0, "mean_anomaly": 0.0}
@@ -116,6 +122,19 @@ def test_config_validation_rejects(mangle, match):
         cfg.validate()
 
 
+def _set_setting(cfg, path, value):
+    """Set the numeric setting that ``validate`` labels ``path``."""
+    if path == "impulse time":
+        cfg.impulses = [(value, (0.0, 0.01, 0.0))]
+    elif path == "impulse delta-v":
+        cfg.impulses = [(300.0, (0.0, value, 0.0))]
+    elif path.startswith("chief_elements."):
+        cfg.chief_elements[path.split(".")[1]] = value
+    else:
+        owner, _, name = path.rpartition(".")
+        setattr(getattr(cfg, owner) if owner else cfg, name, value)
+
+
 @pytest.mark.parametrize("path, value", [
     ("duration", math.inf),
     ("duration", math.nan),
@@ -138,17 +157,35 @@ def test_config_validation_rejects(mangle, match):
 ])
 def test_config_validation_rejects_non_finite(path, value):
     cfg = _short_leo()
-    if path == "impulse time":
-        cfg.impulses = [(value, (0.0, 0.01, 0.0))]
-    elif path == "impulse delta-v":
-        cfg.impulses = [(300.0, (0.0, value, 0.0))]
-    elif path.startswith("chief_elements."):
-        cfg.chief_elements[path.split(".")[1]] = value
-    else:
-        owner, _, name = path.rpartition(".")
-        setattr(getattr(cfg, owner) if owner else cfg, name, value)
+    _set_setting(cfg, path, value)
     with pytest.raises(ValueError, match="must be finite"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("path, value, match", [
+    ("duration", "900", "duration must be a number"),
+    ("separation", None, "separation must be a number"),
+    ("iar_warmup", True, "iar_warmup must be a number"),
+    ("chief_elements.a", "6.7e6", "chief_elements.a must be a number"),
+    ("noise.multipath_amp_phase", False, "must be a number"),
+    ("sensors.range_noise", "0.005", "must be a number"),
+    ("tuning.meas_carrier", None, "must be a number"),
+    ("tuning.init_accel", (1e-6, "2e-6", 1e-6), "must be a number"),
+    ("seed", True, "seed must be a number"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
+])
+def test_config_validation_rejects_wrong_types(path, value, match):
+    cfg = _short_leo()
+    _set_setting(cfg, path, value)
+    with pytest.raises(ValueError, match=match):
+        cfg.validate()
+
+
+def test_config_validation_accepts_numpy_numbers():
+    cfg = _short_leo(seed=np.int64(3))
+    cfg.separation = np.float64(900.0)
+    cfg.validate()
 
 
 def test_infinite_clock_time_constant_is_valid():
@@ -210,7 +247,7 @@ def test_truth_collision_warning_once():
 # ---------------------------------------------------------------------------
 
 def test_zero_noise_synthesis_matches_observable_models():
-    cfg = _short_leo(duration=300.0, impulses=[], noise=NoiseConfig.disabled(),
+    cfg = _short_leo(duration=300.0, impulses=[], noise=_noise_off(),
                      seed=5)
     truth = generate_truth(cfg)
     epochs, aux = synthesize_measurements(cfg, truth)
@@ -316,7 +353,7 @@ def test_noise_inflation_reflects_multipath_map():
             assert ep.noise_inflation[f"graphic:chief:{gid}"] > 0.0
             assert ep.noise_inflation[f"graphic:deputy:{gid}"] > 0.0
 
-    cfg.noise = NoiseConfig.disabled()
+    cfg.noise = _noise_off()
     quiet, _ = synthesize_measurements(cfg, truth)
     assert all(not e.noise_inflation for e in quiet)
 
@@ -575,7 +612,7 @@ def test_impulse_feeds_through_without_divergence(leo_short_run):
 
 
 def test_zero_noise_run_fixes_cleanly():
-    cfg = _short_leo(noise=NoiseConfig.disabled(), seed=11)
+    cfg = _short_leo(noise=_noise_off(), seed=11)
     report = run_scenario(cfg)
     s = report.summary
     assert s["n_fix_events"] >= 1
