@@ -248,50 +248,34 @@ def ldl_decompose(cov):
     return chol / s, s * s
 
 
-def _gauss_reduce(lower, transform, floats):
-    """Make all strictly-lower entries of ``lower`` at most 1/2 in magnitude.
+def _gauss_reduce(rows, zt, floats):
+    """Make all strictly-lower entries of the factor at most 1/2 in magnitude.
 
-    Applies integer row combinations; mirrors them on the accumulated
-    transform and the float vector.  Works in place, returns True if any
-    entry changed.
+    ``rows`` are the rows of the unit lower-triangular factor, ``zt`` the
+    rows of the accumulated transform ``Z^T`` and ``floats`` the float
+    vector, all Python lists, updated in place.  Applies integer row
+    combinations, ``row[k] - mu * row_j[k]``, and mirrors them on ``zt`` and
+    ``floats``.  Returns True if any entry changed.
 
     An entry ``x`` rounds to zero exactly when ``x + 0.5 < 1`` and
     ``x - 0.5 > -1``, the additions ``_round_scalar`` itself makes
     (``abs(x) < 0.5`` is not the same test: 0.49999999999999994 rounds
-    to 1), so such entries are skipped without rounding.  Row ``i`` changes
-    only through its own nonzero roundings, so a row whose entries all
-    pass is left as it is.  The other rows, and their rows of the
-    transform, are reduced on Python floats and ints with the arithmetic
-    of the array update, ``row[k] - mu * row_j[k]``, and written back
-    once.  Integer updates are exact, so a transform entry outside the
-    range of the transform's dtype raises ``OverflowError`` on write-back.
+    to 1), so such entries are skipped without rounding.  Integer updates
+    are exact; the caller's conversion to a fixed-width integer array
+    raises ``OverflowError`` where an array update would have wrapped.
     """
-    rows = lower.tolist()
-    trows = None
     changed = False
     for i in range(1, len(rows)):
         row = rows[i]
-        reduced = False
-        try:
-            for j in range(i - 1, -1, -1):
-                x = row[j]
-                if x + 0.5 < 1.0 and x - 0.5 > -1.0:
-                    continue
-                mu = _round_scalar(x)
-                if trows is None:
-                    trows = transform.tolist()
-                row_j, trow, trow_j = rows[j], trows[i], trows[j]
-                for k in range(j + 1):
-                    row[k] -= mu * row_j[k]
-                for k in range(len(trow)):
-                    trow[k] -= mu * trow_j[k]
-                floats[i] -= mu * floats[j]
-                reduced = True
-        finally:
-            if reduced:
-                lower[i, :i] = row[:i]
-                transform[i, :] = trow
-        changed = changed or reduced
+        for j in range(i - 1, -1, -1):
+            x = row[j]
+            if x + 0.5 < 1.0 and x - 0.5 > -1.0:
+                continue
+            mu = _round_scalar(x)
+            row[:j + 1] = [a - mu * b for a, b in zip(row, rows[j][:j + 1])]
+            zt[i] = [a - mu * b for a, b in zip(zt[i], zt[j])]
+            floats[i] -= mu * floats[j]
+            changed = True
     return changed
 
 
@@ -306,14 +290,19 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     ``cov_z = Z^T cov Z`` and never has a larger worst-case off-diagonal
     correlation than the input.
 
-    After each swap the pair is swapped in the covariance of the current
-    stage, ``L diag(d) L^T``, and that covariance is factored again, once.
-    An O(n) swap update of ``L`` and ``d`` (LAMBDA, de Jonge & Tiberius
-    1996) would be cheaper but rounds differently, so every decorrelated
-    distribution would change in its last bits.  The refactorization
-    changes the bits of every entry, so each sweep screens them all again;
+    A swap updates ``L`` and ``d`` in O(n) (LAMBDA, de Jonge & Tiberius
+    1996; Chang, Yang & Zhou 2005): it changes the pair's two conditional
+    variances, the pair's two rows left of the pair and the pair's two
+    columns below it.  ``Z`` and the decorrelated floats follow from exact
+    integer row operations and from the swap and rounding decisions, so
+    they are what re-factoring ``L diag(d) L^T`` after each swap gives,
+    unless a decision lies within rounding of its tie (an entry built from
+    exact halves can land on one).  ``L``, ``d`` and the covariance agree
+    with that re-factorization to rounding only, and lie closer to the
+    exact factor.  Each sweep screens every lower entry again;
     ``_gauss_reduce`` skips, without rounding, the entries that round to
-    zero, which are most of them.
+    zero, which are most of them.  The factor lives in Python lists, which
+    beat array calls at these sizes, and becomes arrays once, at the end.
 
     Parameters
     ----------
@@ -324,43 +313,51 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     AmbiguityDistribution
         Transformed distribution with ``z_matrix`` recording the accumulated
         transform (composed with any transform already present on input).
+
+    Raises
+    ------
+    OverflowError
+        If an entry of the accumulated transform leaves the int64 range.
     """
     n = dist.size
-    lower = dist.lower.copy()
-    diag = dist.diag.copy()
-    floats = dist.floats.copy()
+    rows = dist.lower.tolist()
+    d = dist.diag.tolist()
+    floats = dist.floats.tolist()
     # Rows of `zt` accumulate Z^T so that floats_z = zt @ floats_original.
-    zt = np.eye(n, dtype=np.int64)
+    zt = [[int(i == k) for k in range(n)] for i in range(n)]
 
     max_sweeps = 10000
     for _ in range(max_sweeps):
-        _gauss_reduce(lower, zt, floats)
+        _gauss_reduce(rows, zt, floats)
         # Find the first adjacent pair whose swap lowers the pair's leading
         # conditional variance: new_d[j] = d[j+1] + l^2 d[j] < d[j].
-        d = diag.tolist()
-        sub = lower.diagonal(-1).tolist()
         for j in range(n - 1):
-            lj = sub[j]
-            if d[j + 1] + lj * lj * d[j] < d[j] * (1.0 - 1e-12):
+            lj = rows[j + 1][j]
+            d_lead = d[j + 1] + lj * lj * d[j]
+            if d_lead < d[j] * (1.0 - 1e-12):
                 break
         else:
             break
-        pair = slice(j, j + 2)
-        zt[pair] = zt[pair][::-1]
-        floats[pair] = floats[pair][::-1]
-        # Re-factor the covariance of the current stage with the pair
-        # swapped; the swap only moves entries, so it is exact.
-        cov_z = (lower * diag) @ lower.T
-        cov_z[pair] = cov_z[pair][::-1]
-        cov_z[:, pair] = cov_z[:, pair][:, ::-1]
-        lower, diag = ldl_decompose(cov_z)
+        first, second = rows[j], rows[j + 1]
+        l_new = lj * d[j] / d_lead
+        eta = d[j + 1] / d_lead
+        d[j], d[j + 1] = d_lead, eta * d[j]
+        first[:j], second[:j] = second[:j], first[:j]
+        second[j] = l_new
+        for row in rows[j + 2:]:
+            a, b = row[j], row[j + 1]
+            row[j], row[j + 1] = l_new * a + eta * b, a - lj * b
+        zt[j], zt[j + 1] = zt[j + 1], zt[j]
+        floats[j], floats[j + 1] = floats[j + 1], floats[j]
     else:  # pragma: no cover - safety stop
         raise RuntimeError("decorrelation did not converge")
 
+    # Compose with any prior transform.
+    z_total = (np.array(zt, dtype=np.int64) @ dist.z_matrix.T).T
+    lower, diag = np.array(rows), np.array(d)
     cov_z = (lower * diag) @ lower.T
-    z_total = (zt @ dist.z_matrix.T).T  # compose with any prior transform
     return AmbiguityDistribution(
-        floats=floats,
+        floats=np.array(floats),
         covariance=0.5 * (cov_z + cov_z.T),
         z_matrix=z_total,
         lower=lower,

@@ -263,6 +263,13 @@ class ScenarioConfig:
             if not (math.isfinite(value) or (label == "tuning.tau_clock"
                                              and value == math.inf)):
                 raise ValueError(f"{label} must be finite, got {value!r}")
+        # Any other value would switch on by its truthiness.
+        for f in dataclasses.fields(self.noise):
+            value = getattr(self.noise, f.name)
+            if isinstance(f.default, bool) and not isinstance(
+                    value, (bool, np.bool_)):
+                raise ValueError(
+                    f"noise.{f.name} must be a bool, got {value!r}")
         # A fractional seed would run as its integer part.
         if not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -323,7 +330,8 @@ class ScenarioConfig:
         return cls(**d)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(_jsonable(self.to_dict()), indent=2,
+                          sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -834,8 +842,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if math.isfinite(f) else None

@@ -233,6 +233,21 @@ def test_run_rejects_wrongly_typed_config_file(capsys, tmp_path, key, value,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_non_bool_noise_switch(capsys, tmp_path):
+    from cdgps.scenario import leo_preset
+    cfg = json.loads(leo_preset().to_json())
+    cfg["noise"]["thermal"] = "no"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "run", "--config", str(path),
+                          "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert "noise.thermal must be a bool" in json.loads(err)["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("coupling", ["none", "loose", "full"])
 @pytest.mark.parametrize("preset", ["leo", "geo"])
 def test_echoed_config_reproduces_the_run(capsys, tmp_path, preset, coupling):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from cdgps import iar
 from cdgps.iar import (
@@ -181,14 +181,19 @@ def test_inverse_transform_roundtrip():
         np.testing.assert_array_equal(inverse_transform(dz.z_matrix, fwd), v)
 
 
-def _reference_gauss_reduce(lower, transform, floats):
+def _reference_gauss_reduce(lower, transform, floats, margins=None):
     """The full scalar pass: every strictly-lower entry is rounded and any
-    nonzero multiple is subtracted from the array row at once."""
+    nonzero multiple is subtracted from the array row at once.  If
+    ``margins`` is a list, each screened entry's distance from a tie
+    (a half-integer) is appended to it."""
     n = lower.shape[0]
     changed = False
     for i in range(1, n):
         for j in range(i - 1, -1, -1):
-            mu = _round_scalar(lower[i, j])
+            x = lower[i, j]
+            if margins is not None:
+                margins.append(abs(abs(x) % 1.0 - 0.5))
+            mu = _round_scalar(x)
             if mu != 0:
                 lower[i, : j + 1] -= mu * lower[j, : j + 1]
                 transform[i, :] -= mu * transform[j, :]
@@ -197,18 +202,29 @@ def _reference_gauss_reduce(lower, transform, floats):
     return changed
 
 
-def _reference_decorrelate(dist):
+def _reference_decorrelate(dist, margins=None):
     """Decorrelation with a full Gauss pass per sweep and, after each swap,
-    the covariance of the current stage permuted and factored again."""
+    the covariance of the current stage permuted and factored again: the
+    oracle for the O(n) swap update.
+
+    If ``margins`` is a list, it receives, for each decision taken after
+    the first swap, how far its input was from flipping it: a screened
+    entry's distance from a tie, and a swap test's ratio new_d[j] / d[j]
+    less its threshold.  Before the first swap the oracle and the update
+    compute the same bits."""
     n = dist.size
     lower, diag = dist.lower.copy(), dist.diag.copy()
     floats = dist.floats.copy()
     zt = np.eye(n, dtype=np.int64)
+    record = None
     while True:
-        _reference_gauss_reduce(lower, zt, floats)
+        _reference_gauss_reduce(lower, zt, floats, record)
         for j in range(n - 1):
             lj = lower[j + 1, j]
-            if diag[j + 1] + lj * lj * diag[j] < diag[j] * (1.0 - 1e-12):
+            lead = diag[j + 1] + lj * lj * diag[j]
+            if record is not None:
+                record.append(abs(lead / diag[j] - (1.0 - 1e-12)))
+            if lead < diag[j] * (1.0 - 1e-12):
                 perm = np.arange(n)
                 perm[j], perm[j + 1] = j + 1, j
                 zt, floats = zt[perm, :], floats[perm]
@@ -216,6 +232,7 @@ def _reference_decorrelate(dist):
                 chol = np.linalg.cholesky(0.5 * (cov_z + cov_z.T))
                 s = np.diag(chol).copy()
                 lower, diag = chol / s[np.newaxis, :], s * s
+                record = margins
                 break
         else:
             break
@@ -282,10 +299,88 @@ def decorrelation_inputs(draw):
 @example(_unit_lower_dist([-0.49999999999999994, 0.5, -1.5], [0.1, 0.2, 0.3]))
 @example(_unit_lower_dist([1.5, 0.49999999999999994, -0.5], [0.3, 0.2, 0.1]))
 def test_decorrelate_matches_full_pass_reference_bit_for_bit(dist):
-    got = decorrelate(dist)
-    want = _reference_decorrelate(dist)
-    for name in ("floats", "covariance", "z_matrix", "lower", "diag"):
+    _assert_matches_reference(dist, decorrelate(dist))
+
+
+def _rounding_scale(dist, z):
+    """``s_i s_j`` with ``s = sqrt(diag(|Z^T| |Q| |Z|))``: the size of the
+    terms that forming ``Z^T Q Z`` in floating point rounds."""
+    s = np.sqrt(np.diag(np.abs(z.T) @ np.abs(dist.covariance) @ np.abs(z)))
+    return np.outer(s, s)
+
+
+def _assert_valid_decorrelation(dist, dz):
+    """What every decorrelation of ``dist`` satisfies, whichever way its
+    roundings went."""
+    lower, diag, z = dz.lower, dz.diag, dz.z_matrix
+    assert z.dtype == np.int64
+    assert np.all(np.diag(lower) == 1.0) and np.all(np.triu(lower, 1) == 0.0)
+    assert np.all(diag > 0.0)
+    # Reduced, with no swap left that lowers a leading variance.
+    assert np.all(np.abs(np.tril(lower, -1)) <= 0.5)
+    sub = np.diag(lower, -1)
+    assert np.all(diag[1:] + sub * sub * diag[:-1]
+                  >= diag[:-1] * (1.0 - 1e-12))
+    # det(Z)^2 is an integer, so an unchanged volume makes Z unimodular.
+    assert math.isclose(np.sum(np.log(diag)), np.sum(np.log(dist.diag)),
+                        abs_tol=1e-9)
+    np.testing.assert_allclose(dz.floats, z.T @ dist.floats, rtol=1e-12,
+                               atol=1e-9)
+    # On the rounding scale of Z^T Q Z: the input's own factorization
+    # error, carried through Z, is already ~1e-9 of the largest entry at
+    # condition number 1e8.
+    q = dist.covariance
+    assert np.all(np.abs((lower * diag) @ lower.T - z.T @ q @ z)
+                  <= 1e-10 * _rounding_scale(dist, z))
+
+
+def _assert_matches_reference(dist, got):
+    """``got`` is a valid decorrelation, and unless the oracle took a
+    decision within 1e-6 of flipping it after a swap, its transform and
+    floats are the oracle's bit for bit.  The swap update rounds the factor
+    differently, so ``lower``, ``diag`` and ``covariance`` agree to 1e-12
+    on the rounding scale of ``Z^T Q Z``.  (Relative to their largest entry
+    they differ by up to 1e-9 at condition number 1e8: there the oracle,
+    not the update, is off the exact factor of ``Z^T L diag(d) L^T Z``, by
+    up to 1.5e-10 against 7e-13.)  Entries built from exact halves make
+    exact ties, whose rounding follows the last bit; either side is valid."""
+    _assert_valid_decorrelation(dist, got)
+    margins = []
+    want = _reference_decorrelate(dist, margins)
+    if min(margins, default=1.0) < 1e-6:
+        event("a decision within 1e-6 of a tie after a swap")
+        return
+    for name in ("z_matrix", "floats"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
+    tol = 1e-12 * _rounding_scale(dist, want.z_matrix)
+    assert np.all(np.abs(got.covariance - want.covariance) <= tol)
+    assert np.all(np.abs(got.diag - want.diag) <= np.diag(tol))
+    assert np.all(np.abs(got.lower - want.lower) * want.diag <= tol)
+
+
+@st.composite
+def conditioned_inputs(draw):
+    """n = 1..10: diagonal covariances, and rotated ones with condition
+    numbers up to 1e8, at scales 1e-3..10 cycles^2."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    cond = 10.0 ** draw(st.floats(min_value=0.0, max_value=8.0))
+    eig = rng.permutation(np.geomspace(1.0, 1.0 / cond, n))
+    eig *= 10.0 ** rng.uniform(-3.0, 1.0)
+    floats = rng.normal(scale=30.0, size=n)
+    if draw(st.booleans()):
+        return AmbiguityDistribution(floats, np.diag(eig))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = (u * eig) @ u.T
+    return AmbiguityDistribution(floats, 0.5 * (q + q.T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conditioned_inputs())
+@example(AmbiguityDistribution([0.3], [[0.04]]))
+@example(AmbiguityDistribution([0.3, -1.2], np.diag([1.0, 1e-8])))
+def test_decorrelate_swap_update_keeps_a_valid_factor(dist):
+    _assert_matches_reference(dist, decorrelate(dist))
 
 
 def _gauss_reduce_outcome(reduce, lower, transform, floats):
@@ -295,6 +390,16 @@ def _gauss_reduce_outcome(reduce, lower, transform, floats):
     except Exception as exc:  # compared with the reference's exception
         outcome = (type(exc), str(exc))
     return outcome, lower, transform, floats
+
+
+def _gauss_reduce_on_lists(lower, transform, floats):
+    """``iar._gauss_reduce`` on the lists it works on, written back to the
+    arrays also when it raises part way."""
+    rows, zt, values = lower.tolist(), transform.tolist(), floats.tolist()
+    try:
+        return iar._gauss_reduce(rows, zt, values)
+    finally:
+        lower[:], transform[:], floats[:] = rows, zt, values
 
 
 @pytest.mark.parametrize("position", range(6))
@@ -309,7 +414,8 @@ def test_gauss_reduce_boundary_entries_match_reference(value, position):
     lower[rows[position], cols[position]] = value
     transform = rng.integers(-3, 4, size=(4, 4))
     floats = rng.normal(scale=20.0, size=4)
-    got = _gauss_reduce_outcome(iar._gauss_reduce, lower, transform, floats)
+    got = _gauss_reduce_outcome(_gauss_reduce_on_lists, lower, transform,
+                               floats)
     want = _gauss_reduce_outcome(_reference_gauss_reduce, lower, transform,
                                  floats)
     assert got[0] == want[0]
@@ -329,9 +435,15 @@ def test_gauss_reduce_raises_where_the_array_update_wrapped():
     _reference_gauss_reduce(lower.copy(), wrapped, floats.copy())
     assert wrapped[2].tolist() == [0, -4, 1]  # 2**64 wrapped to 0
 
+    # The list update is exact; decorrelate raises where it turns the
+    # transform into int64.
+    zt = transform.tolist()
+    iar._gauss_reduce(lower.tolist(), zt, floats.tolist())
+    assert zt[2] == [2 ** 64, -4, 1]
     with pytest.raises(OverflowError):
-        iar._gauss_reduce(lower, transform, floats)
-    assert transform[1].tolist() == [-2 ** 62, 1, 0]
+        decorrelate(_unit_lower_dist([2.0 ** 62, 0.0, 4.0], [1.0, 2.0, 4.0],
+                                     floats))
+    assert zt[1] == [-2 ** 62, 1, 0]
 
 
 # ---------------------------------------------------------------------------

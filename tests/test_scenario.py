@@ -174,6 +174,12 @@ def test_config_validation_rejects_non_finite(path, value):
     ("seed", True, "seed must be a number"),
     ("seed", 1.5, "seed must be an integer"),
     ("seed", 1.0, "seed must be an integer"),
+    ("noise.thermal", "no", "noise.thermal must be a bool"),
+    ("noise.multipath", 0, "noise.multipath must be a bool"),
+    ("noise.ionosphere", 1, "noise.ionosphere must be a bool"),
+    ("noise.clock_walk", None, "noise.clock_walk must be a bool"),
+    ("noise.ephemeris", 1.0, "noise.ephemeris must be a bool"),
+    ("noise.windup", "", "noise.windup must be a bool"),
 ])
 def test_config_validation_rejects_wrong_types(path, value, match):
     cfg = _short_leo()
@@ -185,7 +191,10 @@ def test_config_validation_rejects_wrong_types(path, value, match):
 def test_config_validation_accepts_numpy_numbers():
     cfg = _short_leo(seed=np.int64(3))
     cfg.separation = np.float64(900.0)
+    cfg.noise.thermal = np.bool_(False)
     cfg.validate()
+    echoed = json.loads(cfg.to_json())
+    assert echoed["seed"] == 3 and echoed["noise"]["thermal"] is False
 
 
 def test_infinite_clock_time_constant_is_valid():
