@@ -33,6 +33,7 @@ import numpy as np
 
 from .constants import L1_WAVELENGTH
 from .errors import (
+    PLL_BANDWIDTH,
     LinkBudget,
     LossOfLockError,
     MultipathParams,
@@ -42,7 +43,8 @@ from .errors import (
 )
 from .iar import success_rate
 from .navfilter import dare_steady_state
-from .scenario import PRESET_NAMES, _jsonable, load_preset, run_scenario
+from .scenario import (PRESET_NAMES, ScenarioConfig, _jsonable, load_preset,
+                       run_scenario)
 
 __all__ = ["main"]
 
@@ -90,12 +92,13 @@ def _resolve_config(args):
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config not found: {path}")
-        source = str(path)
+        load, source = ScenarioConfig.from_json, str(path)
     else:
+        load = load_preset
         source = args.preset if args.preset is not None else "leo"
     try:
-        cfg = load_preset(source)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        cfg = load(source)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load config {source!r}: {exc}") from exc
 
     if args.seed is not None:
@@ -280,7 +283,7 @@ _LINK_ROWS = (
 def _budget_column(budget: LinkBudget) -> dict:
     col = {
         "frequency_mhz": budget.frequency,
-        "pll_bandwidth_hz": budget.pll_bandwidth,
+        "pll_bandwidth_hz": PLL_BANDWIDTH,
         "rx_antenna_gain_db": budget.rx_antenna_gain,
         "rx_circuit_loss_db": budget.rx_circuit_loss,
         "rx_polarization_loss_db": budget.rx_polarization_loss,
@@ -296,8 +299,7 @@ def _budget_column(budget: LinkBudget) -> dict:
         "c_n0_dbhz": carrier_to_noise(budget),
     }
     try:
-        code, phase = thermal_noise_sigmas(col["c_n0_dbhz"],
-                                           pll_bw=budget.pll_bandwidth)
+        code, phase = thermal_noise_sigmas(col["c_n0_dbhz"])
         col["code_sigma_m"] = code
         col["phase_sigma_mm"] = phase * 1e3
     except LossOfLockError:
@@ -370,7 +372,6 @@ def cmd_multipath_map(args) -> int:
         amplitude_code=args.amplitude_code,
         amplitude_phase=args.amplitude_phase,
         size_factor=args.size,
-        target_direction=(0.0, 0.0),
         target_range=args.target_range)
     azs = np.linspace(-math.pi, math.pi, 2 * args.grid - 1)
     els = np.linspace(-math.pi / 2.0, math.pi / 2.0, args.grid)

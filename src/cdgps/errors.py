@@ -6,7 +6,7 @@ noise floors calibrated once against a 45 dB-Hz anchor (0.20 m code, 2.0 mm
 carrier); every other carrier-to-noise ratio then follows from the same
 formulas.  Multipath is a simplified azimuth/elevation footprint model: a
 near-field cos^2 elevation term plus a far-field Gaussian blob centered on
-the partner spacecraft's direction.
+the sensor boresight, which points at the partner spacecraft.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 
 
 # Tracking-loop configuration shared by both spacecraft receivers (narrow
-# correlator, 25 ms coherent integration).
+# correlator, 25 ms coherent integration); every carrier loop tracks L1.
 PLL_BANDWIDTH = 15.0          # Hz
 DLL_BANDWIDTH = 0.02          # Hz
 DLL_CORRELATOR_SPACING = 0.2  # chips
@@ -69,7 +69,6 @@ class LinkBudget:
     """
 
     frequency: float = 1575.42              # MHz
-    pll_bandwidth: float = PLL_BANDWIDTH    # Hz
     rx_antenna_gain: float = 33.0           # dB
     rx_circuit_loss: float = -1.0           # dB
     rx_polarization_loss: float = -1.0      # dB
@@ -149,24 +148,24 @@ def dll_thermal_sigma(c_n0_dbhz):
     return np.sqrt(var)
 
 
-def pll_thermal_sigma(c_n0_dbhz, wavelength=L1_WAVELENGTH,
-                      bandwidth=PLL_BANDWIDTH):
-    """Costas-loop PLL thermal noise (floor-free component) [m].
+def pll_thermal_sigma(c_n0_dbhz):
+    """Costas-loop PLL thermal noise (floor-free component) [m] of the L1
+    carrier loop configured above.
 
     Follows the inverse-square-root carrier-to-noise law: +6 dB on C/N0
     halves the value (asymptotically; the squaring-loss term adds a small
     correction at low C/N0).
     """
     cn0 = 10.0 ** (np.asarray(c_n0_dbhz) / 10.0)
-    var = (wavelength / (2.0 * math.pi)) ** 2 * (bandwidth / cn0) \
+    var = (L1_WAVELENGTH / (2.0 * math.pi)) ** 2 * (PLL_BANDWIDTH / cn0) \
         * (1.0 + 1.0 / (2.0 * COHERENT_INTEGRATION * cn0))
     return np.sqrt(var)
 
 
-def _noise_floors(pll_bw):
+def _noise_floors():
     """Noise floors making the total sigmas hit the anchor exactly."""
     code_component = dll_thermal_sigma(_ANCHOR_CN0)
-    phase_component = pll_thermal_sigma(_ANCHOR_CN0, bandwidth=pll_bw)
+    phase_component = pll_thermal_sigma(_ANCHOR_CN0)
     floor_code_sq = _ANCHOR_CODE_SIGMA ** 2 - code_component ** 2
     floor_phase_sq = _ANCHOR_PHASE_SIGMA ** 2 - phase_component ** 2
     if floor_code_sq < 0.0 or floor_phase_sq < 0.0:
@@ -174,7 +173,7 @@ def _noise_floors(pll_bw):
     return math.sqrt(floor_code_sq), math.sqrt(floor_phase_sq)
 
 
-def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH):
+def thermal_noise_sigmas(c_n0_dbhz):
     """Code and L1 carrier thermal noise standard deviations [m].
 
     Root-sum-square of a fixed receiver noise floor (calibrated once at the
@@ -193,10 +192,9 @@ def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH):
         worst = float(np.min(c_n0_dbhz))
         raise LossOfLockError(f"C/N0 {worst:.2f} dB-Hz below threshold "
                               f"{TRACKING_THRESHOLD:.2f}")
-    floor_code, floor_phase = _noise_floors(pll_bw)
+    floor_code, floor_phase = _noise_floors()
     sigma_code = np.hypot(floor_code, dll_thermal_sigma(c_n0_dbhz))
-    sigma_phase = np.hypot(
-        floor_phase, pll_thermal_sigma(c_n0_dbhz, bandwidth=pll_bw))
+    sigma_phase = np.hypot(floor_phase, pll_thermal_sigma(c_n0_dbhz))
     return sigma_code, sigma_phase
 
 
@@ -208,15 +206,15 @@ def thermal_noise_sigmas(c_n0_dbhz, pll_bw=PLL_BANDWIDTH):
 class MultipathParams:
     """Near/far-field multipath footprint parameters.
 
-    ``target_direction`` and ``target_range`` locate the far-field reflector
-    (the partner spacecraft) in the sensor frame; ``size_factor`` scales the
-    angular footprint it casts (larger reflector, wider footprint).
+    The far-field reflector (the partner spacecraft) sits on the sensor
+    boresight, azimuth and elevation zero, at ``target_range``;
+    ``size_factor`` scales the angular footprint it casts (larger
+    reflector, wider footprint).
     """
 
     amplitude_code: float = 0.0    # m
     amplitude_phase: float = 0.0   # m
     size_factor: float = 1.0       # unitless
-    target_direction: tuple = (0.0, 0.0)  # (azimuth, elevation) rad
     target_range: float = 0.0      # m; 0 disables the far-field term
 
     def __post_init__(self):
@@ -239,19 +237,18 @@ def multipath_near(amplitude, elevation_q):
     return amplitude * c * c
 
 
-def multipath_far(amplitude, size_factor, target_range, target_az, target_el,
-                  query_az, query_el):
-    """Far-field term: Gaussian footprint around the reflector direction [m].
+def multipath_far(amplitude, size_factor, target_range, query_az, query_el):
+    """Far-field term: Gaussian footprint around the boresight, where the
+    reflector sits [m].
 
     Range enters twice: the peak shrinks as ``A/(A R + 1)^2`` with distance,
-    and the footprint tightens as ``exp(-(R/S) * angular separation^2)``.
+    and the footprint tightens as ``exp(-(R/S) * (az^2 + el^2))``.
     """
     if target_range <= 0.0:
         return 0.0
-    da = query_az - target_az
-    de = query_el - target_el
     peak = amplitude / (amplitude * target_range + 1.0) ** 2
-    return peak * np.exp(-(target_range / size_factor) * (da * da + de * de))
+    return peak * np.exp(-(target_range / size_factor)
+                         * (query_az * query_az + query_el * query_el))
 
 
 def multipath_sigma(params: MultipathParams, query_az, query_el, kind="phase"):
@@ -261,7 +258,6 @@ def multipath_sigma(params: MultipathParams, query_az, query_el, kind="phase"):
     a = params.amplitude(kind)
     near = multipath_near(a, query_el)
     far = multipath_far(a, params.size_factor, params.target_range,
-                        params.target_direction[0], params.target_direction[1],
                         query_az, query_el)
     return near + far
 
@@ -301,16 +297,16 @@ DEFAULT_KLOBUCHAR_BETA = (1.43e5, 0.0, -3.28e5, 1.13e5)
 _SC = 1.0 / math.pi  # radians -> semicircles
 
 
-def klobuchar_delay(receiver_pos, los, time_of_day,
-                    alpha=DEFAULT_KLOBUCHAR_ALPHA,
-                    beta=DEFAULT_KLOBUCHAR_BETA):
+def klobuchar_delay(receiver_pos, los, time_of_day):
     """Broadcast-model ionospheric group delay along a line of sight [m].
 
-    Standard single-frequency broadcast algorithm: obliquity from elevation,
-    pierce-point geomagnetic latitude from receiver latitude/azimuth, and a
-    half-cosine diurnal bump over a 5 ns night-time floor.  The position is
-    treated as Earth-fixed for the latitude/longitude extraction (adequate
-    for an error model whose differential contribution cancels downstream).
+    Standard single-frequency broadcast algorithm with the coefficient sets
+    ``DEFAULT_KLOBUCHAR_ALPHA`` and ``DEFAULT_KLOBUCHAR_BETA``: obliquity
+    from elevation, pierce-point geomagnetic latitude from receiver
+    latitude/azimuth, and a half-cosine diurnal bump over a 5 ns night-time
+    floor.  The position is treated as Earth-fixed for the latitude/longitude
+    extraction (adequate for an error model whose differential contribution
+    cancels downstream).
 
     ``receiver_pos`` and ``los`` may hold stacked (n, 3) rows (they
     broadcast against each other); the result then has shape (n,).
@@ -347,8 +343,8 @@ def klobuchar_delay(receiver_pos, los, time_of_day,
 
     t = (4.32e4 * lam_i + time_of_day) % 86400.0
 
-    amp = sum(a * phi_m ** n for n, a in enumerate(alpha))
-    per = sum(b * phi_m ** n for n, b in enumerate(beta))
+    amp = sum(a * phi_m ** n for n, a in enumerate(DEFAULT_KLOBUCHAR_ALPHA))
+    per = sum(b * phi_m ** n for n, b in enumerate(DEFAULT_KLOBUCHAR_BETA))
     amp = np.maximum(amp, 0.0)
     per = np.maximum(per, 72_000.0)
 

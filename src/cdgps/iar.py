@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import L1_WAVELENGTH
+
 __all__ = [
     "AmbiguityDistribution",
     "IntegerSearchResult",
@@ -180,7 +182,7 @@ class ConstraintContext:
     dcm_eci_to_sensor : ndarray, shape (3, 3)
         Attitude rotation taking ECI vectors into the sensor frame.
     wavelength : float
-        Carrier wavelength [m].
+        Carrier wavelength [m]; L1 unless given.
     range_enabled, bearing_enabled : bool
         Which external observables participate in the penalty.
     free_rows : ndarray of int or None
@@ -198,7 +200,7 @@ class ConstraintContext:
     geometry: np.ndarray = None
     ddcp_phases: np.ndarray = None
     dcm_eci_to_sensor: np.ndarray = None
-    wavelength: float = 0.19029367
+    wavelength: float = L1_WAVELENGTH
     range_enabled: bool = True
     bearing_enabled: bool = True
     free_rows: np.ndarray = None

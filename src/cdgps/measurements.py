@@ -56,7 +56,7 @@ class MeasurementEpoch:
     ``graphic`` carries (gps_id, value [m]) pairs per receiver keyed by
     receiver id; ``sdcp`` carries (gps_id, value [cycles]) pairs differenced
     chief-minus-deputy.  ``attitude`` rotates ECI vectors into the sensor
-    frame and must be tagged at the same time as the measurements.
+    frame at ``time``.
     """
 
     time: float
@@ -65,16 +65,11 @@ class MeasurementEpoch:
     range_obs: float = None                            # m, or None
     bearing_obs: tuple = None                          # (az, el) rad, or None
     attitude: np.ndarray = None                        # 3x3 DCM ECI -> sensor
-    attitude_time: float = None
     gps_positions: dict = field(default_factory=dict)  # gps_id -> ECI position [m]
     # Direction-dependent extra measurement variance [m^2] keyed by row label
     # ("graphic:<receiver>:<gps_id>", "sdcp:<gps_id>", "range", ...), e.g.
     # from a calibrated multipath map; added to the filter's floor variances.
     noise_inflation: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.attitude_time is None:
-            self.attitude_time = self.time
 
 
 # ---------------------------------------------------------------------------

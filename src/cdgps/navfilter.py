@@ -55,7 +55,6 @@ __all__ = [
     "FilterTuning",
     "UpdateReport",
     "DareResult",
-    "TimeTagMismatchError",
     "initialize_filter",
     "allocate_channels",
     "time_update",
@@ -80,10 +79,6 @@ DEPUTY_CLOCK = 19
 AMB_ZD = slice(20, 44)
 AMB_SD = slice(44, 68)
 BIASES = slice(68, 71)
-
-
-class TimeTagMismatchError(ValueError):
-    """Measurement bundle and attitude are tagged at different times."""
 
 
 @dataclass
@@ -471,16 +466,7 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     observation order.  Innovations failing the scalar gate are excluded
     from the joint solve and flagged in the report.  Returns
     ``(new_state, UpdateReport)``.
-
-    Raises
-    ------
-    TimeTagMismatchError
-        If the attitude time tag differs from the measurement time tag.
     """
-    if epoch.attitude_time is not None and epoch.attitude_time != epoch.time:
-        raise TimeTagMismatchError(
-            f"attitude tagged {epoch.attitude_time}, measurements {epoch.time}")
-
     gps_positions = epoch.gps_positions or {}
     inflation = epoch.noise_inflation or {}
     wavelength = tuning.wavelength

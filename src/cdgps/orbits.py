@@ -68,14 +68,6 @@ class OrbitState:
         if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.velocity))):
             raise ValueError("state must be finite")
 
-    @property
-    def radius(self):
-        return np.linalg.norm(self.position, axis=-1)
-
-    @property
-    def speed(self):
-        return np.linalg.norm(self.velocity, axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # Dynamics
@@ -172,9 +164,14 @@ def _derivative(y, empirical_rtn, include_j2, out):
            out=out[..., 3:])
 
 
+# RK4 substep ceiling [s]; each interval is split evenly into substeps.
+MAX_STEP = 10.0
+
+
 def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
-              include_j2=True, max_step=10.0) -> OrbitState:
-    """Advance an orbit state by ``dt`` seconds with fixed-step RK4.
+              include_j2=True) -> OrbitState:
+    """Advance an orbit state by ``dt`` seconds with fixed-step RK4 in
+    substeps of at most ``MAX_STEP``.
 
     Parameters
     ----------
@@ -188,8 +185,6 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
         in the instantaneous RTN frame of the propagated craft [m/s^2].
     include_j2 : bool
         Include the J2 zonal term.
-    max_step : float
-        RK4 substep ceiling [s]; the interval is split evenly.
 
     Raises
     ------
@@ -202,7 +197,7 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
     if empirical_accel_rtn is not None:
         e = np.asarray(empirical_accel_rtn, dtype=float)
         emp = (e[..., 0:1], e[..., 1:2], e[..., 2:3])
-    n_steps = max(1, int(math.ceil(dt / max_step)))
+    n_steps = max(1, int(math.ceil(dt / MAX_STEP)))
     h = dt / n_steps
     half_h = 0.5 * h
     sixth_h = h / 6.0
@@ -276,15 +271,13 @@ _ELEMENT_KEYS = ("a", "e", "inc", "raan", "argp", "mean_anomaly")
 
 @dataclass
 class GpsConstellation:
-    """Transmitting constellation: element sets plus antenna cone geometry.
+    """Transmitting constellation: one element set per satellite.
 
     Each satellite is a dict with keys a, e, inc, raan, argp, mean_anomaly
     (SI units, radians).  Boresights point at nadir.
     """
 
     satellites: list = field(default_factory=list)
-    mainlobe_halfcone: float = GPS_MAINLOBE_HALFCONE
-    sidelobe_halfcone: float = GPS_SIDELOBE_HALFCONE
 
     def state_at(self, sat_index, time) -> OrbitState:
         """State of satellite ``sat_index``; a sequence of indices gives
@@ -347,8 +340,7 @@ def _arrival_direction(los_sensor):
     return az, el
 
 
-def visibility(receiver: OrbitState, gps: OrbitState,
-               constellation: GpsConstellation, mode="mainlobe",
+def visibility(receiver: OrbitState, gps: OrbitState, mode="mainlobe",
                dcm_eci_to_sensor=None):
     """Line-of-sight and antenna-cone check for receiver/GPS pairs.
 
@@ -358,11 +350,9 @@ def visibility(receiver: OrbitState, gps: OrbitState,
         Both at the same epoch.  Either may hold stacked (n, 3) rows (for
         instance one receiver against every satellite of
         ``GpsConstellation.state_at(indices, t)``); rows broadcast.
-    constellation : GpsConstellation
-        Supplies the transmit cone half-angles.
     mode : "mainlobe" | "sidelobe"
-        Sidelobe mode accepts any off-boresight angle up to the sidelobe
-        half-cone (which contains the mainlobe).
+        Transmit cone: off-boresight angles up to ``GPS_MAINLOBE_HALFCONE``,
+        or up to ``GPS_SIDELOBE_HALFCONE`` (which contains the mainlobe).
     dcm_eci_to_sensor : ndarray, optional
         Receiver attitude for expressing the arrival direction, (3, 3) or
         stacked (..., 3, 3) like the receiver rows; identity if omitted.
@@ -376,9 +366,9 @@ def visibility(receiver: OrbitState, gps: OrbitState,
         row, meaningful where the mask is set.
     """
     if mode == "mainlobe":
-        halfcone = constellation.mainlobe_halfcone
+        halfcone = GPS_MAINLOBE_HALFCONE
     elif mode == "sidelobe":
-        halfcone = constellation.sidelobe_halfcone
+        halfcone = GPS_SIDELOBE_HALFCONE
     else:
         raise ValueError(f"unknown visibility mode {mode!r}")
 

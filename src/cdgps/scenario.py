@@ -308,9 +308,9 @@ class ScenarioConfig:
                 raise ValueError("impulse delta-v must be an RTN 3-vector")
 
     def to_dict(self) -> dict:
+        """Plain-data form; written out through ``_jsonable``, which turns
+        an infinite ``tuning.tau_clock`` into null."""
         d = dataclasses.asdict(self)
-        if math.isinf(self.tuning.tau_clock):
-            d["tuning"]["tau_clock"] = None  # JSON has no Infinity
         d["impulses"] = [[float(t), [float(c) for c in dv]]
                          for t, dv in self.impulses]
         return d
@@ -388,16 +388,12 @@ PRESET_NAMES = ("leo", "geo")
 
 
 def load_preset(name) -> ScenarioConfig:
-    """Preset by short name, or any config by JSON path."""
+    """Preset by short name (one of ``PRESET_NAMES``)."""
     if name == "leo":
         return leo_preset()
     if name == "geo":
         return geo_preset()
-    path = Path(name)
-    if path.suffix == ".json" and path.exists():
-        return ScenarioConfig.from_json(path)
-    raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES} "
-                     "or pass a JSON config path)")
+    raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES})")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +551,7 @@ def _gps_geometry(const, times, pos, vel, att, config, budget0, roes):
         visible, (az, el) = visibility(
             OrbitState(p[:, None], vel[blk, None]),
             OrbitState(gps.position[:, :, None], gps.velocity[:, :, None]),
-            const, config.visibility_mode, att[blk, None])
+            config.visibility_mode, att[blk, None])
         c_n0 = carrier_to_noise(
             dataclasses.replace(budget0, slant_range=ranges / 1e3))
         locked = visible & (c_n0 >= TRACKING_THRESHOLD)
@@ -675,7 +671,6 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                 amplitude_code=noise.multipath_amp_code,
                 amplitude_phase=noise.multipath_amp_phase,
                 size_factor=noise.multipath_size,
-                target_direction=(0.0, 0.0),  # partner sits on the boresight
                 target_range=baseline)
 
             # Signals in draw order: satellite-major, chief before deputy.
@@ -685,8 +680,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
             mp = np.zeros(locked.shape + (2,))   # code, phase sigma
             if noise.thermal:
                 draw = rng_thermal.normal(scale=np.column_stack(
-                    thermal_noise_sigmas(c_n0[sig],
-                                         pll_bw=budget0.pll_bandwidth)))
+                    thermal_noise_sigmas(c_n0[sig])))
                 noise_code[sig] = draw[:, 0]
                 noise_phase[sig] = draw[:, 1]
             if noise.multipath:
@@ -1038,7 +1032,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     state = initialize_filter(chief_init, deputy_init, tuning)
     state.x[CHIEF_CLOCK] = rng_init.normal(scale=config.init_clock_error)
     state.x[DEPUTY_CLOCK] = rng_init.normal(scale=config.init_clock_error)
-    state.epoch = 0.0
 
     impulse_by_time = {}
     for t, dv in config.impulses:

@@ -3,6 +3,7 @@ plumbing, and reproducibility of the written artifacts."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,24 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (("dare",), "cli_dare.txt"),
+    (("dare", "--d", "0.289", "--n", "3"), "cli_dare_d0.289_n3.txt"),
+    (("link-budget",), "cli_link_budget.txt"),
+    (("link-budget", "--json"), "cli_link_budget.json"),
+    (("multipath-map",), "cli_multipath_map.csv"),
+])
+def test_analysis_output_matches_pin(capsys, argv, pin):
+    # The analysis commands print the link budget, the thermal sigmas and
+    # the multipath map byte for byte as pinned in tests/data/.
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (DATA / pin).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +190,15 @@ def test_run_missing_config_no_partial_outputs(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "validation"
     assert not target.exists()
+
+
+def test_run_unreadable_config_exits_one(capsys, tmp_path):
+    # A directory exists but is no config file.
+    code, _, err = _run(capsys, "run", "--config", str(tmp_path),
+                        "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert json.loads(err)["error"] == "validation"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_override(capsys, tmp_path):

@@ -128,41 +128,41 @@ def test_multipath_near_field():
 
 
 def test_multipath_far_field_frozen_peak():
-    # Query exactly at the target: 0.05 / (0.05 * 40 + 1)^2 = 5.556 mm.
-    v = multipath_far(0.05, 1.0, 40.0, 0.2, -0.1, 0.2, -0.1)
+    # Query exactly at the boresight target: 0.05 / (0.05 * 40 + 1)^2 =
+    # 5.556 mm.
+    v = multipath_far(0.05, 1.0, 40.0, 0.0, 0.0)
     assert v == pytest.approx(0.05 / 9.0, rel=1e-12)
     # Disabled when there is no far-field object.
-    assert multipath_far(0.05, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0) == 0.0
+    assert multipath_far(0.05, 1.0, 0.0, 1.0, 1.0) == 0.0
 
 
 def test_multipath_far_field_decay_and_footprint():
     a, r = 0.05, 40.0
-    peak = multipath_far(a, 2.0, r, 0.0, 0.0, 0.0, 0.0)
+    peak = multipath_far(a, 2.0, r, 0.0, 0.0)
     seps = [0.05, 0.1, 0.2, 0.5]
-    vals = [multipath_far(a, 2.0, r, 0.0, 0.0, s, 0.0) for s in seps]
+    vals = [multipath_far(a, 2.0, r, s, 0.0) for s in seps]
     assert all(v < peak for v in vals)
     assert vals == sorted(vals, reverse=True)
     # Footprint width ordering: at fixed separation and range, a larger size
     # factor decays less (exponent magnitude scales with R/S).
-    wide = multipath_far(a, 10.0, r, 0.0, 0.0, 0.3, 0.0)
-    narrow = multipath_far(a, 1.0, r, 0.0, 0.0, 0.3, 0.0)
+    wide = multipath_far(a, 10.0, r, 0.3, 0.0)
+    narrow = multipath_far(a, 1.0, r, 0.3, 0.0)
     assert wide > narrow
     # And with range at fixed size factor the exponent grows: compare decay
     # factors (peak-normalized) rather than absolute values.
-    near_decay = (multipath_far(a, 2.0, 10.0, 0, 0, 0.3, 0)
-                  / multipath_far(a, 2.0, 10.0, 0, 0, 0.0, 0))
-    far_decay = (multipath_far(a, 2.0, 100.0, 0, 0, 0.3, 0)
-                 / multipath_far(a, 2.0, 100.0, 0, 0, 0.0, 0))
+    near_decay = (multipath_far(a, 2.0, 10.0, 0.3, 0)
+                  / multipath_far(a, 2.0, 10.0, 0.0, 0))
+    far_decay = (multipath_far(a, 2.0, 100.0, 0.3, 0)
+                 / multipath_far(a, 2.0, 100.0, 0.0, 0))
     assert far_decay < near_decay
 
 
 def test_multipath_total_and_map():
     p = MultipathParams(amplitude_code=5.0, amplitude_phase=0.05,
-                        size_factor=5.0, target_direction=(0.5, 0.2),
-                        target_range=100.0)
+                        size_factor=5.0, target_range=100.0)
     total = multipath_sigma(p, 0.5, 0.2, kind="phase")
     assert total == pytest.approx(
-        multipath_near(0.05, 0.2) + multipath_far(0.05, 5.0, 100.0, 0.5, 0.2, 0.5, 0.2))
+        multipath_near(0.05, 0.2) + multipath_far(0.05, 5.0, 100.0, 0.5, 0.2))
     assert multipath_sigma(p, 0.5, 0.2, kind="code") > total  # code amplitude larger
     with pytest.raises(ValueError):
         multipath_sigma(p, 0.0, 0.0, kind="doppler")
@@ -209,11 +209,12 @@ def test_clock_random_walk_single_second_step():
 # ---------------------------------------------------------------------------
 
 def test_klobuchar_night_floor():
-    # Zero coefficients leave only the 5 ns floor times obliquity; at zenith
-    # the obliquity is ~1 so the delay is ~c * 5 ns = 1.499 m.
+    # At local midnight the diurnal bump is off, leaving only the 5 ns floor
+    # times obliquity; at zenith the obliquity is ~1 so the delay is
+    # ~c * 5 ns = 1.499 m.
     pos = np.array([6.378e6 + 370e3, 0.0, 0.0])
     los = pos / np.linalg.norm(pos)
-    d = klobuchar_delay(pos, los, 0.0, alpha=(0, 0, 0, 0), beta=(0, 0, 0, 0))
+    d = klobuchar_delay(pos, los, 0.0)
     assert d == pytest.approx(SPEED_OF_LIGHT * 5e-9, rel=2e-3)
 
 
@@ -425,7 +426,6 @@ def test_multipath_sigma_batched_matches_scalar(seed, n):
     rng = np.random.default_rng(seed)
     params = MultipathParams(amplitude_code=5.0, amplitude_phase=0.05,
                              size_factor=float(rng.uniform(0.5, 10.0)),
-                             target_direction=(0.0, 0.0),
                              target_range=float(rng.uniform(0.0, 2e3)))
     az = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     el = rng.uniform(-math.pi, math.pi, size=n)

@@ -11,7 +11,6 @@ from cdgps.iar import candidate_baseline
 from cdgps.measurements import (
     BoresightError,
     FrameError,
-    MeasurementEpoch,
     SensorBiases,
     bearing_model,
     double_difference,
@@ -369,8 +368,3 @@ def test_jacobian_row_norm_properties(seed):
     assert np.linalg.norm(h[0]) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(h[1]) == pytest.approx(1.0 / np.linalg.norm(rho), rel=1e-9)
     assert np.linalg.norm(h[2]) == pytest.approx(1.0 / math.hypot(rho[0], rho[2]), rel=1e-9)
-
-
-def test_measurement_epoch_validation():
-    ep = MeasurementEpoch(time=10.0, sdcp=[(1, 0.5)])
-    assert ep.attitude_time == 10.0
