@@ -9,11 +9,13 @@ largest well-determined subset is fixed while the remainder stays float.
 One integer least-squares search serves both coupling modes.  It ranks
 candidates by their covariance-weighted distance from the floats plus a
 non-negative penalty: none for ``classical_ils_search``, the misfit to
-external range/bearing observations for ``constrained_search``.  A
-conditional-tree enumeration keeps the two best total costs and prunes the
+external range/bearing observations for ``constrained_search``.  One
+depth-first Schnorr-Euchner pass over the conditional tree starts with an
+infinite bound, keeps the two best total costs and from then on prunes the
 distance at the runner-up's total, so the best vector and the runner-up are
-both exact unless the enumeration stops at the leaf budget the two modes
-share.  ``constraint_context`` builds the external evidence from the
+both exact unless the pass stops at the leaf budget the two modes share.
+It prices the siblings of each last-level visit with one penalty call.
+``constraint_context`` builds the external evidence from the
 double-difference geometry and phases, and ``candidate_baseline`` turns a
 candidate back into the baseline that evidence is compared against.
 
@@ -250,14 +252,15 @@ def ldl_decompose(cov):
     return chol / s, s * s
 
 
-def _gauss_reduce(rows, zt, floats):
+def _gauss_reduce(rows, zt, floats, swap=None):
     """Make all strictly-lower entries of the factor at most 1/2 in magnitude.
 
     ``rows`` are the rows of the unit lower-triangular factor, ``zt`` the
     rows of the accumulated transform ``Z^T`` and ``floats`` the float
     vector, all Python lists, updated in place.  Applies integer row
     combinations, ``row[k] - mu * row_j[k]``, and mirrors them on ``zt`` and
-    ``floats``.  Returns True if any entry changed.
+    ``floats``.  Returns True if it left an entry that still rounds to
+    nonzero: an exact half, which every later screen flips again.
 
     An entry ``x`` rounds to zero exactly when ``x + 0.5 < 1`` and
     ``x - 0.5 > -1``, the additions ``_round_scalar`` itself makes
@@ -265,11 +268,23 @@ def _gauss_reduce(rows, zt, floats):
     to 1), so such entries are skipped without rounding.  Integer updates
     are exact; the caller's conversion to a fixed-width integer array
     raises ``OverflowError`` where an array update would have wrapped.
+
+    With ``swap = j`` the factor must have been reduced, with nothing left
+    to flip, before a swap of components ``j`` and ``j + 1``.  Only the
+    entries that the swap rewrote can then round to nonzero: entry
+    ``(j + 1, j)`` and columns ``j`` and ``j + 1`` of the rows below it.
+    Those are screened, plus the rest of any row a reduction touched, in
+    the order of the full screen, which would change nothing else.
     """
-    changed = False
-    for i in range(1, len(rows)):
+    first, top, floor = (1, len(rows), 0) if swap is None else (
+        swap + 1, swap + 1, swap)
+    tied = False
+    for i in range(first, len(rows)):
         row = rows[i]
-        for j in range(i - 1, -1, -1):
+        touched = False
+        for j in range(min(i - 1, top), -1, -1):
+            if j < floor and not touched:
+                break
             x = row[j]
             if x + 0.5 < 1.0 and x - 0.5 > -1.0:
                 continue
@@ -277,8 +292,10 @@ def _gauss_reduce(rows, zt, floats):
             row[:j + 1] = [a - mu * b for a, b in zip(row, rows[j][:j + 1])]
             zt[i] = [a - mu * b for a, b in zip(zt[i], zt[j])]
             floats[i] -= mu * floats[j]
-            changed = True
-    return changed
+            touched = True
+            x = row[j]
+            tied = tied or not (x + 0.5 < 1.0 and x - 0.5 > -1.0)
+    return tied
 
 
 def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
@@ -301,10 +318,14 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     unless a decision lies within rounding of its tie (an entry built from
     exact halves can land on one).  ``L``, ``d`` and the covariance agree
     with that re-factorization to rounding only, and lie closer to the
-    exact factor.  Each sweep screens every lower entry again;
-    ``_gauss_reduce`` skips, without rounding, the entries that round to
-    zero, which are most of them.  The factor lives in Python lists, which
-    beat array calls at these sizes, and becomes arrays once, at the end.
+    exact factor.  After the first screen of every lower entry, a swap at
+    ``j`` is followed by a screen of only the entries it rewrote (a full
+    one while an exact half is left, as that flips on every screen), and
+    the next swap test starts at pair ``j - 1``, since the pairs before it
+    did not change.  ``_gauss_reduce`` skips, without rounding, the entries
+    that round to zero, which are most of them.  The factor lives in Python
+    lists, which beat array calls at these sizes, and becomes arrays once,
+    at the end.
 
     Parameters
     ----------
@@ -328,12 +349,13 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     # Rows of `zt` accumulate Z^T so that floats_z = zt @ floats_original.
     zt = [[int(i == k) for k in range(n)] for i in range(n)]
 
+    tied = _gauss_reduce(rows, zt, floats)
+    start = 0
     max_sweeps = 10000
     for _ in range(max_sweeps):
-        _gauss_reduce(rows, zt, floats)
         # Find the first adjacent pair whose swap lowers the pair's leading
         # conditional variance: new_d[j] = d[j+1] + l^2 d[j] < d[j].
-        for j in range(n - 1):
+        for j in range(start, n - 1):
             lj = rows[j + 1][j]
             d_lead = d[j + 1] + lj * lj * d[j]
             if d_lead < d[j] * (1.0 - 1e-12):
@@ -351,6 +373,8 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
             row[j], row[j + 1] = l_new * a + eta * b, a - lj * b
         zt[j], zt[j + 1] = zt[j + 1], zt[j]
         floats[j], floats[j + 1] = floats[j + 1], floats[j]
+        tied = _gauss_reduce(rows, zt, floats, None if tied else j)
+        start = max(j - 1, 0)
     else:  # pragma: no cover - safety stop
         raise RuntimeError("decorrelation did not converge")
 
@@ -372,12 +396,11 @@ def _integer_inverse(z_matrix):
     space.
 
     The transform is unimodular, so the inverse is exactly integer; the
-    float inverse is rounded and verified.
+    float inverse is rounded and checked exactly in integers.
     """
-    z_matrix = np.asarray(z_matrix)
-    inv = np.linalg.inv(z_matrix.T.astype(float))
-    inv_int = round_half_away(inv)
-    if not np.allclose(inv_int.astype(float) @ z_matrix.T.astype(float), np.eye(z_matrix.shape[0])):
+    zt = np.asarray(z_matrix, dtype=np.int64).T
+    inv_int = round_half_away(np.linalg.inv(zt.astype(float)))
+    if not np.array_equal(inv_int @ zt, np.eye(len(zt), dtype=np.int64)):
         raise ValueError("transform is not unimodular")
     return inv_int
 
@@ -419,8 +442,9 @@ def success_rate(diag, subset_size=None, s_coefficient=1.0, gamma=1.0) -> float:
     Evaluates ``prod_i sqrt(1 - exp(-S**gamma / (8 d_i**2)))`` over the first
     ``subset_size`` conditional variances.  With ``s_coefficient = 1`` this is
     the plain bootstrap success probability; an external-evidence factor
-    ``S < 1`` tightens the effective variances and lowers the probability,
-    scaled by ``gamma`` (typically ``1/m`` for a subset of size ``m``).
+    ``S < 1`` widens each effective ``d_i`` to ``d_i / S**(gamma/2)`` and
+    so lowers the probability, scaled by ``gamma`` (typically ``1/m`` for a
+    subset of size ``m``).
 
     Parameters
     ----------
@@ -464,69 +488,6 @@ def discrimination_test(cost_best, cost_second) -> bool:
     if cost_best == 0.0:
         return cost_second > 0.0 and not math.isclose(cost_second, 0.0)
     return (cost_second / cost_best) > KAPPA_DISCRIMINATION
-
-
-# ---------------------------------------------------------------------------
-# Conditional tree enumeration
-# ---------------------------------------------------------------------------
-
-def _enumerate(dist: AmbiguityDistribution, bound, leaf, leaf_budget=None):
-    """Depth-first walk over every integer vector whose covariance-weighted
-    distance from the floats stays within ``bound()``.
-
-    ``bound`` is re-read at every node, so ``leaf`` may shrink it as
-    candidates arrive.  ``leaf(vector, distance)`` is called for each
-    in-bound leaf; ``vector`` is reused by the walk, so copy it to keep it.
-    With ``leaf_budget`` the walk stops after that many leaves.
-
-    Returns
-    -------
-    bool
-        True when the budget stopped the walk with an in-bound candidate
-        left unvisited.
-    """
-    n = dist.size
-    lower = dist.lower
-    diag = dist.diag
-    floats = dist.floats
-    cand = np.zeros(n, dtype=np.int64)
-    budget = math.inf if leaf_budget is None else leaf_budget
-    exhausted = False
-
-    def descend(level, partial_cost, corrections):
-        nonlocal budget, exhausted
-        # Conditional center at this level, given the committed residuals of
-        # shallower levels: residuals equal the forward-substitution variable
-        # y = L^-1 (cand - floats), so cost accumulates y_i^2 / d_i exactly.
-        center = floats[level] + corrections[level]
-        base = _round_scalar(center)
-        toward = 1 if center - base >= 0.0 else -1
-        # Enumerate base, base+t, base-t, base+2t, base-2t, ... which is
-        # sorted by |cand - center| when t points toward the fractional side,
-        # so the first bound violation prunes the whole remainder exactly.
-        rank = 0
-        while True:
-            step = (rank + 1) // 2
-            cand_i = base + toward * (step if rank % 2 == 1 else -step)
-            rank += 1
-            resid = cand_i - center
-            cost_here = partial_cost + resid * resid / diag[level]
-            if cost_here > bound() + 1e-12:
-                break
-            if budget <= 0:
-                exhausted = True
-                break
-            cand[level] = cand_i
-            if level == n - 1:
-                budget -= 1
-                leaf(cand, cost_here)
-            else:
-                new_corr = corrections.copy()
-                new_corr[level + 1:] += lower[level + 1:, level] * resid
-                descend(level + 1, cost_here, new_corr)
-
-    descend(0, 0.0, np.zeros(n))
-    return exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +606,8 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
 
 
 def _constraint_cost(ctx, z_matrix):
-    """Penalties of stacked decorrelated candidates (m, n), as a function
-    returning a list of m floats.
+    """Penalties of m decorrelated candidates (an (m, n) array or a list
+    of m integer lists), as a function returning a list of m floats.
 
     Each candidate goes back to the original space through the integer
     inverse of ``z_matrix`` and into the baseline it implies, with the
@@ -667,6 +628,7 @@ def _constraint_cost(ctx, z_matrix):
     rhs_known = lam * phases
 
     def costs(cands):
+        cands = np.asarray(cands, dtype=np.int64)
         rhs = np.repeat(rhs_known[np.newaxis], len(cands), axis=0)
         rhs[:, free] = lam * (free_phases - cands @ z_inverse.T)
         # (3, 1) right-hand sides keep one LAPACK solve per candidate, the
@@ -692,49 +654,112 @@ def _constraint_cost(ctx, z_matrix):
 # Integer least-squares search, plain or with the sensor penalty
 # ---------------------------------------------------------------------------
 
+def _zigzag(center):
+    """Integers in order of distance from ``center``: the nearest first,
+    then alternately one step further on its side of ``center`` and on the
+    other (Schnorr & Euchner 1994)."""
+    base = _round_scalar(center)
+    toward = 1 if center - base >= 0.0 else -1
+    yield base
+    step = 1
+    while True:
+        yield base + toward * step
+        yield base - toward * step
+        step += 1
+
+
 def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
     """Exact two best integer vectors of distance plus penalty.
 
-    ``penalty(cands)`` maps stacked candidates (m, n) to m non-negative
-    floats.  A candidate can beat the runner-up only if its distance alone
-    stays below the runner-up's total cost, so the enumeration is pruned
-    there and the best vector and the runner-up are both exact, unless
-    the enumeration stops at its leaf budget.
+    ``penalty(cands)`` maps a sequence of m integer vectors to m
+    non-negative floats.  One depth-first pass visits the conditional tree
+    with each level's integers in :func:`_zigzag` order, so a level's
+    distances never decrease and the first one past the bound ends the
+    level.  The bound starts infinite, so the first leaf is the bootstrap
+    path; once two candidates are in, it is the runner-up's total.  A
+    candidate can beat the runner-up only if its distance alone stays
+    within that total, so the best vector and the runner-up are both exact,
+    unless the pass stops at its leaf budget.
+
+    At the last level the in-bound siblings (while the bound is infinite,
+    only as many as are missing) are priced with one ``penalty`` call, which
+    prices each candidate independently of the others, and then admitted in
+    order against the shrinking bound and the leaf budget.  The walk works
+    on Python lists; its center, residual and distance arithmetic is the
+    scalar form of the conditional update ``c[k] += L[k, l] * resid``.
     """
-    def price(cands):
-        return [d + p for d, p in
-                zip(dist.mahalanobis(cands).tolist(), penalty(cands))]
+    n = dist.size
+    last = n - 1
+    floats = dist.floats.tolist()
+    diag = dist.diag.tolist()
+    # Column l of the factor below the diagonal.
+    below = [dist.lower[level + 1:, level].tolist() for level in range(n)]
+    cand = [0] * n
+    best = []  # at most two (total, vector), cheapest first
+    bound = math.inf
+    budget = 20_000
+    exhausted = False
 
-    boot = bootstrap(dist)
-    [cost_boot] = price(boot[np.newaxis])
+    def leaves(partial, center, d_last):
+        nonlocal bound, budget, exhausted
+        values = _zigzag(center)
+        value = next(values)
+        while True:
+            room = budget if len(best) == 2 else min(budget, 2 - len(best))
+            batch = []
+            while True:
+                resid = value - center
+                distance = partial + resid * resid / d_last
+                if distance > bound + 1e-12 or len(batch) == room:
+                    break
+                batch.append((value, distance))
+                value = next(values)
+            if not batch:
+                # An in-bound leaf left over means the budget ran out.
+                exhausted = exhausted or distance <= bound + 1e-12
+                return
+            head = cand[:last]
+            totals = penalty([head + [v] for v, _ in batch])
+            for (v, distance), pen in zip(batch, totals):
+                if distance > bound + 1e-12:
+                    return
+                budget -= 1
+                best.append((distance + pen, (*head, v)))
+                best.sort(key=lambda t: t[0])
+                del best[2:]
+                if len(best) == 2:
+                    bound = best[1][0]
 
-    # Two best candidates found so far (total cost, tuple).
-    best: list[tuple[float, tuple]] = []
+    def descend(level, partial, corrections):
+        nonlocal exhausted
+        # Conditional center given the residuals committed at shallower
+        # levels; ``corrections`` holds them for this level and deeper.
+        center = floats[level] + corrections[0]
+        if level == last:
+            leaves(partial, center, diag[level])
+            return
+        column, deeper = below[level], corrections[1:]
+        for value in _zigzag(center):
+            resid = value - center
+            cost = partial + resid * resid / diag[level]
+            if cost > bound + 1e-12:
+                return
+            if budget <= 0:
+                exhausted = True
+                return
+            cand[level] = value
+            descend(level + 1, cost,
+                    [c + a * resid for c, a in zip(deeper, column)])
 
-    def consider(cand, distance):
-        nonlocal bound
-        best.append((distance + penalty(cand[np.newaxis])[0], tuple(cand)))
-        best.sort(key=lambda t: t[0])
-        del best[2:]
-        if len(best) == 2:
-            bound = best[1][0]
+    descend(0, 0.0, [0.0] * n)
 
-    # Widen the admission radius until two candidates fall inside (the
-    # bootstrap vector always does); the radius grows geometrically, so
-    # this ends.  From then on the runner-up bound keeps it exact.
-    width = 2.0
-    while len(best) < 2:
-        best.clear()
-        bound = cost_boot + width
-        exhausted = _enumerate(dist, lambda: bound, consider,
-                               leaf_budget=20_000)
-        width = 2.0 * width + 1.0
-
-    # Price the survivors as the bootstrap is priced, so that
+    # The bootstrap vector and the survivors are priced alike, so that
     # S = cost_best / cost_init is exactly one when the bootstrap wins.
-    survivors = np.array([v for _, v in best], dtype=np.int64)
-    (c1, v1), (c2, v2) = sorted(zip(price(survivors), survivors),
-                                key=lambda t: t[0])
+    vectors = np.array([bootstrap(dist)] + [v for _, v in best],
+                       dtype=np.int64)
+    cost_boot, *costs = [d + p for d, p in zip(
+        dist.mahalanobis(vectors).tolist(), penalty(vectors))]
+    (c1, v1), (c2, v2) = sorted(zip(costs, vectors[1:]), key=lambda t: t[0])
     return IntegerSearchResult(
         best=v1, second_best=v2, cost_best=c1, cost_second=c2,
         cost_init=cost_boot, success_prob=success_rate(dist.diag),
@@ -746,11 +771,12 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
 def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
     """Integer least-squares search for the two best integer vectors.
 
-    Minimizes the covariance-weighted squared distance from the floats.
-    The search radius starts at the bootstrap cost plus two and shrinks to
-    the runner-up's cost as candidates arrive, so the best vector and the
-    runner-up are exact unless the leaf budget it shares with
-    :func:`constrained_search` stops it (``budget_exhausted``).
+    Minimizes the covariance-weighted squared distance from the floats in
+    one depth-first pass whose bound starts infinite (the first leaf is the
+    bootstrap vector) and, once two candidates are in, shrinks to the
+    runner-up's cost, so the best vector and the runner-up are exact
+    unless the leaf budget it shares with :func:`constrained_search` stops
+    it (``budget_exhausted``).
     """
     return _search(dist, _constraint_cost(None, dist.z_matrix))
 
@@ -764,7 +790,7 @@ def constrained_search(dist: AmbiguityDistribution,
     plus ``penalty_cost``.  An external observable carves a curved valley
     into the cost surface (the candidates whose implied baseline matches
     the measured range form a shell crossing the lattice obliquely), so the
-    two best totals can sit far from the bootstrap; the enumeration finds
+    two best totals can sit far from the bootstrap; the search finds
     them, bounded by the runner-up's total.  With ``ctx`` None, or every
     observable disabled, the result is the classical one.
 

@@ -185,11 +185,12 @@ def test_inverse_transform_roundtrip():
 
 def _reference_gauss_reduce(lower, transform, floats, margins=None):
     """The full scalar pass: every strictly-lower entry is rounded and any
-    nonzero multiple is subtracted from the array row at once.  If
-    ``margins`` is a list, each screened entry's distance from a tie
-    (a half-integer) is appended to it."""
+    nonzero multiple is subtracted from the array row at once.  Returns
+    True if a reduced entry still rounds to nonzero.  If ``margins`` is a
+    list, each screened entry's distance from a tie (a half-integer) is
+    appended to it."""
     n = lower.shape[0]
-    changed = False
+    tied = False
     for i in range(1, n):
         for j in range(i - 1, -1, -1):
             x = lower[i, j]
@@ -200,8 +201,8 @@ def _reference_gauss_reduce(lower, transform, floats, margins=None):
                 lower[i, : j + 1] -= mu * lower[j, : j + 1]
                 transform[i, :] -= mu * transform[j, :]
                 floats[i] -= mu * floats[j]
-                changed = True
-    return changed
+                tied = tied or _round_scalar(lower[i, j]) != 0
+    return tied
 
 
 def _reference_decorrelate(dist, margins=None):
@@ -420,6 +421,70 @@ def conditioned_inputs(draw):
 @example(AmbiguityDistribution([0.3, -1.2], np.diag([1.0, 1e-8])))
 def test_decorrelate_swap_update_keeps_a_valid_factor(dist):
     _assert_matches_reference(dist, decorrelate(dist))
+
+
+def _full_screen_decorrelate(dist):
+    """``decorrelate``'s swap update on the schedule without the re-screen:
+    every sweep screens every lower entry and tests every pair from the
+    first.  Returns Z, L, d and the floats as arrays."""
+    n = dist.size
+    rows, d = dist.lower.tolist(), dist.diag.tolist()
+    floats = dist.floats.tolist()
+    zt = np.eye(n, dtype=np.int64).tolist()
+    while True:
+        iar._gauss_reduce(rows, zt, floats)
+        for j in range(n - 1):
+            lj = rows[j + 1][j]
+            d_lead = d[j + 1] + lj * lj * d[j]
+            if d_lead < d[j] * (1.0 - 1e-12):
+                break
+        else:
+            return (np.array(zt, dtype=np.int64).T, np.array(rows),
+                    np.array(d), np.array(floats))
+        first, second = rows[j], rows[j + 1]
+        l_new = lj * d[j] / d_lead
+        eta = d[j + 1] / d_lead
+        d[j], d[j + 1] = d_lead, eta * d[j]
+        first[:j], second[:j] = second[:j], first[:j]
+        second[j] = l_new
+        for row in rows[j + 2:]:
+            a, b = row[j], row[j + 1]
+            row[j], row[j + 1] = l_new * a + eta * b, a - lj * b
+        zt[j], zt[j + 1] = zt[j + 1], zt[j]
+        floats[j], floats[j + 1] = floats[j + 1], floats[j]
+
+
+@st.composite
+def exact_half_inputs(draw):
+    """Factors with entries on a grid of quarters and halves, and
+    power-of-two conditional variances: exact halves survive the swaps
+    and reductions, so a screen meets them again and again."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    entries = draw(st.lists(
+        st.sampled_from((0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5)),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    diag = [2.0 ** k for k in draw(st.lists(
+        st.integers(min_value=-4, max_value=2), min_size=n, max_size=n))]
+    return _unit_lower_dist(entries, diag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exact_half_inputs(), decorrelation_inputs()))
+# Each input below tells one shortcut of the re-screen from the full one:
+# a half left after a swap needs the full screen; a reduction needs the
+# rest of its row screened; the swap test must resume at pair j - 1.
+@example(_unit_lower_dist([0.25, 0.0, -1.0, 0.5, -0.5, 1.0],
+                          [4.0, 0.125, 0.25, 4.0]))
+@example(_unit_lower_dist([-0.5, 0.0, -0.25, 1.0, 1.0, -1.0],
+                          [4.0, 4.0, 0.125, 0.0625]))
+@example(_unit_lower_dist(
+    [0.25, 1.0, 1.5, 0.25, 1.0, -0.5, 1.5, -0.5, 0.25, -1.0, -0.5, -1.5,
+     -1.5, -1.0, -0.5], [0.5, 0.125, 0.0625, 2.0, 0.0625, 0.125]))
+def test_decorrelate_rescreen_matches_the_full_screen_bit_for_bit(dist):
+    got = decorrelate(dist)
+    want = _full_screen_decorrelate(dist)
+    for name, ref in zip(("z_matrix", "lower", "diag", "floats"), want):
+        assert _same_bits(getattr(got, name), ref), name
 
 
 def _gauss_reduce_outcome(reduce, lower, transform, floats):
@@ -849,7 +914,8 @@ def test_constrained_search_beats_classical_when_floats_are_bad():
 
 def test_constrained_search_runner_up_off_the_integers():
     # Floats exactly on integers with tiny covariance: every other vector is
-    # far outside the first radius, which widens until a runner-up is in.
+    # far from the floats, and the pass, whose bound starts infinite, still
+    # returns the nearest of them as the runner-up.
     q = 1e-6 * np.eye(2)
     dist = AmbiguityDistribution([4.0, -2.0], q)
     res = constrained_search(dist, None)
@@ -858,17 +924,82 @@ def test_constrained_search_runner_up_off_the_integers():
     assert res.cost_second > res.cost_best
 
 
-@pytest.mark.parametrize("sensors", [(True, True), (True, False),
-                                     (False, True)])
+SENSOR_COMBINATIONS = ((True, True), (True, False), (False, True),
+                       (False, False))
+
+
+def _noisy_sensor_context(rng, geometry, phases, baseline, lam, n, sensors):
+    """Range and bearing of ``baseline`` with noise at their sigmas (5 cm,
+    200 urad), over DD rows of which the first ``n`` are searched."""
+    rho = float(np.linalg.norm(baseline))
+    return ConstraintContext(
+        observed_range=rho + float(rng.normal(scale=0.05)),
+        observed_azimuth=math.asin(baseline[1] / rho)
+        + float(rng.normal(scale=200e-6)),
+        observed_elevation=math.atan2(baseline[0], baseline[2])
+        + float(rng.normal(scale=200e-6)),
+        sigma_range=0.05, sigma_azimuth=200e-6, sigma_elevation=200e-6,
+        geometry=geometry, ddcp_phases=phases, dcm_eci_to_sensor=np.eye(3),
+        wavelength=lam, range_enabled=sensors[0], bearing_enabled=sensors[1],
+        free_rows=np.arange(n))
+
+
+def _total_cost(dist, ctx):
+    """The constrained objective in the original space, priced with the
+    public ``candidate_baseline`` and ``penalty_cost``; the rows past the
+    searched ones carry known integers, already taken out of the phases."""
+    known = np.zeros(len(ctx.ddcp_phases) - dist.size, dtype=np.int64)
+
+    def total(cand):
+        b = candidate_baseline(ctx.geometry, ctx.ddcp_phases,
+                               np.concatenate([cand, known]), ctx.wavelength)
+        rho = ctx.dcm_eci_to_sensor @ b
+        r = float(np.linalg.norm(rho))
+        return dist.mahalanobis(cand) + penalty_cost(
+            r, math.asin(rho[1] / r), math.atan2(rho[0], rho[2]), ctx)
+
+    return total
+
+
+def _assert_two_best_match_brute_force(dist, ctx):
+    """The constrained search of the decorrelated problem returns the two
+    best vectors of a box oracle whose box provably holds them; returns
+    the search result."""
+    dz = decorrelate(dist)
+    res = constrained_search(dz, ctx)
+    # A vector outside the box is more than radius + 1/2 cycles off the
+    # floats on some axis, so its distance alone exceeds (radius + 1/2)^2
+    # over the largest eigenvalue: the box is sized to put that above the
+    # runner-up's total, and the oracle's own runner-up is checked too.
+    lam_max = np.linalg.eigvalsh(dist.covariance)[-1]
+    radius = max(1, math.ceil(math.sqrt(1.01 * res.cost_second * lam_max)
+                              - 0.5))
+    total = _total_cost(dist, ctx)
+    bf_best, bf_second, bf_c1, bf_c2 = brute_force_two_best(dist, radius,
+                                                            total)
+    assert (radius + 0.5) ** 2 / lam_max > bf_c2
+    best = inverse_transform(dz.z_matrix, res.best)
+    second = inverse_transform(dz.z_matrix, res.second_best)
+    assert not np.array_equal(best, second)
+    # Only a tie (floats on an integer, no penalty) may swap in another
+    # vector than the oracle's; it must then cost the same to rounding.
+    for got, want, cost in ((best, bf_best, bf_c1),
+                            (second, bf_second, bf_c2)):
+        if not np.array_equal(got, want):
+            assert math.isclose(total(got), cost, rel_tol=1e-12), (got, want)
+    assert res.cost_best <= res.cost_second
+    assert math.isclose(res.cost_best, bf_c1, rel_tol=1e-9)
+    assert math.isclose(res.cost_second, bf_c2, rel_tol=1e-9)
+    return res
+
+
+@pytest.mark.parametrize("sensors", SENSOR_COMBINATIONS[:3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_constrained_search_two_best_match_brute_force(n, sensors):
-    # The oracle ranks a box of candidates by the total cost, priced with
-    # the public candidate_baseline and penalty_cost in the original space;
-    # two more rows carry known integers.  The floats are off by a few
-    # tenths of a cycle, so the penalty moves the best vector or the
-    # runner-up away from the classical ones on some draws.
+    # The floats are off by a few tenths of a cycle, so the penalty moves
+    # the best vector or the runner-up away from the classical ones on some
+    # draws; two more rows carry known integers.
     lam = 0.19029367
-    radius = 3
     for seed in range(4):
         rng = RNG(1000 * n + seed)
         g, phases, truth, baseline = make_geometry_problem(
@@ -877,40 +1008,77 @@ def test_constrained_search_two_best_match_brute_force(n, sensors):
         dist = AmbiguityDistribution(
             truth[:n] + rng.normal(scale=0.4, size=n),
             random_spd(rng, n, scale=0.1 ** 2 / n))
-        rho = float(np.linalg.norm(baseline))
-        ctx = ConstraintContext(
-            observed_range=rho + float(rng.normal(scale=0.05)),
-            observed_azimuth=math.asin(baseline[1] / rho)
-            + float(rng.normal(scale=200e-6)),
-            observed_elevation=math.atan2(baseline[0], baseline[2])
-            + float(rng.normal(scale=200e-6)),
-            sigma_range=0.05, sigma_azimuth=200e-6, sigma_elevation=200e-6,
-            geometry=g, ddcp_phases=phases, dcm_eci_to_sensor=np.eye(3),
-            wavelength=lam, range_enabled=sensors[0],
-            bearing_enabled=sensors[1], free_rows=np.arange(n))
-
-        def total(cand):
-            b = candidate_baseline(g, phases, np.concatenate([cand, [0, 0]]),
-                                   lam)
-            r = float(np.linalg.norm(b))
-            return dist.mahalanobis(cand) + penalty_cost(
-                r, math.asin(b[1] / r), math.atan2(b[0], b[2]), ctx)
-
-        bf_best, bf_second, bf_c1, bf_c2 = brute_force_two_best(
-            dist, radius, total)
-        # A vector outside the box is more than radius + 1/2 cycles off the
-        # floats on some axis, so its distance alone exceeds the runner-up's.
-        assert (radius + 0.5) ** 2 / np.linalg.eigvalsh(
-            dist.covariance)[-1] > bf_c2
-        dz = decorrelate(dist)
-        res = constrained_search(dz, ctx)
-        np.testing.assert_array_equal(
-            inverse_transform(dz.z_matrix, res.best), bf_best)
-        np.testing.assert_array_equal(
-            inverse_transform(dz.z_matrix, res.second_best), bf_second)
+        ctx = _noisy_sensor_context(rng, g, phases, baseline, lam, n, sensors)
+        res = _assert_two_best_match_brute_force(dist, ctx)
         assert res.cost_best < res.cost_second
-        assert math.isclose(res.cost_best, bf_c1, rel_tol=1e-9)
-        assert math.isclose(res.cost_second, bf_c2, rel_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4),
+       sensors=st.sampled_from(SENSOR_COMBINATIONS),
+       error=st.floats(min_value=0.0, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_search_two_best_match_brute_force_for_float_errors_to_two_sigma(
+        n, sensors, error, seed):
+    # Floats ``error`` times a draw of their own covariance off the truth,
+    # as the benchmark problems draw them, under every sensor combination
+    # (none of them: the classical objective).
+    lam = 0.19029367
+    rng = RNG(seed)
+    g, phases, truth, baseline = make_geometry_problem(
+        rng, n_rows=n + 2, wavelength=lam)
+    phases[n:] -= truth[n:]
+    cov = random_spd(rng, n, scale=0.1 ** 2 / n)
+    floats = truth[:n] + error * (np.linalg.cholesky(cov) @ rng.normal(size=n))
+    ctx = _noisy_sensor_context(rng, g, phases, baseline, lam, n, sensors)
+    _assert_two_best_match_brute_force(AmbiguityDistribution(floats, cov), ctx)
+
+
+def test_constrained_search_runner_up_beyond_the_bootstrap_radius():
+    # n = 2 problem 0 of the benchmark's problem set 13 with float errors
+    # drawn at 0.7 sigma.  The runner-up's distance alone lies far past
+    # the bootstrap cost, and a search that pruned there while it had
+    # fewer than two candidates returned a runner-up at 124.92 instead.
+    geometry = np.array([
+        [-0.5386788116101133, -1.2302853152084365, -0.17582515439962754],
+        [-0.40793568803070857, -0.019250931556393014, 0.7344195151425903],
+        [0.8074056412242988, -0.16549024414220126, 0.5802493496603283],
+        [0.24931390975523027, 0.10656278052533696, 0.2937796668061573],
+        [0.27125195778622135, -0.6650658678221841, -0.45670390334977284],
+        [-0.7402922485420921, -0.7734441868626096, -0.045360211658497906],
+        [-0.1991637354315009, -0.8185199165103233, -0.4493120184442271],
+        [-0.8772976287291452, -0.880895575112685, 0.2502361751309744],
+        [0.7834261681763471, -0.37324541774965003, -0.02473121693330349],
+        [0.30924442783052103, -0.6927399890944114, -0.45387189779746384]])
+    phases = np.array([
+        -777.1312023737805, 65533.10414042194, 2962.606515689059,
+        816.5265515439067, 574.2956576252338, 2311.4704788038275,
+        1027.9137706719227, 3784.696431239315, 1343.9849943510878,
+        687.7707958490358])
+    dcm = np.array([
+        [0.7745331327410225, -0.45103829608274393, -0.4434668891283233],
+        [0.6312142134485883, 0.5963969173516361, 0.49586221242795414],
+        [0.04082943823832774, -0.6639843164113447, 0.7466309560505121]])
+    ctx = ConstraintContext(
+        observed_range=978.635953507332,
+        observed_azimuth=-0.0007177296284945023,
+        observed_elevation=0.0001664056868543441,
+        sigma_range=0.020842207200213535,
+        sigma_azimuth=0.00048487323539326394,
+        sigma_elevation=0.00048487323539326394,
+        geometry=geometry, ddcp_phases=phases, dcm_eci_to_sensor=dcm,
+        wavelength=0.19029367279836487, free_rows=np.arange(2))
+    dist = AmbiguityDistribution(
+        [-4189.863319543286, 62733.15989552169],
+        [[0.010088831625298725, 0.004917994172027566],
+         [0.004917994172027566, 0.009911168374701278]])
+    res = _assert_two_best_match_brute_force(dist, ctx)
+    z = decorrelate(dist).z_matrix
+    np.testing.assert_array_equal(inverse_transform(z, res.best),
+                                  [-4190, 62733])
+    np.testing.assert_array_equal(inverse_transform(z, res.second_best),
+                                  [-4189, 62733])
+    assert res.cost_best < 3.1 and 121.9 < res.cost_second < 122.0
 
 
 def _wide_range_problem(baseline_sigma):
