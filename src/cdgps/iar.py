@@ -25,6 +25,11 @@ candidate, and it prices with the arithmetic of ``candidate_baseline`` done
 row by row.  Scalars are rounded with ``math.floor``/``math.ceil``;
 ``round_half_away`` serves arrays.
 
+The stages around the search work on Python scalars as well: the swap loop
+of ``decorrelate``, ``bootstrap``, ``success_rate`` and ``partial_resolve``,
+which scores every subset size from one ordering, with a running product of
+success terms and subset distances from one Cholesky factor.
+
 All ambiguities are in units of carrier cycles; covariances in cycles^2.
 """
 
@@ -319,11 +324,12 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     exact halves can land on one).  ``L``, ``d`` and the covariance agree
     with that re-factorization to rounding only, and lie closer to the
     exact factor.  After the first screen of every lower entry, a swap at
-    ``j`` is followed by a screen of only the entries it rewrote (a full
-    one while an exact half is left, as that flips on every screen), and
-    the next swap test starts at pair ``j - 1``, since the pairs before it
-    did not change.  ``_gauss_reduce`` skips, without rounding, the entries
-    that round to zero, which are most of them.  The factor lives in Python
+    ``j`` tests the entries it rewrote as it writes them and screens only
+    those, and only if one of them rounds to nonzero (a full screen while
+    an exact half is left, as that flips on every screen); the next swap
+    test starts at pair ``j - 1``, since the pairs before it did not
+    change.  ``_gauss_reduce`` skips, without rounding, the entries that
+    round to zero, which are most of them.  The factor lives in Python
     lists, which beat array calls at these sizes, and becomes arrays once,
     at the end.
 
@@ -347,7 +353,7 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
     d = dist.diag.tolist()
     floats = dist.floats.tolist()
     # Rows of `zt` accumulate Z^T so that floats_z = zt @ floats_original.
-    zt = [[int(i == k) for k in range(n)] for i in range(n)]
+    zt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
     tied = _gauss_reduce(rows, zt, floats)
     start = 0
@@ -368,12 +374,19 @@ def decorrelate(dist: AmbiguityDistribution) -> AmbiguityDistribution:
         d[j], d[j + 1] = d_lead, eta * d[j]
         first[:j], second[:j] = second[:j], first[:j]
         second[j] = l_new
+        # Whether every entry the swap rewrote rounds to zero, by the test
+        # `_gauss_reduce` screens with.
+        reduced = l_new + 0.5 < 1.0 and l_new - 0.5 > -1.0
         for row in rows[j + 2:]:
             a, b = row[j], row[j + 1]
-            row[j], row[j + 1] = l_new * a + eta * b, a - lj * b
+            row[j] = x = l_new * a + eta * b
+            row[j + 1] = y = a - lj * b
+            reduced = (reduced and x + 0.5 < 1.0 and x - 0.5 > -1.0
+                       and y + 0.5 < 1.0 and y - 0.5 > -1.0)
         zt[j], zt[j + 1] = zt[j + 1], zt[j]
         floats[j], floats[j + 1] = floats[j + 1], floats[j]
-        tied = _gauss_reduce(rows, zt, floats, None if tied else j)
+        if tied or not reduced:
+            tied = _gauss_reduce(rows, zt, floats, None if tied else j)
         start = max(j - 1, 0)
     else:  # pragma: no cover - safety stop
         raise RuntimeError("decorrelation did not converge")
@@ -425,15 +438,16 @@ def bootstrap(dist: AmbiguityDistribution) -> np.ndarray:
     -------
     ndarray of int, shape (n,)
     """
-    cond = dist.floats.astype(float).copy()
-    fixed = np.zeros(dist.size, dtype=np.int64)
-    lower = dist.lower
-    for i in range(dist.size):
-        fixed[i] = _round_scalar(cond[i])
+    n = dist.size
+    cond = dist.floats.tolist()
+    lower = dist.lower.tolist()
+    fixed = []
+    for i in range(n):
+        fixed.append(_round_scalar(cond[i]))
         resid = cond[i] - fixed[i]
-        if i + 1 < dist.size:
-            cond[i + 1 :] -= lower[i + 1 :, i] * resid
-    return fixed
+        for k in range(i + 1, n):
+            cond[k] -= lower[k][i] * resid
+    return np.array(fixed, dtype=np.int64)
 
 
 def success_rate(diag, subset_size=None, s_coefficient=1.0, gamma=1.0) -> float:
@@ -462,18 +476,19 @@ def success_rate(diag, subset_size=None, s_coefficient=1.0, gamma=1.0) -> float:
     -------
     float in [0, 1]
     """
-    d = np.asarray(diag, dtype=float)
-    if subset_size is None:
-        subset_size = d.size
-    d = d[:subset_size]
-    s = min(max(float(s_coefficient), 1e-300), 1.0)
-    numer = s ** gamma
+    numer = min(max(float(s_coefficient), 1e-300), 1.0) ** gamma
     prob = 1.0
-    for di in d:
-        if di <= 0.0:
-            continue  # already-exact component contributes certainty
-        prob *= math.sqrt(max(1.0 - math.exp(-numer / (8.0 * di * di)), 0.0))
+    for di in np.asarray(diag, dtype=float)[:subset_size].tolist():
+        prob *= _success_term(numer, di)
     return prob
+
+
+def _success_term(numer, d):
+    """One factor ``sqrt(1 - exp(-numer / (8 d**2)))`` of
+    :func:`success_rate`, with ``numer = S**gamma``."""
+    if d <= 0.0:
+        return 1.0  # already-exact component contributes certainty
+    return math.sqrt(max(1.0 - math.exp(-numer / (8.0 * d * d)), 0.0))
 
 
 def discrimination_test(cost_best, cost_second) -> bool:
@@ -820,16 +835,22 @@ def constrained_search(dist: AmbiguityDistribution,
 # Partial resolution
 # ---------------------------------------------------------------------------
 
-def _prefix_cost(dist, order, m, vector):
-    """Covariance-weighted distance of a candidate restricted to a subset.
+def _prefix_distances(chol, residual):
+    """Squared covariance-weighted distance of every leading prefix of
+    ``residual``, from the lower Cholesky factor ``chol`` (rows as lists)
+    of its covariance.
 
-    Uses the marginal covariance of the ``m`` leading components in the given
-    order.
+    The leading block of the factor is the factor of the prefix's marginal
+    covariance, so forward substitution ``chol y = residual`` gives the
+    distance of prefix ``m`` as ``sum(y[:m] ** 2)``.
     """
-    idx = order[:m]
-    sub = dist.covariance[np.ix_(idx, idx)]
-    r = np.asarray(vector, dtype=float)[idx] - dist.floats[idx]
-    return float(r @ np.linalg.solve(sub, r))
+    y, out, total = [], [], 0.0
+    for row, r in zip(chol, residual):
+        yk = (r - sum(a * b for a, b in zip(row, y))) / row[len(y)]
+        y.append(yk)
+        total += yk * yk
+        out.append(total)
+    return out
 
 
 def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
@@ -849,42 +870,64 @@ def partial_resolve(dist: AmbiguityDistribution, result: IntegerSearchResult,
     plain acceptance test), appropriate when the search ran without
     external-sensor constraints.
 
+    All sizes are scored on Python scalars from one ordering.  With S = 1
+    the success rate of size ``m`` is a running product, the same terms in
+    the order :func:`success_rate` multiplies them; with S < 1 every term
+    changes with ``m``, so each size takes its own product.  The subset
+    distances of the discrimination test come from one Cholesky factor of
+    the reordered covariance, taken the first time a size needs them (the
+    sizes past the first component where the two candidates differ); they
+    agree with solving each size's marginal covariance to rounding.
+
     Returns
     -------
     PartialFix
         ``subset_size`` zero means nothing was accepted.  Component indices
         refer to the distribution's own (decorrelated) ordering.
+        ``success_prob`` is the modified success rate of the accepted size
+        (1 when nothing is accepted).
     """
     n = dist.size
     order = np.argsort(dist.diag, kind="stable")
+    diag = dist.diag[order].tolist()
 
     if use_shrink and result.cost_init > 0.0:
         shrink = min(max(result.cost_best / result.cost_init, 1e-300), 1.0)
     else:
         shrink = 1.0
 
-    accepted = 0
+    vectors = (result.best[order].tolist(), result.second_best[order].tolist())
+    differ = next((k for k, (a, b) in enumerate(zip(*vectors)) if a != b), n)
+    distances = None
+    accepted, success_prob, prob = 0, 1.0, 1.0
     for m in range(1, n + 1):
-        gamma = 1.0 / m
-        prob = success_rate(dist.diag[order], subset_size=m,
-                            s_coefficient=shrink, gamma=gamma)
+        if shrink == 1.0:
+            prob *= _success_term(1.0, diag[m - 1])
+        else:
+            numer = shrink ** (1.0 / m)
+            prob = 1.0
+            for dk in diag[:m]:
+                prob *= _success_term(numer, dk)
         if prob <= KAPPA_SUCCESS:
             break
-        if not np.array_equal(result.best[order[:m]], result.second_best[order[:m]]):
-            cb = _prefix_cost(dist, order, m, result.best)
-            cs = _prefix_cost(dist, order, m, result.second_best)
-            lo, hi = min(cb, cs), max(cb, cs)
-            if not discrimination_test(lo, hi):
+        if m > differ:
+            if distances is None:
+                chol = np.linalg.cholesky(
+                    dist.covariance[np.ix_(order, order)]).tolist()
+                floats = dist.floats[order].tolist()
+                distances = [_prefix_distances(
+                    chol, [v - f for v, f in zip(vec, floats)])
+                    for vec in vectors]
+            cb, cs = distances[0][m - 1], distances[1][m - 1]
+            if not discrimination_test(min(cb, cs), max(cb, cs)):
                 break
-        accepted = m
+        accepted, success_prob = m, prob
 
     idx = order[:accepted]
     return PartialFix(
         indices=np.asarray(idx, dtype=np.int64),
         values=np.asarray(result.best, dtype=np.int64)[idx],
         subset_size=accepted,
-        success_prob=success_rate(dist.diag[order], subset_size=accepted,
-                                  s_coefficient=shrink,
-                                  gamma=(1.0 / accepted) if accepted else 1.0),
+        success_prob=success_prob,
         shrink_factor=shrink,
     )

@@ -480,6 +480,13 @@ def exact_half_inputs(draw):
 @example(_unit_lower_dist(
     [0.25, 1.0, 1.5, 0.25, 1.0, -0.5, 1.5, -0.5, 0.25, -1.0, -0.5, -1.5,
      -1.5, -1.0, -0.5], [0.5, 0.125, 0.0625, 2.0, 0.0625, 0.125]))
+# In each input below the first screen leaves nothing to round and the swap
+# at pair 0 writes one entry, (1, 0), (2, 0) or (2, 1), to exactly +-1/2
+# and the others to entries that round to zero: the swap's own
+# round-to-zero test must still send it to the screen.
+@example(_unit_lower_dist([-0.25], [1.0, 0.4375]))
+@example(_unit_lower_dist([0.25, 0.375, 0.375], [0.125, 0.0625, 0.0625]))
+@example(_unit_lower_dist([0.25, 0.4375, -0.25], [0.125, 0.0625, 0.0625]))
 def test_decorrelate_rescreen_matches_the_full_screen_bit_for_bit(dist):
     got = decorrelate(dist)
     want = _full_screen_decorrelate(dist)
@@ -612,6 +619,41 @@ def test_bootstrap_beats_rounding_monte_carlo():
     for var in dz.diag:
         p_exact *= 2.0 * phi(0.5 / math.sqrt(var)) - 1.0
     assert abs(p_boot - p_exact) < 3.0 * math.sqrt(p_exact * (1 - p_exact) / n_trials) + 0.01
+
+
+def _reference_bootstrap(dist):
+    """Conditional rounding with NumPy slice updates of the remaining
+    conditional floats."""
+    cond = dist.floats.astype(float).copy()
+    fixed = np.zeros(dist.size, dtype=np.int64)
+    for i in range(dist.size):
+        fixed[i] = _round_scalar(cond[i])
+        resid = cond[i] - fixed[i]
+        if i + 1 < dist.size:
+            cond[i + 1:] -= dist.lower[i + 1:, i] * resid
+    return fixed
+
+
+@st.composite
+def bootstrap_inputs(draw):
+    """Random factors and floats, or quarter-grid factors with floats on
+    exact halves, whose conditional floats keep landing on rounding ties."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return AmbiguityDistribution(rng.normal(scale=20.0, size=n),
+                                     random_spd(rng, n, scale=0.05))
+    entries = rng.choice((0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0),
+                         size=n * (n - 1) // 2)
+    floats = rng.integers(-5, 6, size=n) + rng.choice((0.0, 0.5, -0.5), n)
+    return _unit_lower_dist(entries, np.full(n, 0.25), floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bootstrap_inputs())
+@example(_unit_lower_dist([0.5, -0.5, 0.25], [0.25] * 3, [0.5, -1.5, 2.5]))
+def test_bootstrap_matches_the_array_update_bit_for_bit(dist):
+    assert _same_bits(bootstrap(dist), _reference_bootstrap(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -1196,3 +1238,108 @@ def test_partial_resolve_discrimination_veto():
         assert ratio > 3.0
     else:
         assert fix.subset_size <= 1
+
+
+def _reference_partial_resolve(dist, result, use_shrink=True):
+    """Prefix by prefix: each size's success rate from ``success_rate``
+    and, where the candidates differ on the prefix, each candidate's
+    distance from a solve with that prefix's marginal covariance."""
+    n = dist.size
+    order = np.argsort(dist.diag, kind="stable")
+    if use_shrink and result.cost_init > 0.0:
+        shrink = min(max(result.cost_best / result.cost_init, 1e-300), 1.0)
+    else:
+        shrink = 1.0
+
+    def prefix_cost(m, vector):
+        idx = order[:m]
+        sub = dist.covariance[np.ix_(idx, idx)]
+        r = np.asarray(vector, dtype=float)[idx] - dist.floats[idx]
+        return float(r @ np.linalg.solve(sub, r))
+
+    accepted = 0
+    for m in range(1, n + 1):
+        prob = success_rate(dist.diag[order], subset_size=m,
+                            s_coefficient=shrink, gamma=1.0 / m)
+        if prob <= iar.KAPPA_SUCCESS:
+            break
+        if not np.array_equal(result.best[order[:m]],
+                              result.second_best[order[:m]]):
+            cb = prefix_cost(m, result.best)
+            cs = prefix_cost(m, result.second_best)
+            if not discrimination_test(min(cb, cs), max(cb, cs)):
+                break
+        accepted = m
+    idx = order[:accepted]
+    return iar.PartialFix(
+        indices=np.asarray(idx, dtype=np.int64),
+        values=np.asarray(result.best, dtype=np.int64)[idx],
+        subset_size=accepted,
+        success_prob=success_rate(dist.diag[order], subset_size=accepted,
+                                  s_coefficient=shrink,
+                                  gamma=(1.0 / accepted) if accepted else 1.0),
+        shrink_factor=shrink)
+
+
+@st.composite
+def partial_fix_inputs(draw):
+    """A float solution of n = 1-10 ambiguities with a covariance of
+    condition number up to 1e8, a best vector, and a runner-up that agrees
+    with it on a drawn number of the leading components in
+    conditional-variance order; the evidence factor S is 1 or below."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    scale = draw(st.sampled_from((1e-3, 1e-2, 0.05, 0.2, 1.0)))
+    eig = scale * rng.permutation(
+        np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 8.0)), n))
+    cov = (u * eig) @ u.T
+    floats = rng.integers(-50, 50, size=n) + rng.normal(
+        scale=draw(st.sampled_from((0.05, 0.2, 0.5))), size=n)
+    dist = AmbiguityDistribution(floats, 0.5 * (cov + cov.T))
+    order = np.argsort(dist.diag, kind="stable")
+    best = round_half_away(floats)
+    second = best.copy()
+    agree = draw(st.integers(min_value=0, max_value=n - 1))
+    second[order[agree]] += draw(st.sampled_from((1, -1)))
+    second[order[agree + 1:]] += rng.integers(-1, 2, size=n - agree - 1)
+    cost_best = dist.mahalanobis(best)
+    shrink = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0,
+                                                    exclude_max=True)))
+    result = iar.IntegerSearchResult(
+        best=best, second_best=second, cost_best=cost_best,
+        cost_second=dist.mahalanobis(second), cost_init=cost_best / shrink,
+        success_prob=0.0, discrimination_ratio=0.0)
+    return dist, result, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_fix_inputs())
+def test_partial_resolve_matches_the_prefix_by_prefix_reference(case):
+    dist, result, use_shrink = case
+    got = partial_resolve(dist, result, use_shrink=use_shrink)
+    want = _reference_partial_resolve(dist, result, use_shrink=use_shrink)
+    event(f"subset {got.subset_size} of {dist.size}, "
+          f"S {'1' if got.shrink_factor == 1.0 else '< 1'}")
+    for name in ("indices", "values", "subset_size", "success_prob",
+                 "shrink_factor"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_fix_inputs())
+def test_prefix_distances_match_the_marginal_solves(case):
+    # Both are backward-stable solves of the same system, so they agree
+    # to 1e-12 relative while the prefix's condition number stays below
+    # about 1e4, and to a few times cond * eps beyond.
+    dist, result, _ = case
+    order = np.argsort(dist.diag, kind="stable")
+    chol = np.linalg.cholesky(dist.covariance[np.ix_(order, order)])
+    for vector in (result.best, result.second_best):
+        r = (vector - dist.floats)[order]
+        got = iar._prefix_distances(chol.tolist(), r.tolist())
+        for m in range(1, dist.size + 1):
+            sub = dist.covariance[np.ix_(order[:m], order[:m])]
+            want = r[:m] @ np.linalg.solve(sub, r[:m])
+            tol = max(1e-12, 16.0 * np.finfo(float).eps * np.linalg.cond(sub))
+            assert abs(got[m - 1] - want) <= tol * want

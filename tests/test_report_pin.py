@@ -1,8 +1,14 @@
-"""Scenario report bytes pinned against a committed digest.
+"""Scenario report bytes pinned against committed digests.
 
-One LEO run in ``full`` coupling (seed 1, first 3600 s, which include the
-first fixes) is written, and the sha256 of its ``history.csv`` and
-``report.json`` must equal the digests in ``tests/data/report_pin.json``.
+Three LEO runs in ``full`` coupling over the first 3600 s, which include the
+first fixes, are written, and the sha256 of each run's ``history.csv`` and
+``report.json`` must equal the digests in ``tests/data/report_pin.json``:
+
+* seed 1, where every fix is a full fix with evidence factor S = 1;
+* seed 107, with one fix event at S < 1 and four wrong-fix events;
+* seed 0 with phase multipath raised to 0.10 m, whose 12 fix events include
+  two partial fixes.
+
 Acceptance criterion 11 checks that a run repeats its own bytes; this pin
 checks that a change to the code keeps the bytes an earlier version wrote,
 so "byte-identical across versions" is a check and not a claim.
@@ -23,33 +29,42 @@ from pathlib import Path
 from cdgps.scenario import leo_preset, run_scenario
 
 DATA = Path(__file__).parent / "data" / "report_pin.json"
-SEED = 1
 DURATION = 3600.0
 FILES = ("history.csv", "report.json")
+# (seed, phase multipath amplitude [m] or None for the preset's).
+RUNS = ((1, None), (107, None), (0, 0.10))
 
 
-def digests():
-    """The pinned run's configuration and the sha256 of its report files."""
+def digests(seed, multipath_amp_phase):
+    """One pinned run's configuration and the sha256 of its report files."""
     cfg = leo_preset()
-    cfg.seed = SEED
+    cfg.seed = seed
     cfg.duration = DURATION
+    if multipath_amp_phase is not None:
+        cfg.noise.multipath_amp_phase = multipath_amp_phase
     with tempfile.TemporaryDirectory() as out:
         run_scenario(cfg, output_dir=out)
         files = {name: hashlib.sha256((Path(out) / name).read_bytes())
                  .hexdigest() for name in FILES}
     return {"preset": cfg.name, "coupling": cfg.coupling_mode,
-            "seed": SEED, "duration": DURATION, "sha256": files}
+            "seed": seed, "duration": DURATION,
+            "multipath_amp_phase": cfg.noise.multipath_amp_phase,
+            "sha256": files}
 
 
 def test_leo_full_report_bytes_match_the_pin():
-    want = json.loads(DATA.read_text())
-    got = digests()
-    for key in ("preset", "coupling", "seed", "duration"):
-        assert got[key] == want[key], key
-    for name in FILES:
-        assert got["sha256"][name] == want["sha256"][name], name
+    pins = json.loads(DATA.read_text())
+    assert len(pins) == len(RUNS)
+    for want, run in zip(pins, RUNS):
+        got = digests(*run)
+        for key in ("preset", "coupling", "seed", "duration",
+                    "multipath_amp_phase"):
+            assert got[key] == want[key], (run, key)
+        for name in FILES:
+            assert got["sha256"][name] == want["sha256"][name], (run, name)
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps(digests(), indent=1) + "\n")
+    DATA.write_text(json.dumps([digests(*run) for run in RUNS], indent=1)
+                    + "\n")
     print(f"wrote {DATA}")
