@@ -14,7 +14,8 @@ depth-first Schnorr-Euchner pass over the conditional tree starts with an
 infinite bound, keeps the two best total costs and from then on prunes the
 distance at the runner-up's total, so the best vector and the runner-up are
 both exact unless the pass stops at the leaf budget the two modes share.
-It prices the siblings of each last-level visit with one penalty call.
+It queues the in-bound leaves across last-level visits and prices them
+with one penalty call per batch, each vector once.
 ``constraint_context`` builds the external evidence from the
 double-difference geometry and phases, and ``candidate_baseline`` turns a
 candidate back into the baseline that evidence is compared against.
@@ -408,11 +409,11 @@ def _integer_inverse(z_matrix):
     """Integer matrix mapping decorrelated integers back to the original
     space.
 
-    The transform is unimodular, so the inverse is exactly integer; the
-    float inverse is rounded and checked exactly in integers.
+    The transform is unimodular, so the inverse is exactly integer and
+    unique; the float inverse is rounded and checked exactly in integers.
     """
     zt = np.asarray(z_matrix, dtype=np.int64).T
-    inv_int = round_half_away(np.linalg.inv(zt.astype(float)))
+    inv_int = np.rint(np.linalg.inv(zt.astype(float))).astype(np.int64)
     if not np.array_equal(inv_int @ zt, np.eye(len(zt), dtype=np.int64)):
         raise ValueError("transform is not unimodular")
     return inv_int
@@ -621,8 +622,9 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
 
 
 def _constraint_cost(ctx, z_matrix):
-    """Penalties of m decorrelated candidates (an (m, n) array or a list
-    of m integer lists), as a function returning a list of m floats.
+    """Penalties of m decorrelated candidates (an (m, n) array or a
+    sequence of m integer sequences), as a function returning a list of m
+    floats, or None when no penalty is enabled.
 
     Each candidate goes back to the original space through the integer
     inverse of ``z_matrix`` and into the baseline it implies, with the
@@ -632,7 +634,7 @@ def _constraint_cost(ctx, z_matrix):
     the normal matrix and the phases of the known rows are done here once.
     """
     if ctx is None or not ctx.any_enabled:
-        return lambda cands: [0.0] * len(cands)
+        return None
     z_inverse = _integer_inverse(z_matrix)
     g, gram = _normal_matrix(ctx.geometry)
     lam = float(ctx.wavelength)
@@ -669,6 +671,12 @@ def _constraint_cost(ctx, z_matrix):
 # Integer least-squares search, plain or with the sensor penalty
 # ---------------------------------------------------------------------------
 
+# Leaves queued per penalty call once the first two candidates are in: a
+# call's fixed cost is that of several more candidates, while a longer
+# queue has the walk prune at a staler bound.
+_BATCH = 8
+
+
 def _zigzag(center):
     """Integers in order of distance from ``center``: the nearest first,
     then alternately one step further on its side of ``center`` and on the
@@ -687,21 +695,30 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
     """Exact two best integer vectors of distance plus penalty.
 
     ``penalty(cands)`` maps a sequence of m integer vectors to m
-    non-negative floats.  One depth-first pass visits the conditional tree
-    with each level's integers in :func:`_zigzag` order, so a level's
-    distances never decrease and the first one past the bound ends the
-    level.  The bound starts infinite, so the first leaf is the bootstrap
-    path; once two candidates are in, it is the runner-up's total.  A
-    candidate can beat the runner-up only if its distance alone stays
-    within that total, so the best vector and the runner-up are both exact,
-    unless the pass stops at its leaf budget.
+    non-negative floats, pricing each candidate independently of the
+    others; ``None`` means no penalty.  One depth-first pass visits the
+    conditional tree with each level's integers in :func:`_zigzag` order,
+    so a level's distances never decrease and the first one past the bound
+    ends the level.  The bound starts infinite, so the first leaf is the
+    bootstrap path; once two candidates are in, it is the runner-up's
+    total.  A candidate can beat the runner-up only if its distance alone
+    stays within that total, so the best vector and the runner-up are both
+    exact, unless the pass stops at its leaf budget.
 
-    At the last level the in-bound siblings (while the bound is infinite,
-    only as many as are missing) are priced with one ``penalty`` call, which
-    prices each candidate independently of the others, and then admitted in
-    order against the shrinking bound and the leaf budget.  The walk works
-    on Python lists; its center, residual and distance arithmetic is the
-    scalar form of the conditional update ``c[k] += L[k, l] * resid``.
+    In-bound leaves are queued in visiting order, across last-level
+    parents, and priced with one ``penalty`` call per batch: the first two
+    as soon as they are queued, then every ``_BATCH`` leaves, or fewer
+    when that is all the leaf budget has left.  They are admitted in queue
+    order against the bound and the budget, and a leaf whose distance is
+    past the bound by then is skipped.  The walk prunes at the bound of
+    the leaves admitted so far, which is only looser than pruning at every
+    admission, so admission keeps the same leaves, in the same order, and
+    stops at the same leaf when the budget runs out.  Every vector is
+    priced once: the final pricing of the bootstrap vector, the best and
+    the runner-up reuses the prices of the pass.  Without a penalty each
+    leaf is admitted as soon as it is queued.  The walk works on Python
+    lists; its center, residual and distance arithmetic is the scalar form
+    of the conditional update ``c[k] += L[k, l] * resid``.
     """
     n = dist.size
     last = n - 1
@@ -714,36 +731,45 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
     bound = math.inf
     budget = 20_000
     exhausted = False
+    queue = []  # in-bound (distance, vector) leaves not yet admitted
+    prices = {}  # penalty of every vector priced so far
+    size = 2 if penalty else 1  # queue length that triggers admission
+
+    def admit():
+        nonlocal bound, budget, size
+        if penalty:
+            # Every queued leaf was in bound when it was queued.
+            vectors = [vector for _, vector in queue]
+            prices.update(zip(vectors, penalty(vectors)))
+            size = _BATCH
+        for distance, vector in queue:
+            if distance > bound + 1e-12:
+                continue
+            budget -= 1
+            best.append((distance + prices[vector] if penalty else distance,
+                         vector))
+            best.sort(key=lambda t: t[0])
+            del best[2:]
+            if len(best) == 2:
+                bound = best[1][0]
+        queue.clear()
 
     def leaves(partial, center, d_last):
-        nonlocal bound, budget, exhausted
-        values = _zigzag(center)
-        value = next(values)
-        while True:
-            room = budget if len(best) == 2 else min(budget, 2 - len(best))
-            batch = []
-            while True:
-                resid = value - center
-                distance = partial + resid * resid / d_last
-                if distance > bound + 1e-12 or len(batch) == room:
-                    break
-                batch.append((value, distance))
-                value = next(values)
-            if not batch:
-                # An in-bound leaf left over means the budget ran out.
-                exhausted = exhausted or distance <= bound + 1e-12
+        nonlocal exhausted
+        head = cand[:last]
+        for value in _zigzag(center):
+            resid = value - center
+            distance = partial + resid * resid / d_last
+            if distance > bound + 1e-12:
                 return
-            head = cand[:last]
-            totals = penalty([head + [v] for v, _ in batch])
-            for (v, distance), pen in zip(batch, totals):
-                if distance > bound + 1e-12:
-                    return
-                budget -= 1
-                best.append((distance + pen, (*head, v)))
-                best.sort(key=lambda t: t[0])
-                del best[2:]
-                if len(best) == 2:
-                    bound = best[1][0]
+            if budget <= 0:
+                exhausted = True
+                return
+            queue.append((distance, (*head, value)))
+            # Never more queued than the budget can admit: if it runs out,
+            # it does so at the leaf just queued.
+            if len(queue) >= min(size, budget):
+                admit()
 
     def descend(level, partial, corrections):
         nonlocal exhausted
@@ -767,14 +793,21 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
                     [c + a * resid for c, a in zip(deeper, column)])
 
     descend(0, 0.0, [0.0] * n)
+    if queue:
+        admit()
 
     # The bootstrap vector and the survivors are priced alike, so that
     # S = cost_best / cost_init is exactly one when the bootstrap wins.
-    vectors = np.array([bootstrap(dist)] + [v for _, v in best],
-                       dtype=np.int64)
-    cost_boot, *costs = [d + p for d, p in zip(
-        dist.mahalanobis(vectors).tolist(), penalty(vectors))]
-    (c1, v1), (c2, v2) = sorted(zip(costs, vectors[1:]), key=lambda t: t[0])
+    # The pass priced the survivors and, as its first leaf, the bootstrap
+    # vector too, unless ``bootstrap``'s own rounding of a center differs.
+    boot = tuple(bootstrap(dist).tolist())
+    if penalty and boot not in prices:
+        prices[boot], = penalty([boot])
+    vectors = [boot] + [v for _, v in best]
+    stacked = np.array(vectors, dtype=np.int64)
+    cost_boot, *costs = [d + prices[v] if penalty else d for d, v in zip(
+        dist.mahalanobis(stacked).tolist(), vectors)]
+    (c1, v1), (c2, v2) = sorted(zip(costs, stacked[1:]), key=lambda t: t[0])
     return IntegerSearchResult(
         best=v1, second_best=v2, cost_best=c1, cost_second=c2,
         cost_init=cost_boot, success_prob=success_rate(dist.diag),
@@ -806,8 +839,10 @@ def constrained_search(dist: AmbiguityDistribution,
     into the cost surface (the candidates whose implied baseline matches
     the measured range form a shell crossing the lattice obliquely), so the
     two best totals can sit far from the bootstrap; the search finds
-    them, bounded by the runner-up's total.  With ``ctx`` None, or every
-    observable disabled, the result is the classical one.
+    them, bounded by the runner-up's total.  Candidates are priced in
+    batches of the leaves the pass queues, each vector once, and a
+    vector's penalty does not depend on its batch.  With ``ctx`` None, or
+    every observable disabled, the result is the classical one.
 
     Parameters
     ----------

@@ -6,8 +6,11 @@ scans an integer box around the floats and ranks candidates by the exact
 objective, with no pruning and no cleverness.
 """
 
+import importlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,8 @@ from cdgps.iar import (
 from cdgps.iar import _round_scalar
 
 RNG = np.random.default_rng
+DATA = Path(__file__).parent / "data"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def random_spd(rng, n, scale=1.0):
@@ -1055,25 +1060,33 @@ def test_constrained_search_two_best_match_brute_force(n, sensors):
         assert res.cost_best < res.cost_second
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=4),
-       sensors=st.sampled_from(SENSOR_COMBINATIONS),
-       error=st.floats(min_value=0.0, max_value=2.0),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_search_two_best_match_brute_force_for_float_errors_to_two_sigma(
-        n, sensors, error, seed):
-    # Floats ``error`` times a draw of their own covariance off the truth,
-    # as the benchmark problems draw them, under every sensor combination
-    # (none of them: the classical objective).
+@st.composite
+def search_problems(draw, max_n, sigmas):
+    """n = 1 to ``max_n`` searched DD rows and two with known integers,
+    float sigmas about 1.4 times one of ``sigmas`` [cycles], floats up to
+    two sigma of their own covariance off the truth, as the benchmark
+    problems draw them, and every sensor combination (none of them: the
+    classical objective)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    sensors = draw(st.sampled_from(SENSOR_COMBINATIONS))
+    error = draw(st.floats(min_value=0.0, max_value=2.0))
+    sigma = draw(st.sampled_from(sigmas))
+    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     lam = 0.19029367
-    rng = RNG(seed)
     g, phases, truth, baseline = make_geometry_problem(
         rng, n_rows=n + 2, wavelength=lam)
     phases[n:] -= truth[n:]
-    cov = random_spd(rng, n, scale=0.1 ** 2 / n)
+    cov = random_spd(rng, n, scale=sigma ** 2 / n)
     floats = truth[:n] + error * (np.linalg.cholesky(cov) @ rng.normal(size=n))
     ctx = _noisy_sensor_context(rng, g, phases, baseline, lam, n, sensors)
-    _assert_two_best_match_brute_force(AmbiguityDistribution(floats, cov), ctx)
+    return AmbiguityDistribution(floats, cov), ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_problems(max_n=4, sigmas=(0.1,)))
+def test_search_two_best_match_brute_force_for_float_errors_to_two_sigma(
+        problem):
+    _assert_two_best_match_brute_force(*problem)
 
 
 def test_constrained_search_runner_up_beyond_the_bootstrap_radius():
@@ -1146,14 +1159,220 @@ def _wide_range_problem(baseline_sigma):
     return AmbiguityDistribution(floats, cov), ctx
 
 
-def test_constrained_search_reports_leaf_budget_exhaustion():
+def _heavy_search_problem():
+    """Problem 31 of the ``iar-resolve`` benchmark's problem set 3 (n = 10,
+    float errors drawn at the benchmark's 0.4 sigma), in the original
+    space: of sets 0-9 at those errors, the one that took the most penalty
+    calls, 52, when the search priced each last-level visit on its own."""
+    data = json.loads((DATA / "heavy_search_problem.json").read_text())
+    ctx = ConstraintContext(
+        *data["observed"], *data["sigmas"],
+        geometry=np.array(data["geometry"]),
+        ddcp_phases=np.array(data["ddcp_phases"]),
+        dcm_eci_to_sensor=np.array(data["dcm_eci_to_sensor"]),
+        wavelength=data["wavelength"], free_rows=np.arange(len(data["floats"])))
+    return AmbiguityDistribution(data["floats"], data["covariance"]), ctx
+
+
+def _logged_searches(monkeypatch):
+    """A function running the constrained search of a decorrelated problem
+    with its penalty calls logged: it returns the result and the log, one
+    list of vectors per call, with "final" where the final pricing starts
+    (the search's ``bootstrap`` call)."""
+    log = []
+    make_penalty, boot = iar._constraint_cost, iar.bootstrap
+
+    def logged_cost(ctx, z_matrix):
+        penalty = make_penalty(ctx, z_matrix)
+
+        def logged(cands):
+            log.append([tuple(c) for c in np.asarray(cands).tolist()])
+            return penalty(cands)
+        return logged
+
+    def marked_bootstrap(dist):
+        log.append("final")
+        return boot(dist)
+
+    monkeypatch.setattr(iar, "_constraint_cost", logged_cost)
+    monkeypatch.setattr(iar, "bootstrap", marked_bootstrap)
+
+    def search(dz, ctx):
+        log.clear()
+        return constrained_search(dz, ctx), list(log)
+    return search
+
+
+def test_constrained_search_reports_leaf_budget_exhaustion(monkeypatch):
     # A 3 m baseline sigma puts far more lattice points inside the pruning
-    # ellipsoid than the leaf budget covers: the result must say so.
+    # ellipsoid than the leaf budget covers: the result must say so, and
+    # still hold two distinct vectors in order.
     dist, ctx = _wide_range_problem(3.0)
-    assert constrained_search(decorrelate(dist), ctx).budget_exhausted
+    res, log = _logged_searches(monkeypatch)(decorrelate(dist), ctx)
+    assert res.budget_exhausted
+    assert not np.array_equal(res.best, res.second_best)
+    assert res.cost_best <= res.cost_second
+    # Queued leaves are priced as the pass goes: no more than one batch
+    # past the 20 000-leaf budget.
+    priced = sum(len(call) for call in log if call != "final")
+    assert priced <= 20_000 + iar._BATCH
     # The same problem at a 5 cm baseline sigma is enumerated completely.
     dist, ctx = _wide_range_problem(0.05)
     assert not constrained_search(decorrelate(dist), ctx).budget_exhausted
+
+
+def test_constrained_search_prices_each_vector_once(monkeypatch):
+    # Every problem of the ``iar-resolve`` benchmark's problem set 1 at its
+    # default float errors, and the heaviest problem of sets 0-9.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    problems = [(p.dist, p.ctx) for p in
+                importlib.import_module("problems").make_problem_set(1)]
+    problems.append(_heavy_search_problem())
+    search = _logged_searches(monkeypatch)
+    calls = []
+    for dist, ctx in problems:
+        dz = decorrelate(dist)
+        res, log = search(dz, ctx)
+        final = log.index("final")
+        priced = [v for call in log[:final] for v in call]
+        assert len(priced) == len(set(priced))
+        # The final pricing prices only the vectors the pass did not,
+        # which in practice is none of them.
+        three = {tuple(bootstrap(dz).tolist()), tuple(res.best.tolist()),
+                 tuple(res.second_best.tolist())}
+        assert three <= set(priced)
+        assert log[final + 1:] == []
+        calls.append(len(log) - 1)
+    assert np.mean(calls[:-1]) <= 3.0 and max(calls[:-1]) <= 12
+    assert calls[-1] <= 12
+
+
+def _reference_search(dist, penalty):
+    """The pass that prices the in-bound siblings of each last-level visit
+    with one ``penalty`` call, admits them before it moves on, and prices
+    the bootstrap vector, the best and the runner-up again at the end."""
+    penalty = penalty or (lambda cands: [0.0] * len(cands))
+    n = dist.size
+    last = n - 1
+    floats = dist.floats.tolist()
+    diag = dist.diag.tolist()
+    below = [dist.lower[level + 1:, level].tolist() for level in range(n)]
+    cand = [0] * n
+    best = []
+    bound = math.inf
+    budget = 20_000
+    exhausted = False
+
+    def leaves(partial, center, d_last):
+        nonlocal bound, budget, exhausted
+        values = iar._zigzag(center)
+        value = next(values)
+        while True:
+            room = budget if len(best) == 2 else min(budget, 2 - len(best))
+            batch = []
+            while True:
+                resid = value - center
+                distance = partial + resid * resid / d_last
+                if distance > bound + 1e-12 or len(batch) == room:
+                    break
+                batch.append((value, distance))
+                value = next(values)
+            if not batch:
+                exhausted = exhausted or distance <= bound + 1e-12
+                return
+            head = cand[:last]
+            totals = penalty([head + [v] for v, _ in batch])
+            for (v, distance), pen in zip(batch, totals):
+                if distance > bound + 1e-12:
+                    return
+                budget -= 1
+                best.append((distance + pen, (*head, v)))
+                best.sort(key=lambda t: t[0])
+                del best[2:]
+                if len(best) == 2:
+                    bound = best[1][0]
+
+    def descend(level, partial, corrections):
+        nonlocal exhausted
+        center = floats[level] + corrections[0]
+        if level == last:
+            leaves(partial, center, diag[level])
+            return
+        column, deeper = below[level], corrections[1:]
+        for value in iar._zigzag(center):
+            resid = value - center
+            cost = partial + resid * resid / diag[level]
+            if cost > bound + 1e-12:
+                return
+            if budget <= 0:
+                exhausted = True
+                return
+            cand[level] = value
+            descend(level + 1, cost,
+                    [c + a * resid for c, a in zip(deeper, column)])
+
+    descend(0, 0.0, [0.0] * n)
+    vectors = np.array([bootstrap(dist)] + [v for _, v in best],
+                       dtype=np.int64)
+    cost_boot, *costs = [d + p for d, p in zip(
+        dist.mahalanobis(vectors).tolist(), penalty(vectors))]
+    (c1, v1), (c2, v2) = sorted(zip(costs, vectors[1:]), key=lambda t: t[0])
+    return iar.IntegerSearchResult(
+        best=v1, second_best=v2, cost_best=c1, cost_second=c2,
+        cost_init=cost_boot, success_prob=success_rate(dist.diag),
+        discrimination_ratio=c2 / c1 if c1 > 0.0 else math.inf,
+        budget_exhausted=exhausted)
+
+
+def _stepped_penalty(cands):
+    """A constant 1e6 plus a step in [0, 1) that varies between vectors:
+    the runner-up total puts tens of thousands of leaves in bound, and
+    which vectors win depends on where the leaf budget stops the pass."""
+    return [1e6 + (sum(v) * 7919 % 1000) / 1000.0
+            for v in np.asarray(cands, dtype=np.int64).tolist()]
+
+
+def _valley_penalty(cands):
+    """Falls with the vector's distance from the origin, to zero past
+    about 140 summed cycles: the totals keep improving as the pass moves
+    outward, and leaves queued before an improvement end up past the
+    bound, so a pass that counted them against the budget stops early."""
+    return [max(0.0, 11498.5 - 82.13 * sum(abs(x) for x in v))
+            for v in np.asarray(cands, dtype=np.int64).tolist()]
+
+
+@pytest.mark.parametrize("dist, penalty", [
+    # Float variances of 1000 cycles^2 put about 60 000 leaves of one
+    # level inside the bound; with n = 1 only the last level can notice
+    # that the budget stopped the pass.
+    *((AmbiguityDistribution(np.linspace(0.3, -0.2, n),
+                             1000.0 * (np.eye(n) + 0.1)), _stepped_penalty)
+      for n in (1, 2, 3)),
+    (AmbiguityDistribution([0.4537, -1.69, -0.7282],
+                           np.diag([2433.27, 5807.5, 42.0])), _valley_penalty),
+], ids=["stepped-1", "stepped-2", "stepped-3", "valley-3"])
+def test_search_stops_at_the_per_visit_reference_budget_leaf(dist, penalty):
+    got = iar._search(dist, penalty)
+    want = _reference_search(dist, penalty)
+    assert got.budget_exhausted
+    for name in ("best", "second_best", "cost_best", "cost_second",
+                 "cost_init", "budget_exhausted"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_problems(max_n=10, sigmas=(0.1, 0.3, 0.6)))
+@example(_heavy_search_problem())
+@example(_wide_range_problem(3.0))
+def test_search_matches_the_per_visit_reference_bit_for_bit(problem):
+    dist, ctx = problem
+    dz = decorrelate(dist)
+    got = constrained_search(dz, ctx)
+    want = _reference_search(dz, iar._constraint_cost(ctx, dz.z_matrix))
+    for name in ("best", "second_best", "cost_best", "cost_second",
+                 "cost_init", "success_prob", "discrimination_ratio",
+                 "budget_exhausted"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
