@@ -148,18 +148,20 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if len(set(args.seeds)) != len(args.seeds):
         raise CliError("duplicate seeds in --seeds")
-    base = _resolve_config(args)
+    # Every seed's config is validated before the first run starts.
+    configs = []
+    for seed in args.seeds:
+        args.seed = seed
+        configs.append(_resolve_config(args))
     out = _output_dir(args)
 
     per_seed = {}
     print("seed  fixes  wrong  pre-fix[m]  post-fix[m]  first[s]")
-    for seed in args.seeds:
-        cfg = _resolve_config(args)
-        cfg.seed = seed
-        report = run_scenario(cfg, output_dir=out / f"seed-{seed}")
+    for cfg in configs:
+        report = run_scenario(cfg, output_dir=out / f"seed-{cfg.seed}")
         s = report.summary
-        per_seed[str(seed)] = s
-        print(f"{seed:4d}  {s['n_fix_events']:5d}  "
+        per_seed[str(cfg.seed)] = s
+        print(f"{cfg.seed:4d}  {s['n_fix_events']:5d}  "
               f"{s['n_wrong_fix_events']:5d}  {_g(s['rms_pos_pre_fix']):>10s}  "
               f"{_g(s['rms_pos_post_fix']):>11s}  {_g(s['first_fix_time']):>8s}")
 
@@ -169,8 +171,8 @@ def cmd_sweep(args) -> int:
              if s["rms_pos_post_fix"] is not None
              and not math.isnan(s["rms_pos_post_fix"])]
     aggregate = {
-        "scenario": base.name,
-        "coupling_mode": base.coupling_mode,
+        "scenario": configs[0].name,
+        "coupling_mode": configs[0].coupling_mode,
         "seeds": list(args.seeds),
         "n_fix_events": n_fix,
         "n_wrong_fix_events": n_wrong,

@@ -14,17 +14,17 @@ depth-first Schnorr-Euchner pass over the conditional tree starts with an
 infinite bound, keeps the two best total costs and from then on prunes the
 distance at the runner-up's total, so the best vector and the runner-up are
 both exact unless the pass stops at the leaf budget the two modes share.
-It queues the in-bound leaves across last-level visits and prices them
-with one penalty call per batch, each vector once.
-``constraint_context`` builds the external evidence from the
-double-difference geometry and phases, and ``candidate_baseline`` turns a
-candidate back into the baseline that evidence is compared against.
+It prices each in-bound leaf once, when it reaches it, and returns the
+totals it ranked by.  ``constraint_context`` builds the external evidence
+from the double-difference geometry and phases, and ``candidate_baseline``
+turns a candidate back into the baseline that evidence is compared against.
 
-The penalty does its per-search work once: it checks the geometry, forms
-its normal matrix and lays out the known-row phases before it prices any
-candidate, and it prices with the arithmetic of ``candidate_baseline`` done
-row by row.  Scalars are rounded with ``math.floor``/``math.ceil``;
-``round_half_away`` serves arrays.
+The penalty does its per-search work once: it checks the geometry and
+writes a candidate's sensor-frame baseline, which is linear in the
+candidate, as an anchor baseline and a 3 x n matrix, both Python lists, so
+that pricing a candidate takes a few scalar operations.  Scalars are
+rounded with ``math.floor``/``math.ceil``; ``round_half_away`` serves
+arrays.
 
 The stages around the search work on Python scalars as well: the swap loop
 of ``decorrelate``, ``bootstrap``, ``success_rate`` and ``partial_resolve``,
@@ -137,12 +137,11 @@ class AmbiguityDistribution:
 
     def mahalanobis(self, candidate):
         """Squared covariance-weighted distance of ``candidate`` from the
-        floats; stacked candidates (m, n) give an array of m distances."""
+        floats."""
         r = np.asarray(candidate, dtype=float) - self.floats
         # Solve L y = r, then chi = sum(y_i^2 / d_i); avoids forming Q^-1.
-        y = np.linalg.solve(self.lower, r[..., None])[..., 0]
-        chi = np.sum(y * y / self.diag, axis=-1)
-        return float(chi) if r.ndim == 1 else chi
+        y = np.linalg.solve(self.lower, r)
+        return float(np.sum(y * y / self.diag))
 
 
 @dataclass
@@ -152,11 +151,11 @@ class IntegerSearchResult:
     ``best``/``second_best`` are two distinct vectors in the same space as
     the distribution that was searched (decorrelated space if the
     distribution carried a non-trivial ``z_matrix``).  Every cost is a total,
-    distance plus penalty, priced the same way for all three vectors:
-    ``cost_best <= cost_second``, and ``cost_init`` is the cost of the
-    bootstrapped vector.  ``budget_exhausted`` is set when the search
-    stopped at its leaf budget with candidates left unvisited, so the two
-    vectors may not be the two best.
+    distance plus penalty, as the search ranked it: ``cost_best <=
+    cost_second``, and ``cost_init`` is the total of the first leaf the
+    search reached, the bootstrapped vector.  ``budget_exhausted`` is set
+    when the search stopped at its leaf budget with candidates left
+    unvisited, so the two vectors may not be the two best.
     """
 
     best: np.ndarray
@@ -621,61 +620,55 @@ def penalty_cost(computed_range, computed_azimuth, computed_elevation,
     return cost
 
 
-def _constraint_cost(ctx, z_matrix):
-    """Penalties of m decorrelated candidates (an (m, n) array or a
-    sequence of m integer sequences), as a function returning a list of m
-    floats, or None when no penalty is enabled.
+def _constraint_cost(ctx, dist):
+    """Penalty of one decorrelated candidate of ``dist`` (a sequence of n
+    integers), as a function returning a float, or None when no penalty
+    is enabled.
 
-    Each candidate goes back to the original space through the integer
-    inverse of ``z_matrix`` and into the baseline it implies, with the
-    arithmetic of :func:`candidate_baseline` done row by row, so a
-    candidate's penalty does not depend on what it is stacked with.  The
-    geometry check (``SingularGeometryError`` when a penalty is enabled),
-    the normal matrix and the phases of the known rows are done here once.
+    The geometry check (``SingularGeometryError`` when a penalty is
+    enabled) and all work shared by the candidates are done here once.  A
+    candidate's sensor-frame baseline is linear in the candidate, ``rho(c)
+    = rho(r) - A (c - r)`` with ``A = lambda dcm (G^T G)^-1 G^T[:, free]
+    Z^-1``, anchored at the rounded floats ``r``, whose baseline is solved
+    with the arithmetic of :func:`candidate_baseline`.  The anchor keeps
+    the terms of the sum small: double-difference ambiguities reach 1e5
+    cycles, and ``rho(0) - A c`` would cancel terms of about 2e4 m.
     """
     if ctx is None or not ctx.any_enabled:
         return None
-    z_inverse = _integer_inverse(z_matrix)
+    z_inverse = _integer_inverse(dist.z_matrix)
     g, gram = _normal_matrix(ctx.geometry)
     lam = float(ctx.wavelength)
     phases = np.asarray(ctx.ddcp_phases, dtype=float)
     free = slice(None) if ctx.free_rows is None else np.asarray(ctx.free_rows)
-    free_phases = phases[free]
+    anchor = [_round_scalar(x) for x in dist.floats.tolist()]
     # Known rows hold phases with their integers already removed.
-    rhs_known = lam * phases
+    integers = np.zeros(len(phases))
+    integers[free] = z_inverse @ np.array(anchor, dtype=np.int64)
+    dcm = ctx.dcm_eci_to_sensor
+    rho_anchor = (dcm @ np.linalg.solve(
+        gram, g.T @ (lam * (phases - integers)))).tolist()
+    rows = (lam * (dcm @ np.linalg.solve(gram, g.T))[:, free]
+            @ z_inverse).tolist()
 
-    def costs(cands):
-        cands = np.asarray(cands, dtype=np.int64)
-        rhs = np.repeat(rhs_known[np.newaxis], len(cands), axis=0)
-        rhs[:, free] = lam * (free_phases - cands @ z_inverse.T)
-        # (3, 1) right-hand sides keep one LAPACK solve per candidate, the
-        # same call (and bits) as a single candidate's 1-D solve.
-        baselines = np.linalg.solve(gram, g.T @ rhs[..., np.newaxis])
-        rho = (ctx.dcm_eci_to_sensor @ baselines)[..., 0]
-        ranges = np.sqrt(rho[:, np.newaxis, :] @ rho[:, :, np.newaxis])
-        out = []
-        for (x, y, z), rng in zip(rho.tolist(), ranges.ravel().tolist()):
-            if rng < 1e-12:
-                az = 0.0
-                el = 0.0
-            else:
-                az = math.asin(min(max(y / rng, -1.0), 1.0))
-                el = math.atan2(x, z)
-            out.append(penalty_cost(rng, az, el, ctx))
-        return out
+    def cost(vector):
+        step = [c - a for c, a in zip(vector, anchor)]
+        x, y, z = [r - sum(a * s for a, s in zip(row, step))
+                   for r, row in zip(rho_anchor, rows)]
+        rng = math.sqrt(x * x + y * y + z * z)
+        if rng < 1e-12:
+            az = el = 0.0
+        else:
+            az = math.asin(min(max(y / rng, -1.0), 1.0))
+            el = math.atan2(x, z)
+        return penalty_cost(rng, az, el, ctx)
 
-    return costs
+    return cost
 
 
 # ---------------------------------------------------------------------------
 # Integer least-squares search, plain or with the sensor penalty
 # ---------------------------------------------------------------------------
-
-# Leaves queued per penalty call once the first two candidates are in: a
-# call's fixed cost is that of several more candidates, while a longer
-# queue has the walk prune at a staler bound.
-_BATCH = 8
-
 
 def _zigzag(center):
     """Integers in order of distance from ``center``: the nearest first,
@@ -694,31 +687,20 @@ def _zigzag(center):
 def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
     """Exact two best integer vectors of distance plus penalty.
 
-    ``penalty(cands)`` maps a sequence of m integer vectors to m
-    non-negative floats, pricing each candidate independently of the
-    others; ``None`` means no penalty.  One depth-first pass visits the
+    ``penalty(vector)`` maps one integer vector to a non-negative float;
+    ``None`` means no penalty.  One depth-first pass visits the
     conditional tree with each level's integers in :func:`_zigzag` order,
     so a level's distances never decrease and the first one past the bound
     ends the level.  The bound starts infinite, so the first leaf is the
-    bootstrap path; once two candidates are in, it is the runner-up's
-    total.  A candidate can beat the runner-up only if its distance alone
-    stays within that total, so the best vector and the runner-up are both
-    exact, unless the pass stops at its leaf budget.
-
-    In-bound leaves are queued in visiting order, across last-level
-    parents, and priced with one ``penalty`` call per batch: the first two
-    as soon as they are queued, then every ``_BATCH`` leaves, or fewer
-    when that is all the leaf budget has left.  They are admitted in queue
-    order against the bound and the budget, and a leaf whose distance is
-    past the bound by then is skipped.  The walk prunes at the bound of
-    the leaves admitted so far, which is only looser than pruning at every
-    admission, so admission keeps the same leaves, in the same order, and
-    stops at the same leaf when the budget runs out.  Every vector is
-    priced once: the final pricing of the bootstrap vector, the best and
-    the runner-up reuses the prices of the pass.  Without a penalty each
-    leaf is admitted as soon as it is queued.  The walk works on Python
-    lists; its center, residual and distance arithmetic is the scalar form
-    of the conditional update ``c[k] += L[k, l] * resid``.
+    bootstrap path and its total is ``cost_init``; once two candidates are
+    in, the bound is the runner-up's total.  A candidate can beat the
+    runner-up only if its distance alone stays within that total, so the
+    best vector and the runner-up are both exact, unless the pass stops at
+    its leaf budget.  Each in-bound leaf is priced once, when the pass
+    reaches it, and the result holds the totals the pass ranked by.  The
+    walk works on Python lists; its center, residual and distance
+    arithmetic is the scalar form of the conditional update
+    ``c[k] += L[k, l] * resid``.
     """
     n = dist.size
     last = n - 1
@@ -728,60 +710,22 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
     below = [dist.lower[level + 1:, level].tolist() for level in range(n)]
     cand = [0] * n
     best = []  # at most two (total, vector), cheapest first
+    cost_init = None
     bound = math.inf
     budget = 20_000
     exhausted = False
-    queue = []  # in-bound (distance, vector) leaves not yet admitted
-    prices = {}  # penalty of every vector priced so far
-    size = 2 if penalty else 1  # queue length that triggers admission
-
-    def admit():
-        nonlocal bound, budget, size
-        if penalty:
-            # Every queued leaf was in bound when it was queued.
-            vectors = [vector for _, vector in queue]
-            prices.update(zip(vectors, penalty(vectors)))
-            size = _BATCH
-        for distance, vector in queue:
-            if distance > bound + 1e-12:
-                continue
-            budget -= 1
-            best.append((distance + prices[vector] if penalty else distance,
-                         vector))
-            best.sort(key=lambda t: t[0])
-            del best[2:]
-            if len(best) == 2:
-                bound = best[1][0]
-        queue.clear()
-
-    def leaves(partial, center, d_last):
-        nonlocal exhausted
-        head = cand[:last]
-        for value in _zigzag(center):
-            resid = value - center
-            distance = partial + resid * resid / d_last
-            if distance > bound + 1e-12:
-                return
-            if budget <= 0:
-                exhausted = True
-                return
-            queue.append((distance, (*head, value)))
-            # Never more queued than the budget can admit: if it runs out,
-            # it does so at the leaf just queued.
-            if len(queue) >= min(size, budget):
-                admit()
 
     def descend(level, partial, corrections):
-        nonlocal exhausted
+        nonlocal cost_init, bound, budget, exhausted
         # Conditional center given the residuals committed at shallower
         # levels; ``corrections`` holds them for this level and deeper.
         center = floats[level] + corrections[0]
-        if level == last:
-            leaves(partial, center, diag[level])
-            return
         column, deeper = below[level], corrections[1:]
         for value in _zigzag(center):
-            resid = value - center
+            # Near the float ``value - floats[level]`` is exact, so a
+            # residual keeps its relative precision when the float sits
+            # next to an integer; ``center`` would round it to its own ulp.
+            resid = (value - floats[level]) - corrections[0]
             cost = partial + resid * resid / diag[level]
             if cost > bound + 1e-12:
                 return
@@ -789,28 +733,27 @@ def _search(dist: AmbiguityDistribution, penalty) -> IntegerSearchResult:
                 exhausted = True
                 return
             cand[level] = value
-            descend(level + 1, cost,
-                    [c + a * resid for c, a in zip(deeper, column)])
+            if level < last:
+                descend(level + 1, cost,
+                        [c + a * resid for c, a in zip(deeper, column)])
+                continue
+            budget -= 1
+            total = cost + penalty(cand) if penalty else cost
+            if cost_init is None:
+                cost_init = total
+            best.append((total, tuple(cand)))
+            best.sort(key=lambda t: t[0])
+            del best[2:]
+            if len(best) == 2:
+                bound = best[1][0]
 
     descend(0, 0.0, [0.0] * n)
-    if queue:
-        admit()
-
-    # The bootstrap vector and the survivors are priced alike, so that
-    # S = cost_best / cost_init is exactly one when the bootstrap wins.
-    # The pass priced the survivors and, as its first leaf, the bootstrap
-    # vector too, unless ``bootstrap``'s own rounding of a center differs.
-    boot = tuple(bootstrap(dist).tolist())
-    if penalty and boot not in prices:
-        prices[boot], = penalty([boot])
-    vectors = [boot] + [v for _, v in best]
-    stacked = np.array(vectors, dtype=np.int64)
-    cost_boot, *costs = [d + prices[v] if penalty else d for d, v in zip(
-        dist.mahalanobis(stacked).tolist(), vectors)]
-    (c1, v1), (c2, v2) = sorted(zip(costs, stacked[1:]), key=lambda t: t[0])
+    (c1, v1), (c2, v2) = best
     return IntegerSearchResult(
-        best=v1, second_best=v2, cost_best=c1, cost_second=c2,
-        cost_init=cost_boot, success_prob=success_rate(dist.diag),
+        best=np.array(v1, dtype=np.int64),
+        second_best=np.array(v2, dtype=np.int64), cost_best=c1,
+        cost_second=c2, cost_init=cost_init,
+        success_prob=success_rate(dist.diag),
         discrimination_ratio=c2 / c1 if c1 > 0.0 else math.inf,
         budget_exhausted=exhausted,
     )
@@ -826,7 +769,7 @@ def classical_ils_search(dist: AmbiguityDistribution) -> IntegerSearchResult:
     unless the leaf budget it shares with :func:`constrained_search` stops
     it (``budget_exhausted``).
     """
-    return _search(dist, _constraint_cost(None, dist.z_matrix))
+    return _search(dist, None)
 
 
 def constrained_search(dist: AmbiguityDistribution,
@@ -839,10 +782,9 @@ def constrained_search(dist: AmbiguityDistribution,
     into the cost surface (the candidates whose implied baseline matches
     the measured range form a shell crossing the lattice obliquely), so the
     two best totals can sit far from the bootstrap; the search finds
-    them, bounded by the runner-up's total.  Candidates are priced in
-    batches of the leaves the pass queues, each vector once, and a
-    vector's penalty does not depend on its batch.  With ``ctx`` None, or
-    every observable disabled, the result is the classical one.
+    them, bounded by the runner-up's total.  Each candidate the pass
+    reaches in bound is priced once.  With ``ctx`` None, or every
+    observable disabled, the result is the classical one.
 
     Parameters
     ----------
@@ -863,7 +805,7 @@ def constrained_search(dist: AmbiguityDistribution,
         than three rows, or rows spanning fewer than three directions);
         callers should fall back to :func:`classical_ils_search`.
     """
-    return _search(dist, _constraint_cost(ctx, dist.z_matrix))
+    return _search(dist, _constraint_cost(ctx, dist))
 
 
 # ---------------------------------------------------------------------------

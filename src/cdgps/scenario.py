@@ -273,6 +273,8 @@ class ScenarioConfig:
         # A fractional seed would run as its integer part.
         if not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if el["a"] <= R_EARTH:
             raise ValueError("semimajor axis below the Earth surface")
         if not 0.0 <= el["e"] < 1.0:

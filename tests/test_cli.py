@@ -244,6 +244,7 @@ def test_run_rejects_non_finite_config_file(capsys, tmp_path, key, literal):
     ("separation", None, "separation must be a number"),
     ("iar_warmup", True, "iar_warmup must be a number"),
     ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed must be non-negative"),
 ])
 def test_run_rejects_wrongly_typed_config_file(capsys, tmp_path, key, value,
                                                message):
@@ -258,6 +259,21 @@ def test_run_rejects_wrongly_typed_config_file(capsys, tmp_path, key, value,
     assert out == ""
     assert json.loads(err)["error"] == "validation"
     assert message in json.loads(err)["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [("run", "--seed", "-1"),
+                                  ("sweep", "--seeds", "1", "-2")])
+def test_negative_seed_is_a_validation_error(capsys, tmp_path, argv):
+    # Not a runtime failure from the RNG, and rejected before any run or
+    # table output starts.
+    code, out, err = _run(capsys, *argv, "--duration", "900",
+                          "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "validation",
+                               "detail": f"seed must be non-negative, got "
+                                         f"{argv[-1]}"}
     assert not (tmp_path / "out").exists()
 
 

@@ -1008,6 +1008,53 @@ def _total_cost(dist, ctx):
     return total
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=3),
+       st.sampled_from(SENSOR_COMBINATIONS),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=10,
+                max_size=10))
+def test_penalty_matches_candidate_baseline(n, n_known, sensors, seed, steps):
+    # Double-difference ambiguities of up to 1e5 cycles, decorrelated
+    # candidates up to 3 cycles off the rounded floats, a rotated sensor
+    # frame, and searched rows fewer than or all of the geometry's: the
+    # per-search linear form prices each candidate as the penalty of the
+    # baseline ``candidate_baseline`` solves for it, to rounding.  Both
+    # baselines carry the forward error of the normal equations, which
+    # grows with their condition number, so the bound, 1e-9 (1 + penalty)
+    # for rows conditioned to 10, grows with it past that.
+    rng = RNG(seed)
+    lam = 0.19029367
+    rows = max(n + n_known, 3)
+    baseline = rng.normal(size=3)
+    baseline *= rng.uniform(100.0, 2000.0) / np.linalg.norm(baseline)
+    g, phases, truth, _ = make_geometry_problem(
+        rng, n_rows=rows, truth=rng.integers(-100_000, 100_001, size=rows),
+        baseline=baseline, wavelength=lam)
+    phases[n:] -= truth[n:]
+    dz = decorrelate(AmbiguityDistribution(
+        truth[:n] + rng.normal(scale=0.5, size=n),
+        random_spd(rng, n, scale=0.3 ** 2 / n)))
+    dcm = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    ctx = _noisy_sensor_context(rng, g, phases, dcm @ baseline, lam, n,
+                                sensors)
+    ctx.dcm_eci_to_sensor = dcm
+    cost = iar._constraint_cost(ctx, dz)
+    if not ctx.any_enabled:
+        assert cost is None
+        return
+    cand = [_round_scalar(x) + s for x, s in zip(dz.floats.tolist(), steps)]
+    full = np.zeros(rows)
+    full[:n] = inverse_transform(dz.z_matrix, cand)
+    rho = dcm @ candidate_baseline(g, phases, full, lam)
+    r = float(np.linalg.norm(rho))
+    want = penalty_cost(r, math.asin(rho[1] / r), math.atan2(rho[0], rho[2]),
+                        ctx)
+    cond = max(np.linalg.cond(g.T @ g), 10.0)
+    assert abs(cost(cand) - want) <= 1e-10 * cond * (1.0 + want)
+
+
 def _assert_two_best_match_brute_force(dist, ctx):
     """The constrained search of the decorrelated problem returns the two
     best vectors of a box oracle whose box provably holds them; returns
@@ -1176,26 +1223,20 @@ def _heavy_search_problem():
 
 def _logged_searches(monkeypatch):
     """A function running the constrained search of a decorrelated problem
-    with its penalty calls logged: it returns the result and the log, one
-    list of vectors per call, with "final" where the final pricing starts
-    (the search's ``bootstrap`` call)."""
+    with every vector its penalty prices logged: it returns the result and
+    the log."""
     log = []
-    make_penalty, boot = iar._constraint_cost, iar.bootstrap
+    make_penalty = iar._constraint_cost
 
-    def logged_cost(ctx, z_matrix):
-        penalty = make_penalty(ctx, z_matrix)
+    def logged_cost(ctx, dist):
+        penalty = make_penalty(ctx, dist)
 
-        def logged(cands):
-            log.append([tuple(c) for c in np.asarray(cands).tolist()])
-            return penalty(cands)
+        def logged(vector):
+            log.append(tuple(vector))
+            return penalty(vector)
         return logged
 
-    def marked_bootstrap(dist):
-        log.append("final")
-        return boot(dist)
-
     monkeypatch.setattr(iar, "_constraint_cost", logged_cost)
-    monkeypatch.setattr(iar, "bootstrap", marked_bootstrap)
 
     def search(dz, ctx):
         log.clear()
@@ -1208,14 +1249,13 @@ def test_constrained_search_reports_leaf_budget_exhaustion(monkeypatch):
     # ellipsoid than the leaf budget covers: the result must say so, and
     # still hold two distinct vectors in order.
     dist, ctx = _wide_range_problem(3.0)
-    res, log = _logged_searches(monkeypatch)(decorrelate(dist), ctx)
+    res, priced = _logged_searches(monkeypatch)(decorrelate(dist), ctx)
     assert res.budget_exhausted
     assert not np.array_equal(res.best, res.second_best)
     assert res.cost_best <= res.cost_second
-    # Queued leaves are priced as the pass goes: no more than one batch
-    # past the 20 000-leaf budget.
-    priced = sum(len(call) for call in log if call != "final")
-    assert priced <= 20_000 + iar._BATCH
+    # Leaves are priced as the pass admits them, so no more than the
+    # 20 000-leaf budget.
+    assert len(priced) <= 20_000
     # The same problem at a 5 cm baseline sigma is enumerated completely.
     dist, ctx = _wide_range_problem(0.05)
     assert not constrained_search(decorrelate(dist), ctx).budget_exhausted
@@ -1228,30 +1268,29 @@ def test_constrained_search_prices_each_vector_once(monkeypatch):
     problems = [(p.dist, p.ctx) for p in
                 importlib.import_module("problems").make_problem_set(1)]
     problems.append(_heavy_search_problem())
+    penalty = iar._constraint_cost
     search = _logged_searches(monkeypatch)
-    calls = []
     for dist, ctx in problems:
         dz = decorrelate(dist)
-        res, log = search(dz, ctx)
-        final = log.index("final")
-        priced = [v for call in log[:final] for v in call]
+        _, priced = search(dz, ctx)
+        admitted = []
+        _reference_search(dz, penalty(ctx, dz), admitted)
         assert len(priced) == len(set(priced))
-        # The final pricing prices only the vectors the pass did not,
-        # which in practice is none of them.
-        three = {tuple(bootstrap(dz).tolist()), tuple(res.best.tolist()),
-                 tuple(res.second_best.tolist())}
-        assert three <= set(priced)
-        assert log[final + 1:] == []
-        calls.append(len(log) - 1)
-    assert np.mean(calls[:-1]) <= 3.0 and max(calls[:-1]) <= 12
-    assert calls[-1] <= 12
+        assert len(priced) == len(admitted)
+        # In the order the pass admits them, so nothing is priced after it.
+        assert priced == admitted
+        # The first leaf, whose total is ``cost_init``, is the bootstrap
+        # vector.
+        assert priced[0] == tuple(bootstrap(dz).tolist())
 
 
-def _reference_search(dist, penalty):
+def _reference_search(dist, penalty, admitted=None):
     """The pass that prices the in-bound siblings of each last-level visit
-    with one ``penalty`` call, admits them before it moves on, and prices
-    the bootstrap vector, the best and the runner-up again at the end."""
-    penalty = penalty or (lambda cands: [0.0] * len(cands))
+    one by one, then admits them in order before it moves on; it returns
+    the totals it ranked by, the first leaf's as ``cost_init``, and
+    appends every admitted vector to ``admitted`` when given a list."""
+    penalty = penalty or (lambda vector: 0.0)
+    admitted = [] if admitted is None else admitted
     n = dist.size
     last = n - 1
     floats = dist.floats.tolist()
@@ -1259,11 +1298,12 @@ def _reference_search(dist, penalty):
     below = [dist.lower[level + 1:, level].tolist() for level in range(n)]
     cand = [0] * n
     best = []
+    totals = []
     bound = math.inf
     budget = 20_000
     exhausted = False
 
-    def leaves(partial, center, d_last):
+    def leaves(partial, center, float_, correction, d_last):
         nonlocal bound, budget, exhausted
         values = iar._zigzag(center)
         value = next(values)
@@ -1271,7 +1311,7 @@ def _reference_search(dist, penalty):
             room = budget if len(best) == 2 else min(budget, 2 - len(best))
             batch = []
             while True:
-                resid = value - center
+                resid = (value - float_) - correction
                 distance = partial + resid * resid / d_last
                 if distance > bound + 1e-12 or len(batch) == room:
                     break
@@ -1281,11 +1321,13 @@ def _reference_search(dist, penalty):
                 exhausted = exhausted or distance <= bound + 1e-12
                 return
             head = cand[:last]
-            totals = penalty([head + [v] for v, _ in batch])
-            for (v, distance), pen in zip(batch, totals):
+            prices = [penalty(head + [v]) for v, _ in batch]
+            for (v, distance), pen in zip(batch, prices):
                 if distance > bound + 1e-12:
                     return
                 budget -= 1
+                admitted.append((*head, v))
+                totals.append(distance + pen)
                 best.append((distance + pen, (*head, v)))
                 best.sort(key=lambda t: t[0])
                 del best[2:]
@@ -1296,11 +1338,12 @@ def _reference_search(dist, penalty):
         nonlocal exhausted
         center = floats[level] + corrections[0]
         if level == last:
-            leaves(partial, center, diag[level])
+            leaves(partial, center, floats[level], corrections[0],
+                   diag[level])
             return
         column, deeper = below[level], corrections[1:]
         for value in iar._zigzag(center):
-            resid = value - center
+            resid = (value - floats[level]) - corrections[0]
             cost = partial + resid * resid / diag[level]
             if cost > bound + 1e-12:
                 return
@@ -1312,33 +1355,29 @@ def _reference_search(dist, penalty):
                     [c + a * resid for c, a in zip(deeper, column)])
 
     descend(0, 0.0, [0.0] * n)
-    vectors = np.array([bootstrap(dist)] + [v for _, v in best],
-                       dtype=np.int64)
-    cost_boot, *costs = [d + p for d, p in zip(
-        dist.mahalanobis(vectors).tolist(), penalty(vectors))]
-    (c1, v1), (c2, v2) = sorted(zip(costs, vectors[1:]), key=lambda t: t[0])
+    (c1, v1), (c2, v2) = best
     return iar.IntegerSearchResult(
-        best=v1, second_best=v2, cost_best=c1, cost_second=c2,
-        cost_init=cost_boot, success_prob=success_rate(dist.diag),
+        best=np.array(v1, dtype=np.int64),
+        second_best=np.array(v2, dtype=np.int64), cost_best=c1,
+        cost_second=c2, cost_init=totals[0],
+        success_prob=success_rate(dist.diag),
         discrimination_ratio=c2 / c1 if c1 > 0.0 else math.inf,
         budget_exhausted=exhausted)
 
 
-def _stepped_penalty(cands):
+def _stepped_penalty(vector):
     """A constant 1e6 plus a step in [0, 1) that varies between vectors:
     the runner-up total puts tens of thousands of leaves in bound, and
     which vectors win depends on where the leaf budget stops the pass."""
-    return [1e6 + (sum(v) * 7919 % 1000) / 1000.0
-            for v in np.asarray(cands, dtype=np.int64).tolist()]
+    return 1e6 + (sum(vector) * 7919 % 1000) / 1000.0
 
 
-def _valley_penalty(cands):
+def _valley_penalty(vector):
     """Falls with the vector's distance from the origin, to zero past
     about 140 summed cycles: the totals keep improving as the pass moves
-    outward, and leaves queued before an improvement end up past the
+    outward, and leaves in bound before an improvement end up past the
     bound, so a pass that counted them against the budget stops early."""
-    return [max(0.0, 11498.5 - 82.13 * sum(abs(x) for x in v))
-            for v in np.asarray(cands, dtype=np.int64).tolist()]
+    return max(0.0, 11498.5 - 82.13 * sum(abs(x) for x in vector))
 
 
 @pytest.mark.parametrize("dist, penalty", [
@@ -1368,7 +1407,7 @@ def test_search_matches_the_per_visit_reference_bit_for_bit(problem):
     dist, ctx = problem
     dz = decorrelate(dist)
     got = constrained_search(dz, ctx)
-    want = _reference_search(dz, iar._constraint_cost(ctx, dz.z_matrix))
+    want = _reference_search(dz, iar._constraint_cost(ctx, dz))
     for name in ("best", "second_best", "cost_best", "cost_second",
                  "cost_init", "success_prob", "discrimination_ratio",
                  "budget_exhausted"):
