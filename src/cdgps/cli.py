@@ -395,7 +395,6 @@ def _add_scenario_flags(sub):
     sub.add_argument("--config", help="scenario config JSON path")
     sub.add_argument("--preset", choices=PRESET_NAMES,
                      help="built-in scenario (default: leo)")
-    sub.add_argument("--seed", type=int, help="override the RNG seed")
     sub.add_argument("--coupling", choices=("none", "loose", "full"),
                      help="override the sensor coupling mode")
     sub.add_argument("--duration", type=_finite,
@@ -413,9 +412,12 @@ def _build_parser() -> _Parser:
 
     p_run = subs.add_parser("run", help="simulate one scenario")
     _add_scenario_flags(p_run)
+    p_run.add_argument("--seed", type=int, help="override the RNG seed")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = subs.add_parser("sweep", help="run several seeds and aggregate")
+    # Seeds come from --seeds only; no abbreviations, or --seed would be one.
+    p_sweep = subs.add_parser("sweep", help="run several seeds and aggregate",
+                              allow_abbrev=False)
     _add_scenario_flags(p_sweep)
     p_sweep.add_argument("--seeds", type=int, nargs="+",
                          default=[1, 2, 3, 4, 5])

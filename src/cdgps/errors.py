@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CA_CHIP_LENGTH, L1_WAVELENGTH, SPEED_OF_LIGHT
-from .orbits import cross
+from .orbits import OrbitState, cross, row_norm, rtn_frame
 
 __all__ = [
     "LinkBudget",
@@ -415,25 +415,18 @@ def calibrate_roe(target_rms, semimajor_axis) -> RoeError:
 def inject_roe_error(position, velocity, roe: RoeError):
     """Corrupt an ECI ephemeris position by the mapped ROE error [m].
 
-    The argument of latitude and RTN axes are derived from the true
-    position/velocity; the mapped RTN error is rotated into ECI and added.
-    Stacked (n, 3) positions and velocities take stacked (n, 6) offsets
-    (or one set shared by every row) and give (n, 3) rows.
+    The argument of latitude and ``rtn_frame`` axes are derived from the
+    true position/velocity; the mapped RTN error is rotated into ECI and
+    added.  Stacked (n, 3) positions and velocities take stacked (n, 6)
+    offsets (or one set shared by every row) and give (n, 3) rows.
     """
     r = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    rn = np.linalg.norm(r, axis=-1, keepdims=True)
-    h = cross(r, v)
-    hn = np.linalg.norm(h, axis=-1, keepdims=True)
-    if np.any(rn == 0.0) or np.any(hn == 0.0):
-        raise ValueError("degenerate orbit state")
-    radial = r / rn
-    normal = h / hn
-    transverse = cross(normal, radial)
+    radial, transverse, normal = np.moveaxis(
+        rtn_frame(OrbitState(r, velocity)), -2, 0)
     # Argument of latitude from the ascending node direction; an equatorial
     # orbit measures it from the x axis.
     node = cross([0.0, 0.0, 1.0], normal)
-    nn = np.linalg.norm(node, axis=-1, keepdims=True)
+    nn = row_norm(node)
     node = np.where(nn < 1e-12, [1.0, 0.0, 0.0],
                     node / np.where(nn < 1e-12, 1.0, nn))
     cos_u = np.sum(node * radial, axis=-1)
@@ -442,7 +435,7 @@ def inject_roe_error(position, velocity, roe: RoeError):
 
     # Semimajor axis from the vis-viva relation (mu from h and r would need
     # more state; near-circular GPS orbits make |r| an adequate proxy).
-    a = rn[..., 0]
+    a = row_norm(r)[..., 0]
     err = roe_to_rtn(roe.offsets, a, u)
     return r + (radial * err[..., 0:1] + transverse * err[..., 1:2]
                 + normal * err[..., 2:3])

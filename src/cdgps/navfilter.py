@@ -584,21 +584,19 @@ def apply_fixes(state: FilterState, indices, values) -> FilterState:
 def constrain_linear(state: FilterState, rows, values) -> FilterState:
     """Condition the state on exact linear constraints ``rows @ x = values``.
 
-    This is the zero-noise Kalman update; used to feed partially-resolved
-    integer combinations (rows in the decorrelated space) back into the full
-    filter without forcing individual channels to integers.
+    This is the zero-noise Joseph-form update (``_joint_update``) with a
+    guard measurement variance of 1e-15 max(trace(rows P rows^T), 1) per row,
+    so that an already exact constraint stays invertible; used to feed
+    resolved integer combinations (rows in the decorrelated space) back into
+    the full filter without forcing individual channels to integers.
     """
     h = np.atleast_2d(np.asarray(rows, dtype=float))
     v = np.atleast_1d(np.asarray(values, dtype=float))
     p = state.covariance
-    s = h @ p @ h.T
-    # Guard: constraints must carry information not already exact.
-    s = s + 1e-15 * np.eye(s.shape[0]) * max(np.trace(s), 1.0)
-    k = np.linalg.solve(s.T, (p @ h.T).T).T
+    guard = 1e-15 * max(np.trace(h @ p @ h.T), 1.0)
     out = state.copy()
-    out.x = state.x + k @ (v - h @ state.x)
-    cov = (np.eye(N_STATES) - k @ h) @ p
-    out.covariance = 0.5 * (cov + cov.T)
+    out.x, out.covariance = _joint_update(state.x, p, h, v - h @ state.x,
+                                          np.full(len(v), guard))
     return out
 
 

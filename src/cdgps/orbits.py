@@ -6,7 +6,8 @@ filter's finite-difference transition.  ``propagate`` advances one state or
 stacked (n, 3) rows in one call, and each row's arithmetic is the same as
 if it were propagated alone.  The deliberate difference between truth and
 filter is confined to the acceleration profiles handed in, which is what
-the filter's empirical acceleration states are there to absorb.
+the filter's empirical acceleration states are there to absorb.  The
+dynamics take |r| from ``row_norm`` and share ``rtn_frame``'s axes.
 """
 
 from __future__ import annotations
@@ -78,12 +79,10 @@ class OrbitState:
 _J2_AXIS_FACTORS = np.array([1.0, 1.0, 3.0])
 
 
-def acceleration(position, include_j2=True):
+def acceleration(r, rn, include_j2=True):
     """Earth's two-body plus (optionally) J2 gravitational acceleration
-    [m/s^2] of one position or of stacked (n, 3) rows."""
-    r = np.asarray(position, dtype=float)
-    rn2 = (r[..., None, :] @ r[..., :, None])[..., 0]
-    rn = np.sqrt(rn2)
+    [m/s^2] of one position or of stacked (n, 3) rows ``r`` of norms ``rn``."""
+    rn2 = rn * rn
     a = -MU_EARTH / (rn2 * rn) * r
     if include_j2:
         z2_r2 = r[..., 2:3] * r[..., 2:3] / rn2
@@ -109,8 +108,16 @@ def cross(a, b):
 
 def row_norm(v):
     """Euclidean norms of a vector or of stacked (..., 3) rows, kept as
-    (..., 1); each equals ``np.linalg.norm`` of that row alone bit for bit."""
+    (..., 1); each equals ``np.linalg.norm`` of that row alone bit for bit.
+    The one norm of the dynamics, the RTN axes and the craft unit vectors."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
+
+
+def _rtn_axes(r, rn, h, hn):
+    """Radial, transverse and normal unit rows from positions ``r`` and
+    angular momenta ``h = r x v`` with their row norms."""
+    radial, normal = r / rn, h / hn
+    return radial, cross(normal, radial), normal
 
 
 def rtn_frame(state: OrbitState) -> np.ndarray:
@@ -128,38 +135,29 @@ def rtn_frame(state: OrbitState) -> np.ndarray:
     rn = row_norm(r)
     if np.any((rn == 0.0) | (hn < 1e-9 * np.maximum(rn * row_norm(v), 1.0))):
         raise DegenerateFrameError("position and velocity are parallel")
-    radial = r / rn
-    normal = h / hn
-    transverse = cross(normal, radial)
-    return np.stack([radial, transverse, normal], axis=-2)
-
-
-def _linalg_norm(v):
-    """Euclidean norms of (..., 3) rows, kept as (..., 1): the arithmetic of
-    ``np.linalg.norm(v, axis=-1, keepdims=True)`` without its wrapper."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    return np.stack(_rtn_axes(r, rn, h, hn), axis=-2)
 
 
 def _derivative(y, empirical_rtn, include_j2, out):
     """Time derivative of (..., 6) position/velocity rows, written into
     ``out``.  ``empirical_rtn`` is None or the (radial, transverse, normal)
     column slices of the empirical acceleration, each (..., 1), resolved in
-    each row's own RTN frame."""
+    each row's own ``rtn_frame`` axes.  One |r| serves gravity and the
+    radial axis; the only other row norm is |h|, for the other two axes."""
     r = y[..., :3]
     v = y[..., 3:]
-    a = acceleration(r, include_j2=include_j2)
+    rn = row_norm(r)
+    a = acceleration(r, rn, include_j2=include_j2)
     out[..., :3] = v
     if empirical_rtn is None:
         out[..., 3:] = a
         return
     e_r, e_t, e_n = empirical_rtn
-    radial = r / _linalg_norm(r)
     h = cross(r, v)
-    hn = _linalg_norm(h)
+    hn = row_norm(h)
     if not hn.all():
         raise DegenerateFrameError("position and velocity are parallel")
-    normal = h / hn
-    transverse = cross(normal, radial)
+    radial, transverse, normal = _rtn_axes(r, rn, h, hn)
     np.add(a, radial * e_r + transverse * e_t + normal * e_n,
            out=out[..., 3:])
 
@@ -182,14 +180,15 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
         Propagation interval [s] (> 0).
     empirical_accel_rtn : array_like, shape (3,) or (n, 3), optional
         Constant empirical acceleration over the interval, per row, resolved
-        in the instantaneous RTN frame of the propagated craft [m/s^2].
+        in the instantaneous ``rtn_frame`` of the propagated craft [m/s^2].
     include_j2 : bool
         Include the J2 zonal term.
 
     Raises
     ------
     PropagationError
-        If any row descends below the Earth's surface at any substep.
+        If any row's ``row_norm`` falls below the Earth's radius after any
+        substep.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -209,7 +208,7 @@ def propagate(state: OrbitState, dt, empirical_accel_rtn=None,
         _derivative(y + half_h * k2, emp, include_j2, k3)
         _derivative(y + h * k3, emp, include_j2, k4)
         y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(_linalg_norm(y[..., :3]) < R_EARTH):
+        if np.any(row_norm(y[..., :3]) < R_EARTH):
             raise PropagationError("trajectory descended below the surface")
     return OrbitState(y[..., :3], y[..., 3:], epoch=state.epoch + dt)
 

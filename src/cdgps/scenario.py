@@ -116,6 +116,7 @@ from .orbits import (
     default_constellation,
     kepler_elements_to_state,
     propagate,
+    row_norm,
     rtn_frame,
     visibility,
 )
@@ -449,9 +450,7 @@ def generate_truth(config: ScenarioConfig) -> Truth:
     el = config.chief_elements
     chief = kepler_elements_to_state(el["a"], el["e"], el["inc"], el["raan"],
                                      el["argp"], el["mean_anomaly"])
-    h = cross(chief.position, chief.velocity)
-    rot = _rotation_about(h / np.linalg.norm(h),
-                          config.separation / el["a"])
+    rot = _rotation_about(rtn_frame(chief)[2], config.separation / el["a"])
     deputy = OrbitState(rot @ chief.position, rot @ chief.velocity, 0.0)
 
     n = round(config.duration / config.truth_step)
@@ -489,21 +488,18 @@ def generate_truth(config: ScenarioConfig) -> Truth:
 # Sensor-frame pointing
 # ---------------------------------------------------------------------------
 
-def _unit(v):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def _pointing_frame(origin, target, normal_hint) -> np.ndarray:
     """DCMs (rows) taking ECI into sensor frames whose +z boresight points
     from ``origin`` at ``target``; +x is built from the orbit normal hint.
     Stacked (n, 3) inputs give (n, 3, 3) frames."""
-    z = _unit(np.asarray(target, dtype=float) - np.asarray(origin, dtype=float))
+    z = target - origin
+    z = z / row_norm(z)
     x = cross(normal_hint, z)
     # Boresight along the hint: fall back to any transverse axis.
     fallback = cross(np.where(np.abs(z[..., :1]) < 0.9, [1.0, 0.0, 0.0],
                               [0.0, 1.0, 0.0]), z)
-    x = _unit(np.where(np.linalg.norm(x, axis=-1, keepdims=True) < 1e-9,
-                       fallback, x))
+    x = np.where(row_norm(x) < 1e-9, fallback, x)
+    x = x / row_norm(x)
     return np.stack([x, cross(z, x), z], axis=-2)
 
 
@@ -654,8 +650,8 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     grid = [truth.index_of(t) for t in all_times]
     rx_pos = np.stack([truth.chief_pos[grid], truth.deputy_pos[grid]], axis=1)
     rx_vel = np.stack([truth.chief_vel[grid], truth.deputy_vel[grid]], axis=1)
-    attitudes = _pointing_frame(rx_pos, rx_pos[:, ::-1],
-                                _unit(cross(rx_pos, rx_vel)))
+    normals = rtn_frame(OrbitState(rx_pos, rx_vel))[..., 2, :]
+    attitudes = _pointing_frame(rx_pos, rx_pos[:, ::-1], normals)
     gps_at = [k for k, t in enumerate(all_times) if t in gps_times]
     geometry = _gps_geometry(const, np.array(all_times)[gps_at],
                              rx_pos[gps_at], rx_vel[gps_at],
@@ -857,8 +853,8 @@ def _sensor_context(state, epoch, tuning, tmat, order, idx, n_free):
     geometry is negated to resolve chief minus deputy.
     """
     x = state.x
-    los = _unit(np.array([epoch.gps_positions[g] for g in order])
-                - x[CHIEF_POS])
+    los = np.array([epoch.gps_positions[g] for g in order]) - x[CHIEF_POS]
+    los = los / row_norm(los)
     sdcp = dict(epoch.sdcp)
     phases = tmat @ np.array([sdcp[g] for g in order])
     phases[n_free:] -= tmat[n_free:] @ x[idx]

@@ -330,6 +330,20 @@ def test_sweep_aggregates(capsys, tmp_path):
     assert "aggregate:" in text
 
 
+def test_sweep_rejects_seed_flag(capsys, tmp_path):
+    # Every sweep run takes its seed from --seeds; --seed is not silently
+    # ignored, nor read as an abbreviation of --seeds.
+    out = tmp_path / "sw"
+    code, text, err = _run(capsys, "sweep", "--seed", "5", "--seeds", "1",
+                           "--duration", "900", "--coupling", "none",
+                           "--output", str(out))
+    assert code == 1
+    assert text == ""
+    assert json.loads(err) == {"error": "validation",
+                               "detail": "unrecognized arguments: --seed 5"}
+    assert not (out / "sweep.json").exists()
+
+
 def test_sweep_rejects_duplicate_seeds(capsys, tmp_path):
     code, _, err = _run(capsys, "sweep", "--preset", "leo", "--seeds", "1",
                         "1", "--output", str(tmp_path / "dup"))

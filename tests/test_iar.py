@@ -1082,8 +1082,24 @@ def _assert_two_best_match_brute_force(dist, ctx):
         if not np.array_equal(got, want):
             assert math.isclose(total(got), cost, rel_tol=1e-12), (got, want)
     assert res.cost_best <= res.cost_second
-    assert math.isclose(res.cost_best, bf_c1, rel_tol=1e-9)
-    assert math.isclose(res.cost_second, bf_c2, rel_tol=1e-9)
+    # The search prices the decorrelated floats, Zᵀ·a rounded; the oracle
+    # prices the floats a.  The rounding delta = dz.floats - Zᵀ·a is taken
+    # exactly (Z is integer, so Zᵀ·a is a sum of exact rationals).  The
+    # distance part d of a cost is a squared Mahalanobis length, so
+    # |sqrt(d) - sqrt(d')| <= e = sqrt(deltaᵀ Q_z⁻¹ delta) (triangle
+    # inequality) and |d - d'| <= 2 e sqrt(max(d, d')); the penalty parts
+    # agree to rel_tol.  Only a cost that is itself rounding noise
+    # needs this floor: floats 1e-9 cycles off the integers cost about
+    # 2e-18, and one ulp of Zᵀ·a near 16 moves that by about 7e-6 relative.
+    exact = [sum(Fraction(int(z)) * Fraction(float(a))
+                 for z, a in zip(column, dist.floats))
+             for column in np.asarray(dz.z_matrix).T]
+    delta = np.array([float(Fraction(float(f)) - x)
+                      for f, x in zip(dz.floats, exact)])
+    e = math.sqrt(float(delta @ np.linalg.solve(dz.covariance, delta)))
+    for got, want in ((res.cost_best, bf_c1), (res.cost_second, bf_c2)):
+        floor = 2.0 * e * math.sqrt(max(got, want))
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=floor)
     return res
 
 
@@ -1107,6 +1123,22 @@ def test_constrained_search_two_best_match_brute_force(n, sensors):
         assert res.cost_best < res.cost_second
 
 
+def _search_problem(n, sensors, error, sigma, seed):
+    """``n`` searched DD rows and two with known integers, float sigmas
+    about 1.4 ``sigma`` [cycles], floats ``error`` times one sigma of their
+    own covariance off the truth, and range/bearing as ``sensors`` enables
+    them; the rest drawn from ``seed``."""
+    rng = RNG(seed)
+    lam = 0.19029367
+    g, phases, truth, baseline = make_geometry_problem(
+        rng, n_rows=n + 2, wavelength=lam)
+    phases[n:] -= truth[n:]
+    cov = random_spd(rng, n, scale=sigma ** 2 / n)
+    floats = truth[:n] + error * (np.linalg.cholesky(cov) @ rng.normal(size=n))
+    ctx = _noisy_sensor_context(rng, g, phases, baseline, lam, n, sensors)
+    return AmbiguityDistribution(floats, cov), ctx
+
+
 @st.composite
 def search_problems(draw, max_n, sigmas):
     """n = 1 to ``max_n`` searched DD rows and two with known integers,
@@ -1118,19 +1150,16 @@ def search_problems(draw, max_n, sigmas):
     sensors = draw(st.sampled_from(SENSOR_COMBINATIONS))
     error = draw(st.floats(min_value=0.0, max_value=2.0))
     sigma = draw(st.sampled_from(sigmas))
-    rng = RNG(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    lam = 0.19029367
-    g, phases, truth, baseline = make_geometry_problem(
-        rng, n_rows=n + 2, wavelength=lam)
-    phases[n:] -= truth[n:]
-    cov = random_spd(rng, n, scale=sigma ** 2 / n)
-    floats = truth[:n] + error * (np.linalg.cholesky(cov) @ rng.normal(size=n))
-    ctx = _noisy_sensor_context(rng, g, phases, baseline, lam, n, sensors)
-    return AmbiguityDistribution(floats, cov), ctx
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    return _search_problem(n, sensors, error, sigma, seed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(search_problems(max_n=4, sigmas=(0.1,)))
+# The shrunk failures of --hypothesis-seed=11 and 46 without the rounding
+# floor: floats 1e-9 cycles off the integers, costs about 2e-18.
+@example(_search_problem(2, (False, False), 1e-9, 0.1, 36749))
+@example(_search_problem(4, (False, False), 1e-9, 0.1, 1))
 def test_search_two_best_match_brute_force_for_float_errors_to_two_sigma(
         problem):
     _assert_two_best_match_brute_force(*problem)

@@ -26,6 +26,7 @@ from cdgps.orbits import (
     rtn_frame,
     visibility,
 )
+from cdgps.orbits import _derivative
 
 LEO_ALT = 370e3
 LEO_A = R_EARTH + LEO_ALT
@@ -178,11 +179,17 @@ def test_stacked_propagation_subsurface_error_from_one_row():
                              np.stack([leo.velocity, graze.velocity])), 70.0)
 
 
+def _j2_part(position):
+    r = np.array(position, dtype=float)
+    return (acceleration(r, row_norm(r), include_j2=True)
+            - acceleration(r, row_norm(r), include_j2=False))
+
+
 def test_acceleration_j2_structure():
     # On the equatorial plane the J2 term points radially inward (stronger
     # pull); over the pole it is also attractive but with different scale.
-    a_eq = acceleration([7e6, 0, 0], include_j2=True) - acceleration([7e6, 0, 0], include_j2=False)
-    a_pole = acceleration([0, 0, 7e6], include_j2=True) - acceleration([0, 0, 7e6], include_j2=False)
+    a_eq = _j2_part([7e6, 0, 0])
+    a_pole = _j2_part([0, 0, 7e6])
     assert a_eq[0] < 0.0                      # inward along +x
     assert a_pole[2] > 0.0                    # J2 weakens pull over the pole
     assert abs(a_eq[0] / a_pole[2]) == pytest.approx(0.5, rel=1e-9)
@@ -248,6 +255,28 @@ def test_stacked_rtn_frame_matches_rows_bit_for_bit(seed, n):
     vel[k] = 0.1 * pos[k]
     with pytest.raises(DegenerateFrameError):
         rtn_frame(OrbitState(pos, vel))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=40))
+def test_dynamics_resolve_empirical_acceleration_in_rtn_frame_axes(seed, n):
+    # The empirical-acceleration term of the dynamics is rtn_frame's rows
+    # times the RTN components, bit for bit: the two constructions of the
+    # axes cannot drift apart.  The components are as large as gravity, so
+    # that a last-bit change of an axis survives the sum.
+    rng = np.random.default_rng(seed)
+    pos, vel = _orbit_rows(rng, n)
+    emp = rng.normal(scale=10.0, size=(n, 3))
+    y = np.concatenate([pos, vel], axis=1)
+    with_emp, gravity = np.empty((n, 6)), np.empty((n, 6))
+    _derivative(y, (emp[:, 0:1], emp[:, 1:2], emp[:, 2:3]), True, with_emp)
+    _derivative(y, None, True, gravity)
+    frame = rtn_frame(OrbitState(pos, vel))
+    term = (frame[:, 0] * emp[:, 0:1] + frame[:, 1] * emp[:, 1:2]
+            + frame[:, 2] * emp[:, 2:3])
+    np.testing.assert_array_equal(with_emp[:, :3], vel)
+    np.testing.assert_array_equal(with_emp[:, 3:], gravity[:, 3:] + term)
 
 
 _COMPONENTS = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False,
