@@ -23,8 +23,8 @@ The penalty does its per-search work once: it checks the geometry and
 writes a candidate's sensor-frame baseline, which is linear in the
 candidate, as an anchor baseline and a 3 x n matrix, both Python lists, so
 that pricing a candidate takes a few scalar operations.  Scalars are
-rounded with ``math.floor``/``math.ceil``; ``round_half_away`` serves
-arrays.
+rounded to the nearest integer, ties away from zero, with
+``math.floor``/``math.ceil``.
 
 The stages around the search work on Python scalars as well: the swap loop
 of ``decorrelate``, ``bootstrap``, ``success_rate`` and ``partial_resolve``,
@@ -52,7 +52,6 @@ __all__ = [
     "ldl_decompose",
     "decorrelate",
     "bootstrap",
-    "round_half_away",
     "classical_ils_search",
     "constrained_search",
     "penalty_cost",
@@ -73,15 +72,9 @@ class SingularGeometryError(ValueError):
     """Raised when fewer than three independent lines of sight are available."""
 
 
-def round_half_away(x):
-    """Round to nearest integer with ties away from zero (not banker's)."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    return out.astype(np.int64)
-
-
 def _round_scalar(x):
-    """``round_half_away`` of one float, without the array round trip."""
+    """Round one float to the nearest integer, ties away from zero (not
+    banker's)."""
     return math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
 
 

@@ -321,7 +321,8 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
     (finite-tau) clock states then decay as first-order Gauss-Markov
     processes.  The covariance maps through a central-difference transition
     matrix, propagated in the same call as the mean, and gains the
-    configured process noise; fixed ambiguity channels receive none.  The
+    configured process noise; single differences flagged fixed receive none,
+    so the double differences a full fix made exact stay exact.  The
     transition is the identity outside its leading block ``a`` over the
     crafts' states, so ``phi P phi^T`` is formed as ``a`` applied to the
     leading rows and then to the leading columns.
@@ -553,31 +554,24 @@ def _joint_update(x, p, h, innov, r_diag):
 # Integer fix application
 # ---------------------------------------------------------------------------
 
-def apply_fixes(state: FilterState, indices, values) -> FilterState:
-    """Overwrite single-difference channels with resolved integers.
+def apply_fixes(state: FilterState, slots) -> FilterState:
+    """Flag single-difference channels as fixed.
 
-    The fixed entries become exact: their covariance rows and columns are
-    zeroed (conditioning with zero residual uncertainty) and the channels
-    are flagged so later process noise and re-fix attempts skip them.
+    The caller has already made the channels' double differences exact with
+    ``constrain_linear``; no single difference has to be an integer.  A flagged
+    channel gets no ambiguity process noise and serves as a known reference in
+    later fix attempts, until ``allocate_channels`` restarts it.
 
     Raises
     ------
     ValueError
-        If any index is already fixed.
+        If any slot is already fixed.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    values = np.asarray(values)
-    if indices.size == 0:
-        return state.copy()
-    if np.any(state.fixed_mask[indices]):
+    slots = np.asarray(slots, dtype=np.int64)
+    if np.any(state.fixed_mask[slots]):
         raise ValueError("channel already fixed")
     out = state.copy()
-    for slot, val in zip(indices, values):
-        idx = AMB_SD.start + int(slot)
-        out.x[idx] = float(val)
-        out.covariance[idx, :] = 0.0
-        out.covariance[:, idx] = 0.0
-        out.fixed_mask[int(slot)] = True
+    out.fixed_mask[slots] = True
     return out
 
 
@@ -586,9 +580,10 @@ def constrain_linear(state: FilterState, rows, values) -> FilterState:
 
     This is the zero-noise Joseph-form update (``_joint_update``) with a
     guard measurement variance of 1e-15 max(trace(rows P rows^T), 1) per row,
-    so that an already exact constraint stays invertible; used to feed
-    resolved integer combinations (rows in the decorrelated space) back into
-    the full filter without forcing individual channels to integers.
+    so that an already exact constraint stays invertible.  Every accepted
+    integer fix, full or partial, enters the filter here: its rows are the
+    accepted decorrelated double-difference combinations over the
+    single-difference slots.
     """
     h = np.atleast_2d(np.asarray(rows, dtype=float))
     v = np.atleast_1d(np.asarray(values, dtype=float))

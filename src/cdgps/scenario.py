@@ -78,9 +78,7 @@ from .iar import (
     constrained_search,
     constraint_context,
     decorrelate,
-    inverse_transform,
     partial_resolve,
-    round_half_away,
 )
 from .measurements import (
     MeasurementEpoch,
@@ -877,9 +875,11 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     tightest float), double-differences against it with one operator (the
     floats, the sensor context, the truth and the feedback rows alike),
     decorrelates, searches (sensor-constrained when the coupling mode and
-    epoch allow), and feeds any accepted subset back into the filter: a
-    full acceptance pins channels to integers, a partial one conditions
-    the filter on the accepted decorrelated combinations only.
+    epoch allow), and conditions the filter on the accepted decorrelated
+    combinations with one ``constrain_linear`` call.  A full acceptance
+    then flags the searched channels, and a float reference, as fixed;
+    their double differences are exact, while no single difference is
+    rounded.
 
     ``slots`` maps the epoch's GPS ids to ambiguity slots (as returned by
     ``allocate_channels``).  A float channel enters the search only after
@@ -957,26 +957,15 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     z_true = dist_z.z_matrix.T @ true_dd
     wrong = int(np.sum(values != z_true[sel]))
 
+    rows = np.zeros((len(sel), navfilter.N_STATES))
+    rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ t_dd
+    state = constrain_linear(state, rows, values)
+    # A full fix makes every searched DD exact: flag its channels, and the
+    # reference if it was float, so their ambiguities stop diffusing.
     full_fix = partial.subset_size == n_dd
     if full_fix:
-        n_dd_int = inverse_transform(dist_z.z_matrix, result.best)
-        rows = np.zeros((n_dd, navfilter.N_STATES))
-        rows[:, idx] = t_dd
-        state = constrain_linear(state, rows, n_dd_int)
-        # A fixed reference holds its integer exactly.  An unfixed one is
-        # only code-level observable; round it and let the clock states
-        # absorb the common-mode residual.
-        ref_int = int(round_half_away(state.x[sd[ref]]))
-        if state.fixed_mask[slots[ref]]:
-            state = apply_fixes(state, [slots[g] for g in free],
-                                n_dd_int + ref_int)
-        else:
-            vals = np.append(n_dd_int + ref_int, ref_int)
-            state = apply_fixes(state, [slots[g] for g in free + [ref]], vals)
-    else:
-        rows = np.zeros((len(sel), navfilter.N_STATES))
-        rows[:, idx] = np.asarray(dist_z.z_matrix, dtype=float).T[sel] @ t_dd
-        state = constrain_linear(state, rows, values)
+        state = apply_fixes(state, [slots[g] for g in free + [ref]
+                                    if not state.fixed_mask[slots[g]]])
 
     event = {
         "time": float(epoch.time),

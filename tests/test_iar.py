@@ -33,7 +33,6 @@ from cdgps.iar import (
     ldl_decompose,
     partial_resolve,
     penalty_cost,
-    round_half_away,
     success_rate,
 )
 from cdgps.iar import _round_scalar
@@ -41,6 +40,14 @@ from cdgps.iar import _round_scalar
 RNG = np.random.default_rng
 DATA = Path(__file__).parent / "data"
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def round_half_away(x):
+    """Round an array to the nearest integers, ties away from zero (not
+    banker's): the oracle for ``_round_scalar``."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    return out.astype(np.int64)
 
 
 def random_spd(rng, n, scale=1.0):

@@ -144,6 +144,14 @@ N_ZD = {0: 11254.0, 1: -8731.0, 2: 2048.0, 3: -115.0, 4: 9999.0, 5: 312.0}
 N_SD = {0: 14.0, 1: -7.0, 2: 3.0, 3: 0.0, 4: -22.0, 5: 5.0}
 
 
+def fix_channels(state, slots, values):
+    """Condition the single-difference floats of ``slots`` on ``values``
+    with unit rows, then flag the slots fixed."""
+    rows = np.zeros((len(slots), N_STATES))
+    rows[np.arange(len(slots)), AMB_SD.start + np.asarray(slots)] = 1.0
+    return apply_fixes(constrain_linear(state, rows, values), slots)
+
+
 # ---------------------------------------------------------------------------
 # Layout and initialization
 # ---------------------------------------------------------------------------
@@ -247,7 +255,7 @@ def test_reacquisition_restarts_and_warm_starts_the_slot():
     slot = slots[2]
     zd = AMB_ZD.start + slot
     st.covariance[zd, CHIEF_POS] = st.covariance[CHIEF_POS, zd] = 0.3
-    st = apply_fixes(st, [slot], [N_SD[2]])
+    st = fix_channels(st, [slot], [N_SD[2]])
     before = st.copy()
 
     # The chief re-acquires satellite 2 with an ambiguity 17 cycles over.
@@ -322,14 +330,15 @@ def test_time_update_process_noise_and_fixed_channels():
     chief, deputy = make_truth()
     tuning = FilterTuning()
     st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
-    st = apply_fixes(st, [2], [N_SD[2]])
+    st = fix_channels(st, [2], [N_SD[2]])
     before_amb = np.diag(st.covariance)[AMB_SD].copy()
     out = time_update(st, tuning, 30.0)
     after_amb = np.diag(out.covariance)[AMB_SD]
     q = tuning.proc_amb ** 2
-    # Unfixed channels gained one step of noise; the fixed one stayed exact.
+    # Unfixed channels gained one step of noise; the fixed one gained none.
     assert after_amb[0] == pytest.approx(before_amb[0] + q, rel=1e-9)
-    assert after_amb[2] == 0.0
+    assert before_amb[2] < 1e-9
+    assert after_amb[2] == before_amb[2]
     assert np.trace(out.covariance) > np.trace(st.covariance)
     # Scaling: half the step, half the variance gain
     out_half = time_update(st, tuning, 15.0)
@@ -423,7 +432,7 @@ def test_time_update_covariance_equals_dense_reference_bit_for_bit():
     corr = g @ g.T
     sd = np.sqrt(np.diag(st.covariance) / np.diag(corr))
     st.covariance = sd[:, None] * corr * sd[None, :]
-    st = apply_fixes(st, [2], [N_SD[2]])
+    st = fix_channels(st, [2], [N_SD[2]])
     for dt in (30.0, 10.0, 25.0):
         out = time_update(st, tuning, dt)
         ref = _dense_time_update_covariance(st, tuning, dt)
@@ -792,23 +801,21 @@ def test_joint_update_equals_sequential_on_linear_problem():
 # Fix application
 # ---------------------------------------------------------------------------
 
-def test_apply_fixes_overwrites_and_zeroes():
+def test_apply_fixes_flags_without_touching_the_state():
     chief, deputy = make_truth()
     tuning = FilterTuning()
     st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
-    st.x[AMB_SD.start + 1] = -6.7  # float estimate near the integer
-    out = apply_fixes(st, [1, 4], [-7.0, -22.0])
-    assert out.x[AMB_SD.start + 1] == -7.0
-    assert out.x[AMB_SD.start + 4] == -22.0
-    idx = AMB_SD.start + 1
-    assert np.all(out.covariance[idx, :] == 0.0)
-    assert np.all(out.covariance[:, idx] == 0.0)
+    st.x[AMB_SD.start + 1] = -6.7  # a float, not an integer
+    out = apply_fixes(st, [1, 4])
     assert out.fixed_mask[1] and out.fixed_mask[4]
-    assert not out.fixed_mask[0]
+    assert np.count_nonzero(out.fixed_mask) == 2
+    np.testing.assert_array_equal(out.x, st.x)
+    np.testing.assert_array_equal(out.covariance, st.covariance)
     # Input untouched
-    assert st.x[AMB_SD.start + 1] == -6.7
+    assert not st.fixed_mask.any()
     # Empty fix set is the identity
-    same = apply_fixes(st, [], [])
+    same = apply_fixes(st, [])
+    assert not same.fixed_mask.any()
     assert np.array_equal(same.x, st.x)
 
 
@@ -816,9 +823,12 @@ def test_refixing_raises():
     chief, deputy = make_truth()
     tuning = FilterTuning()
     st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
-    out = apply_fixes(st, [3], [0.0])
+    out = fix_channels(st, [3], [0.0])
     with pytest.raises(ValueError):
-        apply_fixes(out, [3], [1.0])
+        apply_fixes(out, [3])
+    with pytest.raises(ValueError):
+        apply_fixes(out, [2, 3])
+    assert not out.fixed_mask[2]
 
 
 def test_fixed_channel_tightens_baseline_through_sdcp():
@@ -838,7 +848,7 @@ def test_fixed_channel_tightens_baseline_through_sdcp():
     epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD, with_external=False)
 
     float_out, _ = measurement_update(st, epoch, tuning)
-    fixed = apply_fixes(st, list(range(6)), [N_SD[g] for g in range(6)])
+    fixed = fix_channels(st, list(range(6)), [N_SD[g] for g in range(6)])
     fixed_out, _ = measurement_update(fixed, epoch, tuning)
 
     def rel_var(s):

@@ -5,9 +5,14 @@ first fixes, are written, and the sha256 of each run's ``history.csv`` and
 ``report.json`` must equal the digests in ``tests/data/report_pin.json``:
 
 * seed 1, where every fix is a full fix with evidence factor S = 1;
-* seed 107, with one fix event at S < 1 and four wrong-fix events;
+* seed 107, another ten full fixes at S = 1, none wrong (it once made four
+  wrong-fix events, when a full fix rounded its float reference);
 * seed 0 with phase multipath raised to 0.10 m, whose 12 fix events include
   two partial fixes.
+
+No pinned run has a fix event at S < 1 or a wrong fix.  Each run's fix
+counts and post-fix RMS are pinned beside its digests and checked first, so
+a regenerated pin's diff shows which numbers moved.
 
 Acceptance criterion 11 checks that a run repeats its own bytes; this pin
 checks that a change to the code keeps the bytes an earlier version wrote,
@@ -31,24 +36,28 @@ from cdgps.scenario import leo_preset, run_scenario
 DATA = Path(__file__).parent / "data" / "report_pin.json"
 DURATION = 3600.0
 FILES = ("history.csv", "report.json")
+SUMMARY = ("n_fix_events", "n_fixed_integers", "n_wrong_fix_events",
+           "rms_pos_post_fix")
 # (seed, phase multipath amplitude [m] or None for the preset's).
 RUNS = ((1, None), (107, None), (0, 0.10))
 
 
 def digests(seed, multipath_amp_phase):
-    """One pinned run's configuration and the sha256 of its report files."""
+    """One pinned run's configuration, summary numbers and the sha256 of
+    its report files."""
     cfg = leo_preset()
     cfg.seed = seed
     cfg.duration = DURATION
     if multipath_amp_phase is not None:
         cfg.noise.multipath_amp_phase = multipath_amp_phase
     with tempfile.TemporaryDirectory() as out:
-        run_scenario(cfg, output_dir=out)
+        report = run_scenario(cfg, output_dir=out)
         files = {name: hashlib.sha256((Path(out) / name).read_bytes())
                  .hexdigest() for name in FILES}
     return {"preset": cfg.name, "coupling": cfg.coupling_mode,
             "seed": seed, "duration": DURATION,
             "multipath_amp_phase": cfg.noise.multipath_amp_phase,
+            "summary": {key: report.summary[key] for key in SUMMARY},
             "sha256": files}
 
 
@@ -60,6 +69,8 @@ def test_leo_full_report_bytes_match_the_pin():
         for key in ("preset", "coupling", "seed", "duration",
                     "multipath_amp_phase"):
             assert got[key] == want[key], (run, key)
+        for key in SUMMARY:
+            assert got["summary"][key] == want["summary"][key], (run, key)
         for name in FILES:
             assert got["sha256"][name] == want["sha256"][name], (run, name)
 

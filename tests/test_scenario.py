@@ -19,9 +19,11 @@ from cdgps.navfilter import (
     AMB_SD,
     CHIEF_POS,
     DEPUTY_POS,
+    N_STATES,
     FilterTuning,
     allocate_channels,
     apply_fixes,
+    constrain_linear,
     initialize_filter,
 )
 from cdgps.orbits import OrbitState, default_constellation
@@ -437,6 +439,47 @@ def test_attempt_fix_waits_for_mature_tracks():
     assert fixed.fixed_mask[list(slots.values())].all()
 
 
+def test_full_fix_leaves_an_unsearched_channel_at_its_conditional_mean():
+    # A full fix against a float reference conditions the filter on the
+    # accepted DD integers and on nothing else.  The DD float of a tracked
+    # channel that was too young to be searched must land on its
+    # conditional mean given those integers; rounding the reference's own
+    # float would shift it by the rounding offset.
+    config = _short_leo(coupling_mode="loose")
+    ids = range(5)
+    ages = {g: IAR_MIN_TRACK for g in ids}
+    ages[4] = IAR_MIN_TRACK - 1
+    state, epoch, slots, true_sd = _fix_ready_state(ages)
+    truth = true_sd[epoch.time]
+    idx = [AMB_SD.start + slots[g] for g in ids]
+    state.x[idx] += [0.013, -0.021, 0.017, 0.006, -0.028]
+    mix = np.random.default_rng(5).normal(size=(5, 5))
+    state.covariance[np.ix_(idx, idx)] += 2e-5 * (mix @ mix.T)
+    x, p = state.x[idx], state.covariance[np.ix_(idx, idx)]
+
+    fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
+    assert fix["full"] and fix["wrong"] == 0
+    ref, searched = fix["reference"], fix["channels"]
+    assert sorted(searched + [ref]) == [0, 1, 2, 3]
+
+    # DD operator: the searched channels, then the unsearched one, each
+    # minus the reference.
+    k = len(searched)
+    tmat = np.zeros((k + 1, 5))
+    for row, g in enumerate(searched + [4]):
+        tmat[row, g] = 1.0
+        tmat[row, ref] = -1.0
+    mean, cov = tmat @ x, tmat @ p @ tmat.T
+    accepted = np.array([truth[g] - truth[ref] for g in searched], dtype=float)
+    want = mean[k] + cov[k, :k] @ np.linalg.solve(cov[:k, :k],
+                                                   accepted - mean[:k])
+    got = tmat @ fixed.x[idx]
+    np.testing.assert_allclose(got[:k], accepted, rtol=0.0, atol=1e-9)
+    assert got[k] == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert fixed.fixed_mask[[slots[g] for g in range(4)]].all()
+    assert not fixed.fixed_mask[slots[4]]
+
+
 def test_veto_quantiles_equal_scipy_bit_for_bit():
     # One entry per searchable size: a larger IAR_MAX_SEARCH fails here
     # until the table is extended.
@@ -554,8 +597,11 @@ def test_fixed_channels_enter_the_sensor_context(n_sats, n_fixed,
     state, epoch, slots, true_sd = _fix_ready_state(
         {g: IAR_MIN_TRACK for g in range(n_sats)})
     truth = true_sd[epoch.time]
-    state = apply_fixes(state, [slots[g] for g in range(n_fixed)],
-                        [truth[g] for g in range(n_fixed)])
+    fixed_slots = [slots[g] for g in range(n_fixed)]
+    rows = np.zeros((n_fixed, N_STATES))
+    rows[np.arange(n_fixed), AMB_SD.start + np.array(fixed_slots)] = 1.0
+    state = apply_fixes(constrain_linear(
+        state, rows, [truth[g] for g in range(n_fixed)]), fixed_slots)
     epoch = _with_sensor_epoch(state, epoch, truth)
     fixed, _, fix = _attempt_fix(state, epoch, config, true_sd, slots)
     assert fix["reference"] == 0
@@ -638,3 +684,30 @@ def test_coupling_none_never_attempts_integers():
     assert report.summary["n_fix_events"] == 0
     assert report.summary["first_fix_time"] is None
     assert all(r["n_fixed"] == 0 for r in report.records)
+
+
+# Seeds fixed in advance; 107 is the seed that once made four wrong fixes.
+INTEGRITY_SEEDS = tuple(range(30)) + (107,)
+
+
+def test_leo_full_runs_make_no_wrong_fix():
+    """Integrity gate: LEO ``full`` over 3600 s on every seed of
+    ``INTEGRITY_SEEDS`` accepts no wrong integer.
+
+    The 31 runs make 311 fix events.  Zero wrong in n events bounds the
+    per-event wrong-fix probability below 3/n at 95 % (rule of three):
+    3/311 = 9.6e-3.  A gate that fixes too little says nothing, so the runs
+    must make at least 300 events, which keeps that bound under 1e-2.
+    """
+    n_events = 0
+    wrong = {}
+    for seed in INTEGRITY_SEEDS:
+        cfg = leo_preset()
+        cfg.seed = seed
+        cfg.duration = 3600.0
+        s = run_scenario(cfg).summary
+        n_events += s["n_fix_events"]
+        if s["n_wrong_fix_events"]:
+            wrong[seed] = s["n_wrong_fix_events"]
+    assert wrong == {}
+    assert n_events >= 300
