@@ -53,23 +53,31 @@ class SensorBiases:
 class MeasurementEpoch:
     """Time-tagged bundle of everything the filter ingests at one epoch.
 
-    ``graphic`` carries (gps_id, value [m]) pairs per receiver keyed by
-    receiver id; ``sdcp`` carries (gps_id, value [cycles]) pairs differenced
-    chief-minus-deputy.  ``attitude`` rotates ECI vectors into the sensor
-    frame at ``time``.
+    The GPS fields are aligned to ``gps_ids``, the ascending ids of the k
+    satellites both receivers track: entry i of each belongs to
+    ``gps_ids[i]``.  ``graphic`` holds GRAPHIC [m] for the "chief" and the
+    "deputy" receiver, ``sdcp`` the chief-minus-deputy carrier phase
+    [cycles], ``tracks`` the receivers' (chief, deputy) lock reports (track
+    ids), ``gps_positions`` the broadcast ECI positions [m] as (k, 3), and
+    ``extra_variance`` (k, 3) the direction-dependent variance [m^2] of the
+    chief GRAPHIC, deputy GRAPHIC and SDCP rows (e.g. from a calibrated
+    multipath map), added to the filter's floor variances.  An epoch without
+    GPS has k = 0.  ``attitude`` rotates ECI vectors into the sensor frame
+    at ``time``.
     """
 
     time: float
-    graphic: dict = field(default_factory=dict)        # receiver_id -> list[(gps_id, m)]
-    sdcp: list = field(default_factory=list)           # list[(gps_id, cycles)]
+    gps_ids: list = field(default_factory=list)
+    graphic: dict = field(default_factory=dict)        # "chief"/"deputy" -> [m]
+    sdcp: list = field(default_factory=list)           # [cycles]
+    tracks: list = field(default_factory=list)         # [(chief, deputy)]
+    gps_positions: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 3)))
+    extra_variance: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 3)))
     range_obs: float = None                            # m, or None
     bearing_obs: tuple = None                          # (az, el) rad, or None
     attitude: np.ndarray = None                        # 3x3 DCM ECI -> sensor
-    gps_positions: dict = field(default_factory=dict)  # gps_id -> ECI position [m]
-    # Direction-dependent extra measurement variance [m^2] keyed by row label
-    # ("graphic:<receiver>:<gps_id>", "sdcp:<gps_id>", "range", ...), e.g.
-    # from a calibrated multipath map; added to the filter's floor variances.
-    noise_inflation: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

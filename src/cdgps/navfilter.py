@@ -21,9 +21,11 @@ warm-starts them and counts their age.  GRAPHIC observations see
 the zero-difference float of the observing receiver (the deputy's is the
 chief's minus the single difference), single-differenced carrier phase sees
 the single-difference float, and the external range/bearing sensors see the
-relative position plus their biases.  ``measurement_update`` builds the
-GPS rows a block at a time (the GRAPHIC rows of each receiver, then the SDCP
-rows) as arrays, from one id -> slot map of ``channel_ids``.
+relative position plus their biases.  An epoch's GPS observations are
+aligned to its ascending ``gps_ids``; ``measurement_update`` builds the GPS
+rows a block at a time (the GRAPHIC rows of each receiver, then the SDCP
+rows) as arrays over the rows of the ids that hold a slot, from one
+id -> slot map of ``channel_ids``.
 """
 
 from __future__ import annotations
@@ -178,7 +180,6 @@ class UpdateReport:
     n_rejected: int = 0
     innovations: np.ndarray = None
     gate_flags: np.ndarray = None
-    labels: list = None
 
 
 @dataclass
@@ -238,31 +239,31 @@ def _slot_map(channel_ids) -> dict:
             if gid >= 0}
 
 
-def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
+def allocate_channels(state: FilterState, epoch: MeasurementEpoch,
                       tuning: FilterTuning) -> dict:
-    """Give every satellite in ``tracks`` an ambiguity slot; returns id -> slot.
+    """Give every satellite of ``epoch`` an ambiguity slot; returns id -> slot.
 
-    Channels restart, warm-start and age here and nowhere else.  ``tracks``
-    maps the GPS ids of ``epoch`` to their (chief, deputy) track ids.  New
-    satellites take free slots first, then evict the slot unseen for the
-    longest time.  A slot restarts at the initialization variance, unfixed,
-    when it changes hands or its track changes (a re-acquired signal carries
-    a new ambiguity), and its floats are warm-started from the epoch's chief
-    GRAPHIC and SDCP.  ``state.age`` counts consecutive GPS epochs on one
-    track: 1 at a restart, 0 for a slot not tracked this epoch.
+    Channels restart, warm-start and age here and nowhere else, reading the
+    epoch's rows: ``tracks`` are the receivers' (chief, deputy) lock
+    reports.  New satellites take free slots first, then evict the slot
+    unseen for the longest time.  A slot restarts at the initialization
+    variance, unfixed, when it changes hands or its track changes (a
+    re-acquired signal carries a new ambiguity), and its floats are
+    warm-started from the epoch's chief GRAPHIC and SDCP.  ``state.age``
+    counts consecutive GPS epochs on one track: 1 at a restart, 0 for a
+    slot not tracked this epoch.
     """
-    graphic_c = dict(epoch.graphic.get("chief", []))
-    sdcp = dict(epoch.sdcp)
     wavelength = tuning.wavelength
-    gids = sorted(tracks)
+    gids = epoch.gps_ids
     age = np.zeros_like(state.age)
-    # Slots only change hands to ids outside ``tracks``, so one map taken
+    # Slots only change hands to ids outside the epoch, so one map taken
     # before the loop holds for every id in it.
     slot_by_id = _slot_map(state.channel_ids)
     mapping = {}
-    for gid in gids:
+    for i, gid in enumerate(gids):
+        track = tuple(epoch.tracks[i])
         slot = slot_by_id.get(gid, -1)
-        restart = slot < 0 or tuple(state.track[slot]) != tuple(tracks[gid])
+        restart = slot < 0 or tuple(state.track[slot]) != track
         if slot < 0:
             free = np.nonzero(state.channel_ids < 0)[0]
             if free.size:
@@ -275,15 +276,15 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch, tracks,
             state.channel_ids[slot] = gid
         if restart:
             _reset_channel(state, slot, tuning)
-            state.track[slot] = tracks[gid]
-        if restart and gid in graphic_c:
+            state.track[slot] = track
             # Floats that fit the epoch at the predicted ranges and clocks.
-            gp = epoch.gps_positions[gid]
+            gp = epoch.gps_positions[i]
             rc = float(np.linalg.norm(gp - state.x[CHIEF_POS]))
             rd = float(np.linalg.norm(gp - state.x[DEPUTY_POS]))
             state.x[AMB_ZD.start + slot] = 2.0 * (
-                graphic_c[gid] - rc - state.x[CHIEF_CLOCK]) / wavelength
-            state.x[AMB_SD.start + slot] = sdcp[gid] - (
+                epoch.graphic["chief"][i] - rc
+                - state.x[CHIEF_CLOCK]) / wavelength
+            state.x[AMB_SD.start + slot] = epoch.sdcp[i] - (
                 (rc - rd) + (state.x[CHIEF_CLOCK]
                              - state.x[DEPUTY_CLOCK])) / wavelength
         age[slot] = 1 if restart else state.age[slot] + 1
@@ -458,52 +459,39 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
                        tuning: FilterTuning, use_external=True):
     """Joint EKF update over every observation in the epoch.
 
-    GRAPHIC and SDCP rows require the epoch to carry broadcast GPS positions
-    (``epoch.gps_positions``: gps_id -> ECI position) and an ambiguity slot
-    for the satellite.  Rows come in blocks, in this order: the GRAPHIC
-    block of each receiver, the SDCP block, then range and bearing, which
-    enter only with ``use_external``.  Each GPS block is built as arrays in
-    one ``_gps_rows`` call from the slot indices of its satellites, in
-    observation order.  Innovations failing the scalar gate are excluded
-    from the joint solve and flagged in the report.  Returns
-    ``(new_state, UpdateReport)``.
+    A GPS id enters only with an ambiguity slot; its rows read the epoch's
+    aligned fields at the id's row.  Rows come in blocks, in this order:
+    the chief GRAPHIC block, the deputy GRAPHIC block, the SDCP block, then
+    range and bearing, which enter only with ``use_external``.  Each GPS
+    block is built as arrays in one ``_gps_rows`` call from the slot indices
+    of its satellites, in ``gps_ids`` order, and its variances are the
+    floor plus the epoch's ``extra_variance`` column.  Innovations failing
+    the scalar gate are excluded from the joint solve and flagged in the
+    report.  Returns ``(new_state, UpdateReport)``.
     """
-    gps_positions = epoch.gps_positions or {}
-    inflation = epoch.noise_inflation or {}
     wavelength = tuning.wavelength
     slot_by_id = _slot_map(state.channel_ids)
-    preds, rows, values, variances, labels = [], [], [], [], []
+    preds, rows, values, variances = [], [], [], []
 
-    def add(pred, h, value, variance, names):
+    def add(pred, h, value, variance):
         preds.append(pred)
         rows.append(h)
         values.append(np.asarray(value, dtype=float))
-        variances.append(variance + np.array(
-            [inflation.get(name, 0.0) for name in names]))
-        labels.extend(names)
+        variances.append(np.broadcast_to(variance, pred.shape))
 
-    blocks = list((epoch.graphic or {}).items())
-    for receiver, _ in blocks:
-        if receiver not in ("chief", "deputy"):
-            raise ValueError(f"unknown receiver id {receiver!r}")
-    blocks.append(("sdcp", epoch.sdcp or []))
-    for kind, obs_list in blocks:
-        obs = [(gid, value) for gid, value in obs_list
-               if gid in slot_by_id and gid in gps_positions]
-        if not obs:
-            continue
-        gids = [gid for gid, _ in obs]
-        slots = np.array([slot_by_id[g] for g in gids])
-        pred, h = _gps_rows(state.x, kind,
-                            np.array([gps_positions[g] for g in gids]),
-                            slots, wavelength)
-        value = np.array([v for _, v in obs], dtype=float)
-        if kind == "sdcp":
-            add(pred, h, wavelength * value, tuning.meas_carrier ** 2,
-                [f"sdcp:{g}" for g in gids])
-        else:
-            add(pred, h, value, tuning.meas_code ** 2,
-                [f"graphic:{kind}:{g}" for g in gids])
+    held = [i for i, gid in enumerate(epoch.gps_ids) if gid in slot_by_id]
+    if held:
+        slots = np.array([slot_by_id[epoch.gps_ids[i]] for i in held])
+        gps_pos = epoch.gps_positions[held]
+        extra = epoch.extra_variance[held]
+        for col, kind in enumerate(("chief", "deputy", "sdcp")):
+            pred, h = _gps_rows(state.x, kind, gps_pos, slots, wavelength)
+            if kind == "sdcp":
+                add(pred, h, wavelength * np.asarray(epoch.sdcp)[held],
+                    tuning.meas_carrier ** 2 + extra[:, col])
+            else:
+                add(pred, h, np.asarray(epoch.graphic[kind])[held],
+                    tuning.meas_code ** 2 + extra[:, col])
 
     want_range = use_external and epoch.range_obs is not None
     want_bearing = use_external and epoch.bearing_obs is not None
@@ -511,13 +499,13 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
         ext_pred, ext_rows = _external_rows(state, epoch.attitude)
         if want_range:
             add(ext_pred[:1], ext_rows[:1], [epoch.range_obs],
-                tuning.meas_range ** 2, ["range"])
+                tuning.meas_range ** 2)
         if want_bearing:
             add(ext_pred[1:], ext_rows[1:], epoch.bearing_obs,
-                tuning.meas_angle ** 2, ["azimuth", "elevation"])
+                tuning.meas_angle ** 2)
 
     if not rows:
-        return state.copy(), UpdateReport(labels=[])
+        return state.copy(), UpdateReport()
 
     h_all = np.concatenate(rows)
     innov_all = np.concatenate(values) - np.concatenate(preds)
@@ -529,8 +517,8 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     gate = np.abs(innov_all) <= tuning.gate_sigma * np.sqrt(s_diag)
 
     report = UpdateReport(
-        n_rows=len(labels), n_rejected=int(np.sum(~gate)),
-        innovations=innov_all, gate_flags=gate, labels=labels)
+        n_rows=len(r_all), n_rejected=int(np.sum(~gate)),
+        innovations=innov_all, gate_flags=gate)
     if not np.any(gate):
         return state.copy(), report
 

@@ -507,13 +507,11 @@ def _pointing_frame(origin, target, normal_hint) -> np.ndarray:
 
 @dataclass
 class SynthesisAux:
-    """Synthesis products that are not observables.  ``pair_ids`` are the
-    receivers' lock reports (track ids), which ``allocate_channels`` reads to
-    detect re-acquisition; ``true_sd`` and the clocks are truth, for scoring
-    only."""
+    """Synthesis products that are not observables: truth, for scoring
+    only.  (The receivers' lock reports are observables and travel in each
+    epoch's ``tracks``.)"""
 
     true_sd: dict            # epoch time -> {gps_id: true SD integer [cy]}
-    pair_ids: dict           # epoch time -> {gps_id: (chief_trk, deputy_trk)}
     clock_chief: np.ndarray  # truth-grid receiver clock error [m]
     clock_deputy: np.ndarray
 
@@ -572,13 +570,15 @@ def _gps_geometry(const, times, pos, vel, att, config, budget0, roes):
 def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     """Every observable of the run, through the full error stack.
 
-    GPS epochs carry GRAPHIC [m] per receiver, single-differenced carrier
-    phase [cycles], and broadcast (ephemeris-corrupted) GPS positions for
-    each satellite tracked by *both* receivers; a satellite one receiver
-    loses (occultation, transmit cone, or signal power below the tracking
-    threshold) contributes nothing that epoch, and a re-acquired channel
-    draws a fresh ambiguity.  External epochs carry biased, noisy range and
-    bearing of the chief as seen from the deputy docking sensor.  The
+    GPS epochs carry, aligned to the ascending ids of the satellites
+    tracked by *both* receivers, GRAPHIC [m] per receiver, single-differenced
+    carrier phase [cycles], the receivers' track ids, broadcast
+    (ephemeris-corrupted) GPS positions and the multipath map's extra row
+    variances; a satellite one receiver loses (occultation, transmit cone,
+    or signal power below the tracking threshold) contributes nothing that
+    epoch, and a re-acquired channel draws a fresh ambiguity on a new track.
+    External epochs carry biased, noisy range and bearing of the chief as
+    seen from the deputy docking sensor.  The
     transmitters are the ``default_constellation()``, and every carrier is
     simulated at ``L1_WAVELENGTH``: ``config.tuning`` tunes the filter, not
     the world it observes.
@@ -640,7 +640,6 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     track_counter = 0
     epochs = []
     true_sd = {}
-    pair_ids = {}
 
     # Both craft at every epoch, rows (chief, deputy), with their
     # docking-sensor attitudes: boresight at the partner, +x from the orbit
@@ -714,25 +713,20 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                 windup=windup_m, noise=noise_phase[common])
             sd_phase = phase[:, 0] - phase[:, 1]
             gra = graphic(code, phase)
+            epoch.gps_ids = gids
+            epoch.graphic = {"chief": gra[:, 0].tolist(),
+                             "deputy": gra[:, 1].tolist()}
+            epoch.sdcp = sd_phase.tolist()
+            epoch.tracks = list(map(tuple, track[common].tolist()))
+            epoch.gps_positions = broadcast
             # Calibrated multipath map: weight each row by the
             # direction-dependent error on top of the thermal floor.
             mp_m = mp[common]
-            extra = 0.25 * (mp_m[..., 0] ** 2 + mp_m[..., 1] ** 2)
-            sd_extra = mp_m[:, 0, 1] ** 2 + mp_m[:, 1, 1] ** 2
-            inflation = {f"graphic:{name}:{g}": float(extra[r, k])
-                         for k, name in enumerate(("chief", "deputy"))
-                         for r, g in enumerate(gids) if extra[r, k] > 0.0}
-            inflation.update({f"sdcp:{g}": float(sd_extra[r])
-                              for r, g in enumerate(gids) if sd_extra[r] > 0.0})
-            epoch.graphic = {"chief": list(zip(gids, gra[:, 0].tolist())),
-                             "deputy": list(zip(gids, gra[:, 1].tolist()))}
-            epoch.sdcp = list(zip(gids, sd_phase.tolist()))
-            epoch.gps_positions = dict(zip(gids, broadcast))
-            epoch.noise_inflation = inflation
+            epoch.extra_variance = np.column_stack([
+                0.25 * (mp_m[..., 0] ** 2 + mp_m[..., 1] ** 2),
+                mp_m[:, 0, 1] ** 2 + mp_m[:, 1, 1] ** 2])
             true_sd[float(t)] = dict(zip(
                 gids, (amb[common, 0] - amb[common, 1]).tolist()))
-            pair_ids[float(t)] = dict(zip(
-                gids, map(tuple, track[common].tolist())))
 
         if t in ext_times:
             rel_sensor = att[1] @ (cpos - dpos)
@@ -745,8 +739,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
 
         epochs.append(epoch)
 
-    aux = SynthesisAux(true_sd=true_sd, pair_ids=pair_ids,
-                       clock_chief=clk_c, clock_deputy=clk_d)
+    aux = SynthesisAux(true_sd=true_sd, clock_chief=clk_c, clock_deputy=clk_d)
     return epochs, aux
 
 
@@ -848,17 +841,16 @@ def _sensor_context(state, epoch, tuning, tmat, order, idx, n_free):
     ``tmat`` is the attempt's operator over ``order`` (state indices
     ``idx``), which ends with the reference; the ids between it and the
     searched ones have fixed integers, taken out of their DD phases.  The
+    ids' rows of the epoch are found in its ascending ``gps_ids``.  The
     geometry is negated to resolve chief minus deputy.
     """
     x = state.x
-    los = np.array([epoch.gps_positions[g] for g in order]) - x[CHIEF_POS]
+    rows = np.searchsorted(epoch.gps_ids, order)
+    los = epoch.gps_positions[rows] - x[CHIEF_POS]
     los = los / row_norm(los)
-    sdcp = dict(epoch.sdcp)
-    phases = tmat @ np.array([sdcp[g] for g in order])
+    phases = tmat @ np.asarray(epoch.sdcp)[rows]
     phases[n_free:] -= tmat[n_free:] @ x[idx]
-    inflation = epoch.noise_inflation or {}
-    sd_var = np.array([tuning.meas_carrier ** 2
-                       + inflation.get(f"sdcp:{g}", 0.0) for g in order])
+    sd_var = tuning.meas_carrier ** 2 + epoch.extra_variance[rows, 2]
     observed = np.array([epoch.range_obs, *epoch.bearing_obs]) - x[BIASES]
     pre_blur = np.diag(state.covariance)[BIASES] + [
         tuning.meas_range ** 2, tuning.meas_angle ** 2, tuning.meas_angle ** 2]
@@ -1062,7 +1054,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
         fixed_this_epoch = False
         try:
             if is_gps:
-                slots = allocate_channels(state, epoch, aux.pair_ids[t], tuning)
+                slots = allocate_channels(state, epoch, tuning)
 
             state, report = measurement_update(state, epoch, tuning,
                                                use_external=coupled)

@@ -86,19 +86,25 @@ def true_sdcp_cycles(rc, rd, clock_c, clock_d, gps_pos, n_sd):
 
 def build_exact_epoch(chief, deputy, gps_positions, n_zd, n_sd,
                       clocks=TRUE_CLOCKS, biases=TRUE_BIASES,
-                      attitude=None, time=0.0, with_external=True):
-    """Measurements consistent with the documented observation equations."""
+                      attitude=None, time=0.0, with_external=True,
+                      tracks=None):
+    """Measurements consistent with the documented observation equations,
+    aligned to the ascending ids of ``gps_positions``; ``tracks`` maps each
+    id to its (chief, deputy) track, by default ``one_track``."""
     att = np.eye(3) if attitude is None else attitude
+    gids = sorted(gps_positions)
+    tracks = one_track(gids) if tracks is None else tracks
     graphic = {"chief": [], "deputy": []}
     sdcp = []
-    for gid, gp in gps_positions.items():
+    for gid in gids:
+        gp = gps_positions[gid]
         graphic["chief"].append(
-            (gid, true_graphic(chief.position, clocks[0], gp, n_zd[gid])))
+            true_graphic(chief.position, clocks[0], gp, n_zd[gid]))
         graphic["deputy"].append(
-            (gid, true_graphic(deputy.position, clocks[1], gp,
-                               n_zd[gid] - n_sd[gid])))
-        sdcp.append((gid, true_sdcp_cycles(chief.position, deputy.position,
-                                           clocks[0], clocks[1], gp, n_sd[gid])))
+            true_graphic(deputy.position, clocks[1], gp,
+                         n_zd[gid] - n_sd[gid]))
+        sdcp.append(true_sdcp_cycles(chief.position, deputy.position,
+                                     clocks[0], clocks[1], gp, n_sd[gid]))
     rng_obs = None
     brg_obs = None
     if with_external:
@@ -108,9 +114,12 @@ def build_exact_epoch(chief, deputy, gps_positions, n_zd, n_sd,
         az = math.asin(rho[1] / np.linalg.norm(rho)) + biases.azimuth_bias
         el = math.atan2(rho[0], rho[2]) + biases.elevation_bias
         brg_obs = (az, el)
-    return MeasurementEpoch(time=time, graphic=graphic, sdcp=sdcp,
-                            range_obs=rng_obs, bearing_obs=brg_obs,
-                            attitude=att, gps_positions=dict(gps_positions))
+    return MeasurementEpoch(
+        time=time, gps_ids=gids, graphic=graphic, sdcp=sdcp,
+        tracks=[tracks[g] for g in gids],
+        gps_positions=np.array([gps_positions[g] for g in gids]).reshape(-1, 3),
+        extra_variance=np.zeros((len(gids), 3)),
+        range_obs=rng_obs, bearing_obs=brg_obs, attitude=att)
 
 
 def slot_of(state, gid):
@@ -123,12 +132,23 @@ def one_track(gps_ids):
     return {gid: (gid + 1, gid + 1) for gid in gps_ids}
 
 
+def tracked_epoch(chief, deputy, tracks, time):
+    """Exact clock-free observations, every ambiguity zero, of the
+    satellites in ``tracks`` (GPS id -> (chief, deputy) track), each at a
+    synthetic position of its own."""
+    gps = {g: 26560e3 * np.array([math.cos(0.7 * g), math.sin(0.7 * g), 0.5])
+           for g in tracks}
+    zeros = dict.fromkeys(tracks, 0.0)
+    return build_exact_epoch(chief, deputy, gps, zeros, zeros, clocks=(0.0, 0.0),
+                             time=time, tracks=tracks)
+
+
 def truth_filter_state(chief, deputy, gps_positions, n_zd, n_sd,
                        tuning, clocks=TRUE_CLOCKS, biases=TRUE_BIASES):
     """Filter state whose mean equals the truth exactly."""
     state = initialize_filter(chief, deputy, tuning)
-    allocate_channels(state, MeasurementEpoch(time=0.0), one_track(gps_positions),
-                      tuning)
+    allocate_channels(state, build_exact_epoch(chief, deputy, gps_positions,
+                                               n_zd, n_sd), tuning)
     state.x[CHIEF_CLOCK] = clocks[0]
     state.x[DEPUTY_CLOCK] = clocks[1]
     for gid in gps_positions:
@@ -193,25 +213,29 @@ def test_channel_allocation_and_eviction():
     tuning = FilterTuning()
     chief, deputy = make_truth()
     st = initialize_filter(chief, deputy, tuning)
-    mapping = allocate_channels(st, MeasurementEpoch(time=0.0),
-                                one_track(range(24)), tuning)
+    mapping = allocate_channels(
+        st, tracked_epoch(chief, deputy, one_track(range(24)), 0.0), tuning)
     assert len(mapping) == 24
     assert sorted(mapping.values()) == list(range(24))
 
     # Age the slots, then bring in a new satellite: the stalest slot goes.
     st.last_seen[:] = np.arange(24, dtype=float)
     st.covariance[AMB_SD.start + 0, AMB_SD.start + 0] = 1.0  # converged channel
-    mapping = allocate_channels(st, MeasurementEpoch(time=100.0),
-                                one_track([99]), tuning)
+    st.covariance[AMB_SD.start, CHIEF_POS] = 0.2
+    st.x[AMB_SD.start] = 5.0
+    mapping = allocate_channels(
+        st, tracked_epoch(chief, deputy, one_track([99]), 100.0), tuning)
     assert mapping[99] == 0  # slot 0 was least recently seen
     assert st.channel_ids[0] == 99
-    # Reset to initialization variance, correlations cleared
+    # Reset to initialization variance, correlations cleared, and the float
+    # warm-started from the epoch (whose ambiguities are zero).
     assert st.covariance[AMB_SD.start, AMB_SD.start] == tuning.init_amb ** 2
-    assert st.x[AMB_SD.start] == 0.0
+    assert np.count_nonzero(st.covariance[AMB_SD.start]) == 1
+    assert st.x[AMB_SD.start] == pytest.approx(0.0, abs=1e-6)
     # Persisting satellite keeps its slot
     slot_5 = slot_of(st, 5)
-    mapping = allocate_channels(st, MeasurementEpoch(time=200.0),
-                                one_track([5]), tuning)
+    mapping = allocate_channels(
+        st, tracked_epoch(chief, deputy, one_track([5]), 200.0), tuning)
     assert mapping[5] == slot_5
 
 
@@ -221,21 +245,23 @@ def test_channel_age_counts_epochs_on_one_track():
     st = initialize_filter(chief, deputy, tuning)
     tracks = one_track(range(N_CHANNELS))
     for n in (1, 2, 3):
-        allocate_channels(st, MeasurementEpoch(time=30.0 * n), tracks, tuning)
+        allocate_channels(st, tracked_epoch(chief, deputy, tracks, 30.0 * n),
+                          tuning)
         assert np.all(st.age == n)
 
     # Satellite 0 sets and satellite 99 takes over its slot: the slot
     # restarts at age 1, the others keep counting.
     del tracks[0]
     tracks[99] = (100, 100)
-    mapping = allocate_channels(st, MeasurementEpoch(time=120.0), tracks, tuning)
+    mapping = allocate_channels(
+        st, tracked_epoch(chief, deputy, tracks, 120.0), tuning)
     assert mapping[99] == 0
     assert st.age[0] == 1
     assert all(st.age[mapping[g]] == 4 for g in range(1, N_CHANNELS))
 
     # A slot whose satellite is not tracked this epoch reads 0.
     del tracks[5]
-    allocate_channels(st, MeasurementEpoch(time=150.0), tracks, tuning)
+    allocate_channels(st, tracked_epoch(chief, deputy, tracks, 150.0), tuning)
     assert st.age[slot_of(st, 5)] == 0
     assert st.age[0] == 2
 
@@ -250,8 +276,8 @@ def test_reacquisition_restarts_and_warm_starts_the_slot():
     st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
     tracks = one_track(gps)
     slots = allocate_channels(st, build_exact_epoch(chief, deputy, gps, N_ZD,
-                                                    N_SD, time=30.0),
-                              tracks, tuning)
+                                                    N_SD, time=30.0,
+                                                    tracks=tracks), tuning)
     slot = slots[2]
     zd = AMB_ZD.start + slot
     st.covariance[zd, CHIEF_POS] = st.covariance[CHIEF_POS, zd] = 0.3
@@ -262,8 +288,9 @@ def test_reacquisition_restarts_and_warm_starts_the_slot():
     tracks[2] = (50, tracks[2][1])
     n_zd = {g: N_ZD[g] + (17 if g == 2 else 0) for g in N_ZD}
     n_sd = {g: N_SD[g] + (17 if g == 2 else 0) for g in N_SD}
-    epoch = build_exact_epoch(chief, deputy, gps, n_zd, n_sd, time=60.0)
-    assert allocate_channels(st, epoch, tracks, tuning) == slots
+    epoch = build_exact_epoch(chief, deputy, gps, n_zd, n_sd, time=60.0,
+                              tracks=tracks)
+    assert allocate_channels(st, epoch, tuning) == slots
 
     assert not st.fixed_mask[slot]
     assert st.age[slot] == 1
@@ -571,27 +598,36 @@ def test_update_variance_never_grows_on_observed_directions():
         assert np.all(after <= before * (1.0 + 1e-9))
 
 
-def _reference_update(state, epoch, tuning):
+def _reference_update(state, epoch, tuning, drop=()):
     """Row-by-row update: each GPS row built on its own with a linear slot
-    scan, the gate's variances from a three-operand einsum."""
+    scan, the gate's variances from a three-operand einsum.  Also returns
+    each row's key, (kind, GPS id) or the external observable's name; rows
+    whose key is in ``drop`` are left out."""
     x, wavelength = state.x, tuning.wavelength
     half = 0.5 * wavelength
-    gps = epoch.gps_positions
-    inflation = epoch.noise_inflation
 
     def slot(gid):
         hits = np.nonzero(state.channel_ids == gid)[0]
         return int(hits[0]) if hits.size else -1
 
-    preds, rows, values, variances, labels = [], [], [], [], []
-    for receiver, obs_list in epoch.graphic.items():
+    preds, rows, values, variances, keys = [], [], [], [], []
+
+    def add(key, pred, h, value, variance):
+        if key not in drop:
+            preds.append(pred)
+            rows.append(h)
+            values.append(value)
+            variances.append(variance)
+            keys.append(key)
+
+    for col, receiver in enumerate(("chief", "deputy")):
         pos_sl, clk = ((CHIEF_POS, CHIEF_CLOCK) if receiver == "chief"
                        else (DEPUTY_POS, DEPUTY_CLOCK))
-        for gid, value in obs_list:
+        for i, gid in enumerate(epoch.gps_ids):
             k = slot(gid)
-            if k < 0 or gid not in gps:
+            if k < 0:
                 continue
-            los = gps[gid] - x[pos_sl]
+            los = epoch.gps_positions[i] - x[pos_sl]
             rng = float(np.linalg.norm(los))
             los = los / rng
             h = np.zeros(N_STATES)
@@ -605,20 +641,16 @@ def _reference_update(state, epoch, tuning):
             else:
                 pred += half * (x[zd] - x[sd])
                 h[sd] = -half
-            label = f"graphic:{receiver}:{gid}"
-            preds.append(pred)
-            rows.append(h)
-            values.append(value)
-            variances.append(tuning.meas_code ** 2 + inflation.get(label, 0.0))
-            labels.append(label)
-    for gid, cycles in epoch.sdcp:
+            add((receiver, gid), pred, h, epoch.graphic[receiver][i],
+                tuning.meas_code ** 2 + epoch.extra_variance[i, col])
+    for i, gid in enumerate(epoch.gps_ids):
         k = slot(gid)
-        if k < 0 or gid not in gps:
+        if k < 0:
             continue
-        los_c = gps[gid] - x[CHIEF_POS]
+        los_c = epoch.gps_positions[i] - x[CHIEF_POS]
         rng_c = float(np.linalg.norm(los_c))
         los_c = los_c / rng_c
-        los_d = gps[gid] - x[DEPUTY_POS]
+        los_d = epoch.gps_positions[i] - x[DEPUTY_POS]
         rng_d = float(np.linalg.norm(los_d))
         los_d = los_d / rng_d
         sd = AMB_SD.start + k
@@ -628,23 +660,16 @@ def _reference_update(state, epoch, tuning):
         h[CHIEF_CLOCK] = 1.0
         h[DEPUTY_CLOCK] = -1.0
         h[sd] = wavelength
-        label = f"sdcp:{gid}"
-        preds.append((rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK])
-                     + wavelength * x[sd])
-        rows.append(h)
-        values.append(wavelength * cycles)
-        variances.append(tuning.meas_carrier ** 2 + inflation.get(label, 0.0))
-        labels.append(label)
+        add(("sdcp", gid),
+            (rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK])
+            + wavelength * x[sd], h, wavelength * epoch.sdcp[i],
+            tuning.meas_carrier ** 2 + epoch.extra_variance[i, 2])
     ext_pred, ext_rows = _external_rows(state, epoch.attitude)
     for i, (name, value, var) in enumerate((
             ("range", epoch.range_obs, tuning.meas_range ** 2),
             ("azimuth", epoch.bearing_obs[0], tuning.meas_angle ** 2),
             ("elevation", epoch.bearing_obs[1], tuning.meas_angle ** 2))):
-        preds.append(ext_pred[i])
-        rows.append(ext_rows[i])
-        values.append(value)
-        variances.append(var + inflation.get(name, 0.0))
-        labels.append(name)
+        add(name, ext_pred[i], ext_rows[i], value, var)
 
     h_all = np.vstack(rows)
     innov = np.asarray(values) - np.asarray(preds)
@@ -653,7 +678,18 @@ def _reference_update(state, epoch, tuning):
     s_diag = np.einsum("ij,jk,ik->i", h_all, p, h_all) + r_all
     gate = np.abs(innov) <= tuning.gate_sigma * np.sqrt(s_diag)
     x_new, cov_new = _joint_update(x, p, h_all[gate], innov[gate], r_all[gate])
-    return x_new, cov_new, innov, gate, labels
+    return x_new, cov_new, innov, gate, keys
+
+
+def _add_satellite(epoch, gid, position, graphic, sdcp, track):
+    """Append one satellite's observations to an epoch whose ids are all
+    below ``gid``, keeping every GPS field aligned."""
+    epoch.gps_ids = epoch.gps_ids + [gid]
+    epoch.graphic = {rx: epoch.graphic[rx] + [graphic] for rx in epoch.graphic}
+    epoch.sdcp = epoch.sdcp + [sdcp]
+    epoch.tracks = epoch.tracks + [track]
+    epoch.gps_positions = np.vstack([epoch.gps_positions, position])
+    epoch.extra_variance = np.vstack([epoch.extra_variance, np.zeros(3)])
 
 
 def test_update_matches_row_by_row_reference_bit_for_bit():
@@ -671,28 +707,30 @@ def test_update_matches_row_by_row_reference_bit_for_bit():
     att = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
     epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD, attitude=att,
                               time=30.0)
-    # Satellite 9 has a position but no slot; satellite 2 holds a slot and
-    # is seen in GRAPHIC but not in SDCP; satellite 3's SDCP is spiked.
-    epoch.gps_positions[9] = 26560e3 * np.array([0.0, -0.6, 0.8])
-    epoch.graphic["chief"].append((9, 2.0e7))
-    epoch.graphic["deputy"].reverse()
-    epoch.sdcp = [(gid, cyc + (1e5 if gid == 3 else 0.0))
-                  for gid, cyc in epoch.sdcp if gid != 2] + [(9, 1.0)]
-    epoch.noise_inflation = {"graphic:deputy:1": 0.3, "sdcp:5": 1e-4,
-                             "elevation": 1e-10}
+    # Satellite 9 has a position and observations but no slot; satellite
+    # 3's SDCP is spiked; the deputy GRAPHIC of satellite 1 and the SDCP of
+    # satellite 5 carry extra variance.
+    _add_satellite(epoch, 9, 26560e3 * np.array([0.0, -0.6, 0.8]),
+                   2.0e7, 1.0, (10, 10))
+    epoch.sdcp[3] += 1e5
+    epoch.extra_variance[1, 1] = 0.3
+    epoch.extra_variance[5, 2] = 1e-4
 
     out, report = measurement_update(st, epoch, tuning)
-    x_ref, cov_ref, innov_ref, gate_ref, labels_ref = _reference_update(
+    x_ref, cov_ref, innov_ref, gate_ref, keys = _reference_update(
         st, epoch, tuning)
-    assert report.labels == labels_ref
-    assert len(labels_ref) == 6 + 6 + 5 + 3
-    assert "graphic:chief:2" in labels_ref and "sdcp:2" not in labels_ref
-    assert not any(label.endswith(":9") for label in labels_ref)
-    np.testing.assert_array_equal(report.gate_flags, gate_ref)
-    assert report.n_rejected == 1 and not gate_ref[labels_ref.index("sdcp:3")]
+    assert report.n_rows == len(keys) == 3 * 6 + 3
+    assert not any(key[1] == 9 for key in keys[:-3])
+    # Bit-equal innovations check the row order too.
     np.testing.assert_array_equal(report.innovations, innov_ref)
+    np.testing.assert_array_equal(report.gate_flags, gate_ref)
+    assert report.n_rejected == 1 and not gate_ref[keys.index(("sdcp", 3))]
     np.testing.assert_array_equal(out.x, x_ref)
     np.testing.assert_array_equal(out.covariance, cov_ref)
+    # The extra variances entered: without them the update differs.
+    epoch.extra_variance[:] = 0.0
+    plain, _ = measurement_update(st, epoch, tuning)
+    assert not np.array_equal(plain.covariance, out.covariance)
 
 
 def test_use_external_switches_the_range_and_bearing_rows():
@@ -702,13 +740,18 @@ def test_use_external_switches_the_range_and_bearing_rows():
     st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
     epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD)
     assert epoch.range_obs is not None and epoch.bearing_obs is not None
-    gps_labels = ([f"graphic:{rx}:{g}" for rx in ("chief", "deputy")
-                   for g in gps] + [f"sdcp:{g}" for g in gps])
 
     _, off = measurement_update(st, epoch, tuning, use_external=False)
-    assert off.labels == gps_labels
+    assert off.n_rows == 3 * len(gps)
     _, on = measurement_update(st, epoch, tuning, use_external=True)
-    assert on.labels == gps_labels + ["range", "azimuth", "elevation"]
+    assert on.n_rows == 3 * len(gps) + 3
+    # The GPS rows come first, then range, azimuth and elevation.
+    np.testing.assert_array_equal(on.innovations[:off.n_rows],
+                                  off.innovations)
+    ext_pred, _ = _external_rows(st, epoch.attitude)
+    np.testing.assert_array_equal(
+        on.innovations[off.n_rows:],
+        np.array([epoch.range_obs, *epoch.bearing_obs]) - ext_pred)
 
 
 def test_update_without_rows_is_identity():
@@ -730,25 +773,21 @@ def test_innovation_gate_rejects_spike():
     # Tighten the prior so the gate has teeth
     st.covariance = np.diag(np.full(N_STATES, 1.0))
     epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD)
-    spiked = [(gid, cyc + (5000.0 if gid == 3 else 0.0)) for gid, cyc in epoch.sdcp]
-    epoch_spiked = MeasurementEpoch(
-        time=epoch.time, graphic=epoch.graphic, sdcp=spiked,
-        range_obs=epoch.range_obs, bearing_obs=epoch.bearing_obs,
-        attitude=epoch.attitude, gps_positions=epoch.gps_positions)
-    out_sp, report = measurement_update(st, epoch_spiked, tuning)
+    spiked = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD)
+    spiked.sdcp[3] += 5000.0
+    out_sp, report = measurement_update(st, spiked, tuning)
     assert report.n_rejected == 1
-    bad = report.labels.index("sdcp:3")
+    # Rows: chief GRAPHIC, deputy GRAPHIC, then SDCP, each in id order.
+    bad = 2 * len(gps) + spiked.gps_ids.index(3)
     assert not report.gate_flags[bad]
+    assert abs(report.innovations[bad]) > 1000.0 * L1_WAVELENGTH
 
     # Dropping the row entirely must give the same answer.
-    clean = [(gid, cyc) for gid, cyc in epoch.sdcp if gid != 3]
-    epoch_clean = MeasurementEpoch(
-        time=epoch.time, graphic=epoch.graphic, sdcp=clean,
-        range_obs=epoch.range_obs, bearing_obs=epoch.bearing_obs,
-        attitude=epoch.attitude, gps_positions=epoch.gps_positions)
-    out_cl, _ = measurement_update(st, epoch_clean, tuning)
-    assert np.allclose(out_sp.x, out_cl.x, atol=1e-9)
-    assert np.allclose(out_sp.covariance, out_cl.covariance, atol=1e-9)
+    x_cl, cov_cl, _, gate_cl, _ = _reference_update(
+        st, epoch, tuning, drop={("sdcp", 3)})
+    assert gate_cl.all()
+    assert np.allclose(out_sp.x, x_cl, atol=1e-9)
+    assert np.allclose(out_sp.covariance, cov_cl, atol=1e-9)
 
 
 def test_all_rows_rejected_leaves_state_untouched():
@@ -757,22 +796,13 @@ def test_all_rows_rejected_leaves_state_untouched():
     gps = {0: make_gps_positions()[0]}
     st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
     st.covariance = np.eye(N_STATES) * 1e-4
-    epoch = MeasurementEpoch(
-        time=0.0, sdcp=[(0, 1e7)], gps_positions=gps)
+    epoch = build_exact_epoch(chief, deputy, gps, N_ZD, N_SD,
+                              with_external=False)
+    epoch.graphic = {rx: [v + 1e5] for rx, (v,) in epoch.graphic.items()}
+    epoch.sdcp = [1e7]
     out, report = measurement_update(st, epoch, tuning)
-    assert report.n_rows == 1 and report.n_rejected == 1
+    assert report.n_rows == 3 and report.n_rejected == 3
     assert np.array_equal(out.x, st.x)
-
-
-def test_unknown_receiver_id_raises():
-    chief, deputy = make_truth()
-    tuning = FilterTuning()
-    gps = make_gps_positions()
-    st = truth_filter_state(chief, deputy, gps, N_ZD, N_SD, tuning)
-    epoch = MeasurementEpoch(time=0.0, graphic={"tender": [(0, 1.0)]},
-                             gps_positions=gps)
-    with pytest.raises(ValueError):
-        measurement_update(st, epoch, tuning)
 
 
 def test_joint_update_equals_sequential_on_linear_problem():

@@ -269,21 +269,20 @@ def test_zero_noise_synthesis_matches_observable_models():
         if not ep.sdcp:
             continue
         i = truth.index_of(ep.time)
-        graphic_c = dict(ep.graphic["chief"])
         tsd = aux.true_sd[ep.time]
-        for gid, value in ep.sdcp:
+        for row, gid in enumerate(ep.gps_ids):
             spos = const.state_at(gid, ep.time).position
             # ephemeris corruption is off: broadcast equals truth
-            assert np.allclose(ep.gps_positions[gid], spos, atol=1e-6)
+            assert np.allclose(ep.gps_positions[row], spos, atol=1e-6)
             rng_c = np.linalg.norm(spos - truth.chief_pos[i])
             rng_d = np.linalg.norm(spos - truth.deputy_pos[i])
-            assert value - (rng_c - rng_d) / lam == pytest.approx(
+            assert ep.sdcp[row] - (rng_c - rng_d) / lam == pytest.approx(
                 tsd[gid], abs=1e-6)
             # GRAPHIC sits half a wavelength-integer above the range
-            half = 2.0 * (graphic_c[gid] - rng_c) / lam
+            half = 2.0 * (ep.graphic["chief"][row] - rng_c) / lam
             assert half == pytest.approx(round(half), abs=1e-6)
             zd_chief.setdefault(gid, []).append(
-                (aux.pair_ids[ep.time][gid][0], round(half)))
+                (ep.tracks[row][0], round(half)))
             checked += 1
     assert checked > 20
     # the undifferenced integer is constant over each continuous track
@@ -302,6 +301,7 @@ def test_synthesis_is_deterministic():
     assert len(e1) == len(e2)
     for x, y in zip(e1, e2):
         assert x.time == y.time and x.sdcp == y.sdcp
+        assert x.gps_ids == y.gps_ids and x.tracks == y.tracks
         assert x.graphic == y.graphic
         assert x.range_obs == y.range_obs and x.bearing_obs == y.bearing_obs
     assert a1.true_sd == a2.true_sd
@@ -345,10 +345,25 @@ def test_filter_wavelength_does_not_change_the_simulated_world():
     assert len(e1) == len(e2)
     for x, y in zip(e1, e2):
         assert x.time == y.time and x.sdcp == y.sdcp
+        assert x.gps_ids == y.gps_ids and x.tracks == y.tracks
         assert x.graphic == y.graphic
-        assert x.noise_inflation == y.noise_inflation
+        np.testing.assert_array_equal(x.extra_variance, y.extra_variance)
         assert x.range_obs == y.range_obs and x.bearing_obs == y.bearing_obs
-    assert a1.true_sd == a2.true_sd and a1.pair_ids == a2.pair_ids
+    assert a1.true_sd == a2.true_sd
+
+
+def _assert_aligned_layout(ep):
+    """One GPS epoch's layout: ascending ids, every field aligned to them,
+    and non-negative extra variances."""
+    k = len(ep.gps_ids)
+    assert all(a < b for a, b in zip(ep.gps_ids, ep.gps_ids[1:]))
+    assert sorted(ep.graphic) == ["chief", "deputy"]
+    assert all(len(v) == k for v in ep.graphic.values())
+    assert isinstance(ep.sdcp, list) and len(ep.sdcp) == k
+    assert len(ep.tracks) == k
+    assert ep.gps_positions.shape == (k, 3)
+    assert ep.extra_variance.shape == (k, 3)
+    assert np.all(ep.extra_variance >= 0.0)
 
 
 def test_noise_inflation_reflects_multipath_map():
@@ -358,14 +373,17 @@ def test_noise_inflation_reflects_multipath_map():
     gps = [e for e in epochs if e.sdcp]
     assert gps
     for ep in gps:
-        for gid, _ in ep.sdcp:
-            assert ep.noise_inflation[f"sdcp:{gid}"] > 0.0
-            assert ep.noise_inflation[f"graphic:chief:{gid}"] > 0.0
-            assert ep.noise_inflation[f"graphic:deputy:{gid}"] > 0.0
+        _assert_aligned_layout(ep)
+        # Chief GRAPHIC, deputy GRAPHIC and SDCP rows all carry multipath.
+        assert np.all(ep.extra_variance > 0.0)
 
     cfg.noise = _noise_off()
     quiet, _ = synthesize_measurements(cfg, truth)
-    assert all(not e.noise_inflation for e in quiet)
+    quiet_gps = [e for e in quiet if e.sdcp]
+    assert quiet_gps
+    for ep in quiet_gps:
+        _assert_aligned_layout(ep)
+        assert not np.any(ep.extra_variance)
 
 
 def test_geo_sidelobe_geometry_and_link():
@@ -379,11 +397,11 @@ def test_geo_sidelobe_geometry_and_link():
     for ep in epochs:
         if not ep.sdcp:
             continue
+        _assert_aligned_layout(ep)
         i = truth.index_of(ep.time)
         n_common.append(len(ep.sdcp))
-        for gid, _ in ep.sdcp:
-            slant = np.linalg.norm(ep.gps_positions[gid]
-                                   - truth.deputy_pos[i])
+        for gps_pos in ep.gps_positions:
+            slant = np.linalg.norm(gps_pos - truth.deputy_pos[i])
             # sidelobe reception only works across the limb: every tracked
             # transmitter sits on the far side of the Earth
             assert slant > 3.5e7
@@ -408,11 +426,15 @@ def _fix_ready_state(ages, variances=None):
     chief = OrbitState(np.array([r, 0.0, 0.0]), np.array([0.0, 7670.0, 0.0]))
     deputy = OrbitState(chief.position + [0.0, 100.0, 0.0], chief.velocity)
     state = initialize_filter(chief, deputy, tuning)
-    gps = {g: 26560e3 * np.array([math.cos(g), math.sin(g), 0.5])
-           for g in ages}
-    epoch = MeasurementEpoch(time=900.0, sdcp=[(g, 0.0) for g in ages],
-                             gps_positions=gps)
-    slots = allocate_channels(state, epoch, {g: (1, 1) for g in ages}, tuning)
+    gids = sorted(ages)
+    epoch = MeasurementEpoch(
+        time=900.0, gps_ids=gids,
+        graphic={"chief": [0.0] * len(gids), "deputy": [0.0] * len(gids)},
+        sdcp=[0.0] * len(gids), tracks=[(1, 1)] * len(gids),
+        gps_positions=np.array([26560e3 * np.array([math.cos(g), math.sin(g),
+                                                    0.5]) for g in gids]),
+        extra_variance=np.zeros((len(gids), 3)))
+    slots = allocate_channels(state, epoch, tuning)
     true_sd = {g: 10 * g for g in ages}
     for g, slot in slots.items():
         i = AMB_SD.start + slot
@@ -554,9 +576,9 @@ def _with_sensor_epoch(state, epoch, true_sd):
     positions, the true integers and zero sensor biases."""
     chief, deputy = state.x[CHIEF_POS], state.x[DEPUTY_POS]
     lam = FilterTuning.leo().wavelength
-    epoch.sdcp = [(g, (np.linalg.norm(gp - chief) - np.linalg.norm(gp - deputy))
-                   / lam + true_sd[g])
-                  for g, gp in epoch.gps_positions.items()]
+    epoch.sdcp = [(np.linalg.norm(gp - chief) - np.linalg.norm(gp - deputy))
+                  / lam + true_sd[g]
+                  for g, gp in zip(epoch.gps_ids, epoch.gps_positions)]
     # Boresight from the deputy at the chief: the chief sits at zero azimuth
     # and elevation.
     z = (chief - deputy) / np.linalg.norm(chief - deputy)

@@ -35,28 +35,39 @@ def snapshot(preset, duration, seed=SEED):
     config.duration = duration
     config.seed = seed
     epochs, aux = synthesize_measurements(config, generate_truth(config))
+    # The snapshot keeps the shape it was written in: (id, value) pairs,
+    # positions keyed by id, the extra variances keyed by row label where
+    # they are > 0, and the track ids of every GPS epoch as "pair_ids".
     out = []
+    pair_ids = {}
     for e in epochs:
+        ids = [int(g) for g in e.gps_ids]
+        inflation = {}
+        for row, g in enumerate(ids):
+            for col, key in enumerate((f"graphic:chief:{g}",
+                                       f"graphic:deputy:{g}", f"sdcp:{g}")):
+                if e.extra_variance[row, col] > 0.0:
+                    inflation[key] = float(e.extra_variance[row, col])
         out.append({
             "time": e.time,
-            "graphic": {rx: [[int(g), float(v)] for g, v in rows]
-                        for rx, rows in sorted((e.graphic or {}).items())},
-            "sdcp": [[int(g), float(v)] for g, v in e.sdcp or ()],
+            "graphic": {rx: [[g, float(v)] for g, v in zip(ids, rows)]
+                        for rx, rows in sorted(e.graphic.items())},
+            "sdcp": [[g, float(v)] for g, v in zip(ids, e.sdcp)],
             "gps_positions": {str(g): [float(c) for c in p]
-                              for g, p in sorted(e.gps_positions.items())},
-            "noise_inflation": {k: float(v)
-                                for k, v in sorted(e.noise_inflation.items())},
+                              for g, p in zip(ids, e.gps_positions)},
+            "noise_inflation": dict(sorted(inflation.items())),
             "range_obs": e.range_obs,
             "bearing_obs": (None if e.bearing_obs is None
                             else [float(c) for c in e.bearing_obs]),
         })
+        if e.time in aux.true_sd:  # a GPS epoch
+            pair_ids[repr(e.time)] = {str(g): [int(c), int(d)]
+                                      for g, (c, d) in zip(ids, e.tracks)}
     return {
         "epochs": out,
         "true_sd": {repr(t): {str(g): int(n) for g, n in sorted(m.items())}
                     for t, m in aux.true_sd.items()},
-        "pair_ids": {repr(t): {str(g): [int(c), int(d)]
-                               for g, (c, d) in sorted(m.items())}
-                     for t, m in aux.pair_ids.items()},
+        "pair_ids": pair_ids,
         "clock_chief": aux.clock_chief.tolist(),
         "clock_deputy": aux.clock_deputy.tolist(),
     }
