@@ -4,13 +4,11 @@ import numpy as np
 
 # Fundamental
 SPEED_OF_LIGHT = 299792458.0        # m/s
-BOLTZMANN_DBW = -228.599            # 10*log10(k), dBW/K/Hz
 
 # Earth (EGM-consistent zonal gravity, spherical-harmonic degree 2)
 MU_EARTH = 3.986004418e14           # m^3/s^2
 R_EARTH = 6378137.0                 # m, equatorial radius
 J2_EARTH = 1.08262668e-3            # oblateness coefficient
-OMEGA_EARTH = 7.2921159e-5          # rad/s, rotation rate
 
 # GPS L1 C/A signal
 L1_FREQUENCY = 1575.42e6                        # Hz

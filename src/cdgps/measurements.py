@@ -17,7 +17,6 @@ from .constants import L1_WAVELENGTH
 
 __all__ = [
     "MeasurementEpoch",
-    "SensorBiases",
     "FrameError",
     "BoresightError",
     "undifferenced_phase",
@@ -38,15 +37,6 @@ class FrameError(ValueError):
 
 class BoresightError(ValueError):
     """Geometry is singular for the requested angle model or Jacobian."""
-
-
-@dataclass
-class SensorBiases:
-    """Constant biases of the external range/bearing sensors."""
-
-    range_bias: float = 0.0       # m
-    azimuth_bias: float = 0.0     # rad
-    elevation_bias: float = 0.0   # rad
 
 
 @dataclass
@@ -167,18 +157,21 @@ def sd_to_dd_matrix(n_channels):
 # External sensor models
 # ---------------------------------------------------------------------------
 
-def range_model(rel_pos_sensor_frame, biases: SensorBiases = None):
-    """Measured inter-satellite range: Euclidean norm plus range bias [m]."""
+def range_model(rel_pos_sensor_frame, biases=(0.0, 0.0, 0.0)):
+    """Measured inter-satellite range: Euclidean norm plus range bias [m].
+    ``biases`` is (range [m], azimuth [rad], elevation [rad]), in the order
+    of the filter's ``BIASES`` block."""
     rho = np.asarray(rel_pos_sensor_frame, dtype=float)
     r = float(np.linalg.norm(rho))
     if r == 0.0:
         raise BoresightError("range undefined for coincident spacecraft")
-    return r + (biases.range_bias if biases is not None else 0.0)
+    return r + biases[0]
 
 
-def bearing_model(rel_pos_sensor_frame, biases: SensorBiases = None):
+def bearing_model(rel_pos_sensor_frame, biases=(0.0, 0.0, 0.0)):
     """Azimuth/elevation of the chief as seen from the deputy-mounted
     sensor [rad]; ``rel_pos_sensor_frame`` is chief minus deputy.
+    ``biases`` is the triple of ``range_model``; its angles are added.
 
     Azimuth is ``asin(y / range)``; elevation is ``atan2(x, z)``, which is
     quadrant-aware and therefore well defined even behind the boresight
@@ -198,10 +191,7 @@ def bearing_model(rel_pos_sensor_frame, biases: SensorBiases = None):
         raise BoresightError("elevation singular for a target on the y-axis")
     az = math.asin(max(-1.0, min(1.0, y / r)))
     el = math.atan2(x, z)
-    if biases is not None:
-        az += biases.azimuth_bias
-        el += biases.elevation_bias
-    return az, el
+    return az + biases[1], el + biases[2]
 
 
 def sensor_jacobian(rel_pos_sensor_frame):

@@ -1,5 +1,8 @@
 """Extended Kalman filter for two-spacecraft relative navigation.
 
+The filter alone: its updates, its ambiguity channels and the feedback of
+accepted integer fixes.  Run statistics belong to the run loop (``scenario``).
+
 State vector (71 elements):
 
 ====================  ========  ==============================================
@@ -21,7 +24,8 @@ warm-starts them and counts their age.  GRAPHIC observations see
 the zero-difference float of the observing receiver (the deputy's is the
 chief's minus the single difference), single-differenced carrier phase sees
 the single-difference float, and the external range/bearing sensors see the
-relative position plus their biases.  An epoch's GPS observations are
+relative position plus the bias triple ``x[BIASES]``, which goes as it is to
+``range_model`` and ``bearing_model``.  An epoch's GPS observations are
 aligned to its ascending ``gps_ids``; ``measurement_update`` builds the GPS
 rows a block at a time (the GRAPHIC rows of each receiver, then the SDCP
 rows) as arrays over the rows of the ids that hold a slot, from one
@@ -39,7 +43,6 @@ from .constants import ARCSEC, L1_WAVELENGTH
 from .iar import success_rate
 from .measurements import (
     MeasurementEpoch,
-    SensorBiases,
     bearing_model,
     range_model,
     sensor_jacobian,
@@ -64,7 +67,6 @@ __all__ = [
     "apply_fixes",
     "constrain_linear",
     "dare_steady_state",
-    "navigation_metrics",
 ]
 
 N_STATES = 71
@@ -157,19 +159,6 @@ class FilterState:
                            self.channel_ids.copy(), self.fixed_mask.copy(),
                            self.last_seen.copy(), self.track.copy(),
                            self.age.copy())
-
-    @property
-    def chief(self) -> OrbitState:
-        return OrbitState(self.x[CHIEF_POS], self.x[CHIEF_VEL], self.epoch)
-
-    @property
-    def deputy(self) -> OrbitState:
-        return OrbitState(self.x[DEPUTY_POS], self.x[DEPUTY_VEL], self.epoch)
-
-    @property
-    def biases(self) -> SensorBiases:
-        b = self.x[BIASES]
-        return SensorBiases(b[0], b[1], b[2])
 
 
 @dataclass
@@ -442,9 +431,8 @@ def _external_rows(state, attitude):
     so the modeled vector is chief-minus-deputy in the sensor frame.
     """
     rho = np.asarray(attitude) @ (state.x[CHIEF_POS] - state.x[DEPUTY_POS])
-    b = state.biases
-    rng = range_model(rho, b)
-    az, el = bearing_model(rho, b)
+    rng = range_model(rho, state.x[BIASES])
+    az, el = bearing_model(rho, state.x[BIASES])
     h_sensor = sensor_jacobian(rho)
     h_eci = transform_jacobian(h_sensor, attitude)
     rows = np.zeros((3, N_STATES))
@@ -610,51 +598,4 @@ def dare_steady_state(process_noise_q, meas_noise_r, n=10) -> DareResult:
     lam = L1_WAVELENGTH
     v = 0.5 * q + math.sqrt(0.25 * q * q + q * r / (lam * lam))
     return DareResult(diag=np.full(n, v), converged=True)
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def navigation_metrics(rel_pos_err_rtn, rel_vel_err_rtn, first_fix_index=None,
-                       fix_records=None) -> dict:
-    """Summary statistics of a run.
-
-    Parameters
-    ----------
-    rel_pos_err_rtn, rel_vel_err_rtn : (N, 3) arrays
-        Estimated-minus-true relative position/velocity in chief RTN.
-    first_fix_index : int or None
-        Epoch index of the first accepted fix; splits pre/post statistics.
-    fix_records : list of (n_fixed, n_wrong)
-        One entry per fix event.
-
-    Returns
-    -------
-    dict with RMS errors (pre/post fix), fix counts, and wrong-fix rate.
-    """
-    pos = np.atleast_2d(np.asarray(rel_pos_err_rtn, dtype=float))
-    vel = np.atleast_2d(np.asarray(rel_vel_err_rtn, dtype=float))
-
-    def rms(block):
-        if block.shape[0] == 0:
-            return float("nan")
-        return float(np.sqrt(np.mean(np.sum(block * block, axis=1))))
-
-    split = pos.shape[0] if first_fix_index is None else int(first_fix_index)
-    fix_records = fix_records or []
-    total_fixed = sum(nf for nf, _ in fix_records)
-    total_wrong = sum(nw for _, nw in fix_records)
-    return {
-        "rms_pos_pre_fix": rms(pos[:split]),
-        "rms_pos_post_fix": rms(pos[split:]),
-        "rms_vel_pre_fix": rms(vel[:split]),
-        "rms_vel_post_fix": rms(vel[split:]),
-        "rms_pos_total": rms(pos),
-        "rms_vel_total": rms(vel),
-        "n_fix_events": len(fix_records),
-        "n_fixed_integers": int(total_fixed),
-        "wrong_fix_rate": (total_wrong / total_fixed) if total_fixed else 0.0,
-        "first_fix_index": first_fix_index,
-    }
 

@@ -82,7 +82,6 @@ from .iar import (
 )
 from .measurements import (
     MeasurementEpoch,
-    SensorBiases,
     bearing_model,
     graphic,
     range_model,
@@ -105,7 +104,6 @@ from .navfilter import (
     constrain_linear,
     initialize_filter,
     measurement_update,
-    navigation_metrics,
     time_update,
 )
 from .orbits import (
@@ -145,6 +143,29 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# Settings, by ``validate`` label, that must not be negative: times,
+# standard deviations, amplitudes, and initial and process sigmas.
+_NON_NEGATIVE = frozenset((
+    "external_enable_time", "iar_warmup",
+    "init_pos_error", "init_vel_error", "init_clock_error",
+    "noise.multipath_amp_code", "noise.multipath_amp_phase",
+    "noise.clock_sigma", "noise.ephemeris_rms", "noise.windup_amplitude",
+    "sensors.range_noise", "sensors.angle_noise",
+    "tuning.init_pos", "tuning.init_vel", "tuning.init_accel",
+    "tuning.init_clock", "tuning.init_range_bias", "tuning.init_angle_bias",
+    "tuning.proc_pos", "tuning.proc_vel", "tuning.proc_accel",
+    "tuning.proc_clock", "tuning.proc_amb",
+))
+# Settings that scale or divide, and so must be positive.
+_POSITIVE = frozenset((
+    "duration", "truth_step", "separation", "noise.multipath_size",
+    "tuning.meas_code", "tuning.meas_carrier", "tuning.meas_range",
+    "tuning.meas_angle", "tuning.tau_accel", "tuning.tau_clock",
+    "tuning.gate_sigma", "tuning.reference_step", "tuning.wavelength",
+    "tuning.init_amb",
+))
+
+
 @dataclass
 class SensorConfig:
     """True error budget of the external range/bearing sensor suite.
@@ -158,10 +179,6 @@ class SensorConfig:
     elevation_bias: float = -500.0 * ARCSEC  # rad
     range_noise: float = 0.005            # m, 1-sigma
     angle_noise: float = 100.0 * ARCSEC   # rad, 1-sigma
-
-    def as_biases(self) -> SensorBiases:
-        return SensorBiases(self.range_bias, self.azimuth_bias,
-                            self.elevation_bias)
 
 
 @dataclass
@@ -262,6 +279,11 @@ class ScenarioConfig:
             if not (math.isfinite(value) or (label == "tuning.tau_clock"
                                              and value == math.inf)):
                 raise ValueError(f"{label} must be finite, got {value!r}")
+            if label in _POSITIVE and value <= 0.0:
+                raise ValueError(f"{label} must be positive, got {value!r}")
+            if label in _NON_NEGATIVE and value < 0.0:
+                raise ValueError(
+                    f"{label} must be non-negative, got {value!r}")
         # Any other value would switch on by its truthiness.
         for f in dataclasses.fields(self.noise):
             value = getattr(self.noise, f.name)
@@ -278,8 +300,6 @@ class ScenarioConfig:
             raise ValueError("semimajor axis below the Earth surface")
         if not 0.0 <= el["e"] < 1.0:
             raise ValueError("eccentricity must be in [0, 1)")
-        if self.duration <= 0.0 or self.truth_step <= 0.0:
-            raise ValueError("duration and truth_step must be positive")
         n = round(self.duration / self.truth_step)
         if n < 1 or abs(n * self.truth_step - self.duration) > 1e-6:
             raise ValueError("duration must be a multiple of truth_step")
@@ -289,16 +309,12 @@ class ScenarioConfig:
             k = round(period / self.truth_step)
             if k < 1 or abs(k * self.truth_step - period) > 1e-9:
                 raise ValueError(f"{label} must be a multiple of truth_step")
-        if self.external_enable_time < 0.0 or self.iar_warmup < 0.0:
-            raise ValueError("enable/warmup times must be nonnegative")
         if self.coupling_mode not in ("none", "loose", "full"):
             raise ValueError(f"unknown coupling mode {self.coupling_mode!r}")
         if self.visibility_mode not in ("mainlobe", "sidelobe"):
             raise ValueError(f"unknown visibility mode {self.visibility_mode!r}")
         if self.link_budget not in ("leo", "geo"):
             raise ValueError(f"unknown link budget {self.link_budget!r}")
-        if self.separation <= 0.0:
-            raise ValueError("separation must be positive")
         for t, dv in self.impulses:
             if not 0.0 < t <= self.duration:
                 raise ValueError("impulse times must lie inside the run")
@@ -418,14 +434,6 @@ class Truth:
         if not 0 <= i < len(self.times) or abs(self.times[i] - t) > 1e-6:
             raise ValueError(f"time {t} is not on the truth grid")
         return i
-
-    def chief_state(self, i) -> OrbitState:
-        return OrbitState(self.chief_pos[i], self.chief_vel[i],
-                          float(self.times[i]))
-
-    def deputy_state(self, i) -> OrbitState:
-        return OrbitState(self.deputy_pos[i], self.deputy_vel[i],
-                          float(self.times[i]))
 
 
 def _rotation_about(axis, angle) -> np.ndarray:
@@ -592,7 +600,8 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     noise = config.noise
     budget0 = (LinkBudget.leo_mainlobe() if config.link_budget == "leo"
                else LinkBudget.geo_sidelobe())
-    biases = config.sensors.as_biases()
+    sensors = config.sensors
+    biases = (sensors.range_bias, sensors.azimuth_bias, sensors.elevation_bias)
 
     rng_thermal = substream(config.seed, "thermal")
     rng_mp = substream(config.seed, "multipath")
@@ -731,11 +740,11 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
         if t in ext_times:
             rel_sensor = att[1] @ (cpos - dpos)
             epoch.range_obs = (range_model(rel_sensor, biases)
-                               + rng_ext.normal(scale=config.sensors.range_noise))
+                               + rng_ext.normal(scale=sensors.range_noise))
             az, el = bearing_model(rel_sensor, biases)
             epoch.bearing_obs = (
-                az + rng_ext.normal(scale=config.sensors.angle_noise),
-                el + rng_ext.normal(scale=config.sensors.angle_noise))
+                az + rng_ext.normal(scale=sensors.angle_noise),
+                el + rng_ext.normal(scale=sensors.angle_noise))
 
         epochs.append(epoch)
 
@@ -980,6 +989,56 @@ def _attempt_fix(state, epoch, config, true_sd_map, slots):
     return state, float(result.success_prob), event
 
 
+def _summarize(config, records, fix_events, first_fix_index,
+               n_attempt_epochs, n_skipped) -> dict:
+    """The run summary: RMS errors over all records, before record
+    ``first_fix_index`` and from it on (all before when it is None), and
+    the fix events' ``subset`` and ``wrong`` integers added up."""
+    def rms(block):
+        if block.shape[0] == 0:
+            return float("nan")
+        return float(np.sqrt(np.mean(np.sum(block * block, axis=1))))
+
+    err = np.array([[r[k] for k in ("err_r", "err_t", "err_n",
+                                    "verr_r", "verr_t", "verr_n")]
+                    for r in records]).reshape(-1, 6)
+    pos, vel = err[:, :3], err[:, 3:]
+    split = len(records) if first_fix_index is None else first_fix_index
+    total_fixed = sum(e["subset"] for e in fix_events)
+    total_wrong = sum(e["wrong"] for e in fix_events)
+    post = [r for r in records if r["time"] >= config.iar_warmup]
+    return {
+        "rms_pos_pre_fix": rms(pos[:split]),
+        "rms_pos_post_fix": rms(pos[split:]),
+        "rms_vel_pre_fix": rms(vel[:split]),
+        "rms_vel_post_fix": rms(vel[split:]),
+        "rms_pos_total": rms(pos),
+        "rms_vel_total": rms(vel),
+        "n_fix_events": len(fix_events),
+        "n_fixed_integers": int(total_fixed),
+        "wrong_fix_rate": (total_wrong / total_fixed) if total_fixed else 0.0,
+        "first_fix_index": first_fix_index,
+        "coupling_mode": config.coupling_mode,
+        "scenario": config.name,
+        "seed": int(config.seed),
+        "duration": float(config.duration),
+        "n_epochs": len(records),
+        "n_skipped": int(n_skipped),
+        "first_fix_time": (float(fix_events[0]["time"]) if fix_events
+                           else None),
+        "n_full_fix_events": int(sum(1 for e in fix_events if e["full"])),
+        "n_wrong_fix_events": int(sum(1 for e in fix_events
+                                      if e["wrong"] > 0)),
+        "pct_epochs_with_fix": (
+            100.0 * len({e["time"] for e in fix_events}) / n_attempt_epochs
+            if n_attempt_epochs else 0.0),
+        "mean_fixed_fraction": (float(np.mean([r["fixed_fraction"]
+                                               for r in post]))
+                                if post else 0.0),
+        "final_fixed_channels": records[-1]["n_fixed"] if records else 0,
+    }
+
+
 def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     """Simulate one full rendezvous and run the navigation pipeline on it.
 
@@ -988,7 +1047,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     the joint gated EKF measurement update, and (at GPS epochs past the
     warm-up, coupling permitting) one integer-resolution attempt.  An epoch
     whose update raises is logged and skipped; a run with at least 10% of
-    its epochs skipped is flagged ``degraded``.
+    its epochs skipped is flagged ``degraded``.  The run summary is built
+    here, by ``_summarize``, from the per-epoch records and the fix events.
 
     Returns a :class:`RunReport`; when ``output_dir`` is given the report
     is also written there (history.csv, report.json, config.json).
@@ -1000,14 +1060,13 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     tuning = config.tuning
 
     rng_init = substream(config.seed, "init")
-    c0 = truth.chief_state(0)
-    d0 = truth.deputy_state(0)
+    pos_sigma, vel_sigma = config.init_pos_error, config.init_vel_error
     chief_init = OrbitState(
-        c0.position + rng_init.normal(scale=config.init_pos_error, size=3),
-        c0.velocity + rng_init.normal(scale=config.init_vel_error, size=3), 0.0)
+        truth.chief_pos[0] + rng_init.normal(scale=pos_sigma, size=3),
+        truth.chief_vel[0] + rng_init.normal(scale=vel_sigma, size=3))
     deputy_init = OrbitState(
-        d0.position + rng_init.normal(scale=config.init_pos_error, size=3),
-        d0.velocity + rng_init.normal(scale=config.init_vel_error, size=3), 0.0)
+        truth.deputy_pos[0] + rng_init.normal(scale=pos_sigma, size=3),
+        truth.deputy_vel[0] + rng_init.normal(scale=vel_sigma, size=3))
     state = initialize_filter(chief_init, deputy_init, tuning)
     state.x[CHIEF_CLOCK] = rng_init.normal(scale=config.init_clock_error)
     state.x[DEPUTY_CLOCK] = rng_init.normal(scale=config.init_clock_error)
@@ -1038,7 +1097,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
                 break
 
         for burn in impulse_by_time.get(t, []):
-            dv_eci = rtn_frame(state.deputy).T @ burn
+            deputy = OrbitState(state.x[DEPUTY_POS], state.x[DEPUTY_VEL])
+            dv_eci = rtn_frame(deputy).T @ burn
             state.x[DEPUTY_VEL] += dv_eci
             sigma = max(1e-4, 0.01 * float(np.linalg.norm(burn)))
             state.covariance[DEPUTY_VEL, DEPUTY_VEL] += sigma ** 2 * np.eye(3)
@@ -1109,41 +1169,11 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
             "skipped": int(skipped),
         })
 
-    pos_err = np.array([[r["err_r"], r["err_t"], r["err_n"]]
-                        for r in records]) if records else np.zeros((0, 3))
-    vel_err = np.array([[r["verr_r"], r["verr_t"], r["verr_n"]]
-                        for r in records]) if records else np.zeros((0, 3))
-    metrics = navigation_metrics(
-        pos_err, vel_err, first_fix_index,
-        fix_records=[(e["subset"], e["wrong"]) for e in fix_events])
-
-    n_meas = len(records)
-    degraded = n_meas > 0 and n_skipped >= 0.1 * n_meas
-    fix_times = {e["time"] for e in fix_events}
-    post = [r for r in records if r["time"] >= config.iar_warmup]
-    summary = dict(metrics)
-    summary.update({
-        "coupling_mode": config.coupling_mode,
-        "scenario": config.name,
-        "seed": int(config.seed),
-        "duration": float(config.duration),
-        "n_epochs": n_meas,
-        "n_skipped": int(n_skipped),
-        "first_fix_time": (float(fix_events[0]["time"]) if fix_events
-                           else None),
-        "n_full_fix_events": int(sum(1 for e in fix_events if e["full"])),
-        "n_wrong_fix_events": int(sum(1 for e in fix_events
-                                      if e["wrong"] > 0)),
-        "pct_epochs_with_fix": (100.0 * len(fix_times) / n_attempt_epochs
-                                if n_attempt_epochs else 0.0),
-        "mean_fixed_fraction": (float(np.mean([r["fixed_fraction"]
-                                               for r in post]))
-                                if post else 0.0),
-        "final_fixed_channels": records[-1]["n_fixed"] if records else 0,
-    })
-
-    run = RunReport(config=config, records=records, fix_events=fix_events,
-                    events=events, summary=summary, degraded=degraded)
+    run = RunReport(
+        config=config, records=records, fix_events=fix_events, events=events,
+        summary=_summarize(config, records, fix_events, first_fix_index,
+                           n_attempt_epochs, n_skipped),
+        degraded=bool(records) and n_skipped >= 0.1 * len(records))
     if output_dir is not None:
         run.write(output_dir)
     return run

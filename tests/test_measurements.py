@@ -11,7 +11,6 @@ from cdgps.iar import candidate_baseline
 from cdgps.measurements import (
     BoresightError,
     FrameError,
-    SensorBiases,
     bearing_model,
     double_difference,
     graphic,
@@ -202,7 +201,7 @@ def test_geometry_row_baseline_round_trip():
 
 def test_range_model():
     assert range_model([3, 4, 0]) == pytest.approx(5.0)
-    assert range_model([0, 0, 10], SensorBiases(range_bias=0.05)) == pytest.approx(10.05)
+    assert range_model([0, 0, 10], (0.05, 0.0, 0.0)) == pytest.approx(10.05)
     assert range_model([1, 1, 1]) == pytest.approx(math.sqrt(3.0))
     with pytest.raises(BoresightError):
         range_model([0, 0, 0])
@@ -238,7 +237,7 @@ def test_bearing_azimuth_odd_symmetry():
 
 
 def test_bearing_bias_addition():
-    b = SensorBiases(azimuth_bias=1e-3, elevation_bias=-2e-3)
+    b = (0.0, 1e-3, -2e-3)  # range, azimuth, elevation
     az0, el0 = bearing_model([1, 2, 3])
     az, el = bearing_model([1, 2, 3], b)
     assert az - az0 == pytest.approx(1e-3)

@@ -1,6 +1,6 @@
 """Navigation-filter tests: state layout, propagation consistency,
 measurement geometry, gating, integer-fix application, steady-state
-variance analysis, and run metrics."""
+variance analysis."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 
 from cdgps.constants import ARCSEC, L1_WAVELENGTH, MU_EARTH, R_EARTH
 from cdgps.iar import success_rate
-from cdgps.measurements import MeasurementEpoch, SensorBiases
+from cdgps.measurements import MeasurementEpoch
 from cdgps.navfilter import (
     AMB_SD,
     AMB_ZD,
@@ -34,7 +34,6 @@ from cdgps.navfilter import (
     dare_steady_state,
     initialize_filter,
     measurement_update,
-    navigation_metrics,
     time_update,
 )
 from cdgps.orbits import OrbitState, propagate
@@ -68,7 +67,7 @@ def make_gps_positions():
 
 
 TRUE_CLOCKS = (4.2, -2.7)  # m
-TRUE_BIASES = SensorBiases(0.05, 500.0 * ARCSEC, -500.0 * ARCSEC)
+TRUE_BIASES = (0.05, 500.0 * ARCSEC, -500.0 * ARCSEC)  # range, az, el
 
 
 def true_graphic(rx_pos, clock, gps_pos, n_zd):
@@ -110,9 +109,9 @@ def build_exact_epoch(chief, deputy, gps_positions, n_zd, n_sd,
     if with_external:
         # Chaser-mounted sensors observe the target: chief minus deputy.
         rho = att @ (chief.position - deputy.position)
-        rng_obs = float(np.linalg.norm(rho)) + biases.range_bias
-        az = math.asin(rho[1] / np.linalg.norm(rho)) + biases.azimuth_bias
-        el = math.atan2(rho[0], rho[2]) + biases.elevation_bias
+        rng_obs = float(np.linalg.norm(rho)) + biases[0]
+        az = math.asin(rho[1] / np.linalg.norm(rho)) + biases[1]
+        el = math.atan2(rho[0], rho[2]) + biases[2]
         brg_obs = (az, el)
     return MeasurementEpoch(
         time=time, gps_ids=gids, graphic=graphic, sdcp=sdcp,
@@ -155,8 +154,7 @@ def truth_filter_state(chief, deputy, gps_positions, n_zd, n_sd,
         slot = slot_of(state, gid)
         state.x[AMB_ZD.start + slot] = n_zd[gid]
         state.x[AMB_SD.start + slot] = n_sd[gid]
-    state.x[BIASES] = [biases.range_bias, biases.azimuth_bias,
-                       biases.elevation_bias]
+    state.x[BIASES] = biases
     return state
 
 
@@ -264,6 +262,44 @@ def test_channel_age_counts_epochs_on_one_track():
     allocate_channels(st, tracked_epoch(chief, deputy, tracks, 150.0), tuning)
     assert st.age[slot_of(st, 5)] == 0
     assert st.age[0] == 2
+
+
+def test_more_satellites_than_channels_drops_the_extra_id():
+    # An epoch with one common id more than there are channels: the extra
+    # id gets no slot, no slot held by an id of the epoch is evicted for
+    # it, and the update builds rows for the held ids only.
+    tuning = FilterTuning()
+    chief, deputy = make_truth()
+    st = initialize_filter(chief, deputy, tuning)
+    mapping = allocate_channels(
+        st, tracked_epoch(chief, deputy, one_track(range(N_CHANNELS + 1)),
+                          0.0), tuning)
+    assert sorted(mapping) == list(range(N_CHANNELS))
+    held = dict(mapping)
+
+    # Ids 1 ... 25: id 24 takes the slot of id 0, the only held id not in
+    # the epoch; id 25 finds no slot left.
+    tracks = one_track(range(1, N_CHANNELS + 2))
+    epoch = tracked_epoch(chief, deputy, tracks, 30.0)
+    assert len(epoch.gps_ids) == N_CHANNELS + 1
+    mapping = allocate_channels(st, epoch, tuning)
+    assert len(mapping) == N_CHANNELS
+    assert N_CHANNELS + 1 not in mapping
+    assert mapping[N_CHANNELS] == held[0]
+    assert all(mapping[g] == held[g] for g in range(1, N_CHANNELS))
+    assert sorted(st.channel_ids) == list(range(1, N_CHANNELS + 1))
+
+    # The update reads the same rows as one from an epoch without the
+    # extra id.
+    del tracks[N_CHANNELS + 1]
+    without = tracked_epoch(chief, deputy, tracks, 30.0)
+    out, report = measurement_update(st, epoch, tuning, use_external=False)
+    ref, ref_report = measurement_update(st, without, tuning,
+                                         use_external=False)
+    assert report.n_rows == 3 * N_CHANNELS
+    assert np.array_equal(report.innovations, ref_report.innovations)
+    assert np.array_equal(out.x, ref.x)
+    assert np.array_equal(out.covariance, ref.covariance)
 
 
 def test_reacquisition_restarts_and_warm_starts_the_slot():
@@ -993,36 +1029,4 @@ def test_dare_input_validation():
         dare_steady_state(-1e-3, 0.25)
     with pytest.raises(ValueError):
         dare_steady_state(1e-3, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def test_metrics_zero_error_history():
-    m = navigation_metrics(np.zeros((10, 3)), np.zeros((10, 3)))
-    assert m["rms_pos_total"] == 0.0
-    assert m["rms_vel_total"] == 0.0
-    assert m["wrong_fix_rate"] == 0.0
-    assert m["n_fix_events"] == 0
-
-
-def test_metrics_constant_radial_offset():
-    pos = np.zeros((20, 3))
-    pos[:, 0] = 0.01
-    m = navigation_metrics(pos, np.zeros((20, 3)))
-    assert m["rms_pos_total"] == pytest.approx(0.01, rel=1e-12)
-    assert m["rms_vel_total"] == 0.0
-
-
-def test_metrics_wrong_fix_rate_and_split():
-    pos = np.ones((10, 3)) * 0.02
-    pos[5:] = 0.001
-    m = navigation_metrics(pos, np.zeros((10, 3)), first_fix_index=5,
-                           fix_records=[(9, 0), (1, 1)])
-    assert m["n_fixed_integers"] == 10
-    assert m["wrong_fix_rate"] == pytest.approx(0.1)
-    assert m["rms_pos_pre_fix"] == pytest.approx(0.02 * math.sqrt(3), rel=1e-9)
-    assert m["rms_pos_post_fix"] == pytest.approx(0.001 * math.sqrt(3), rel=1e-9)
-    assert m["first_fix_index"] == 5
 

@@ -5,6 +5,7 @@ reproducibility, and the coupling-mode ablation."""
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from cdgps import scenario
+from cdgps.cli import main as cli_main
 from cdgps.constants import MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
 from cdgps.measurements import MeasurementEpoch
@@ -39,6 +41,7 @@ from cdgps.scenario import (
     leo_preset,
     load_preset,
     _attempt_fix,
+    _summarize,
     run_scenario,
     synthesize_measurements,
 )
@@ -187,6 +190,65 @@ def test_config_validation_rejects_wrong_types(path, value, match):
     _set_setting(cfg, path, value)
     with pytest.raises(ValueError, match=match):
         cfg.validate()
+
+
+@pytest.mark.parametrize("path, value", [
+    # Times, standard deviations, amplitudes, initial and process sigmas:
+    # >= 0.
+    ("external_enable_time", -10.0),
+    ("iar_warmup", -30.0),
+    ("init_pos_error", -1.0),
+    ("init_vel_error", -1e-3),
+    ("init_clock_error", -1.0),
+    ("noise.multipath_amp_code", -1.0),
+    ("noise.multipath_amp_phase", -0.01),
+    ("noise.clock_sigma", -1.0),
+    ("noise.ephemeris_rms", -1.5),
+    ("noise.windup_amplitude", -0.01),
+    ("sensors.range_noise", -0.01),
+    ("sensors.angle_noise", -1e-4),
+    ("tuning.init_pos", -1.0),
+    ("tuning.init_vel", -1.0),
+    ("tuning.init_accel", (1e-6, -2e-6, 0.75e-6)),
+    ("tuning.init_clock", -1.0),
+    ("tuning.init_range_bias", -0.1),
+    ("tuning.init_angle_bias", -1e-3),
+    ("tuning.proc_pos", -1e-6),
+    ("tuning.proc_vel", -1e-9),
+    ("tuning.proc_accel", (1e-6, 1e-6, -0.5e-6)),
+    ("tuning.proc_clock", -5.0),
+    ("tuning.proc_amb", -0.03),
+    # Values that scale or divide: > 0.
+    ("duration", -1500.0),
+    ("truth_step", 0.0),
+    ("separation", 0.0),
+    ("noise.multipath_size", 0.0),
+    ("tuning.meas_code", 0.0),
+    ("tuning.meas_carrier", -0.015),
+    ("tuning.meas_range", 0.0),
+    ("tuning.meas_angle", 0.0),
+    ("tuning.tau_accel", 0.0),
+    ("tuning.tau_clock", 0.0),
+    ("tuning.gate_sigma", -5.0),
+    ("tuning.reference_step", 0.0),
+    ("tuning.wavelength", 0.0),
+    ("tuning.init_amb", 0.0),
+])
+def test_config_validation_rejects_negative_and_zero_scales(tmp_path, path,
+                                                             value):
+    # Not a runtime failure deep in the run, and not a silent run with the
+    # filter or the noise switched off: a validation error naming the
+    # setting, which the CLI turns into exit 1 before any output.
+    cfg = _short_leo()
+    _set_setting(cfg, path, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be "):
+        cfg.validate()
+    config = tmp_path / "bad.json"
+    config.write_text(cfg.to_json())
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config),
+                     "--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_config_validation_accepts_numpy_numbers():
@@ -631,6 +693,54 @@ def test_fixed_channels_enter_the_sensor_context(n_sats, n_fixed,
     assert fix["constrained"] is constrained
     assert fix["full"] and fix["wrong"] == 0
     assert fixed.fixed_mask[list(slots.values())].all()
+
+
+# ---------------------------------------------------------------------------
+# Run summary
+# ---------------------------------------------------------------------------
+
+def _summary(pos, vel, first_fix_index=None, fixes=()):
+    """``_summarize`` over one record per row of the relative position and
+    velocity errors (RTN), other record fields zero, and one fix event per
+    (subset, wrong) pair of ``fixes``."""
+    records = []
+    for i, (p, v) in enumerate(zip(pos, vel)):
+        record = dict.fromkeys(RECORD_FIELDS, 0)
+        record.update(zip(("err_r", "err_t", "err_n"), p), time=float(i))
+        record.update(zip(("verr_r", "verr_t", "verr_n"), v))
+        records.append(record)
+    events = [{"time": 0.0, "full": True, "subset": n, "wrong": w}
+              for n, w in fixes]
+    return _summarize(_short_leo(), records, events, first_fix_index,
+                      n_attempt_epochs=len(records), n_skipped=0)
+
+
+def test_summary_of_a_zero_error_history():
+    m = _summary(np.zeros((10, 3)), np.zeros((10, 3)))
+    assert m["rms_pos_total"] == 0.0
+    assert m["rms_vel_total"] == 0.0
+    assert m["wrong_fix_rate"] == 0.0
+    assert m["n_fix_events"] == 0
+
+
+def test_summary_of_a_constant_radial_offset():
+    pos = np.zeros((20, 3))
+    pos[:, 0] = 0.01
+    m = _summary(pos, np.zeros((20, 3)))
+    assert m["rms_pos_total"] == pytest.approx(0.01, rel=1e-12)
+    assert m["rms_vel_total"] == 0.0
+
+
+def test_summary_wrong_fix_rate_and_split():
+    pos = np.ones((10, 3)) * 0.02
+    pos[5:] = 0.001
+    m = _summary(pos, np.zeros((10, 3)), first_fix_index=5,
+                 fixes=[(9, 0), (1, 1)])
+    assert m["n_fixed_integers"] == 10
+    assert m["wrong_fix_rate"] == pytest.approx(0.1)
+    assert m["rms_pos_pre_fix"] == pytest.approx(0.02 * math.sqrt(3), rel=1e-9)
+    assert m["rms_pos_post_fix"] == pytest.approx(0.001 * math.sqrt(3), rel=1e-9)
+    assert m["first_fix_index"] == 5
 
 
 # ---------------------------------------------------------------------------

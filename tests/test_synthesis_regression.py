@@ -1,15 +1,22 @@
 """Synthesis regression: the measurement stream of a short LEO and a short
 GEO span, pinned against a committed snapshot.
 
-The snapshot fixes the per-epoch draw order of every random substream:
-discrete content (tracked satellites, track ids, ambiguity integers, the
-noise-inflation rows) must match exactly, and every float observable to
-1e-9 relative, so last-bit rounding differences pass and a shifted draw
-does not.  SDCP is the difference of two carrier phases of ~1e8 cycles,
-so rounding shows in it at ~1e-8 cycles whatever its own size; it also
-passes within 1e-6 cycles, four orders below one carrier noise draw.
+The snapshot holds every epoch in the layout synthesis hands the run loop:
+the GPS fields aligned to ``gps_ids`` (GRAPHIC per receiver, SDCP, the
+receivers' track ids, broadcast positions and extra row variances), the
+range and bearing observations, the true single-difference integers and
+the receiver clocks.  It fixes the per-epoch draw order of every random
+substream: discrete content (tracked satellites, track ids, ambiguity
+integers, which rows carry extra variance) must match exactly, and every
+float to 1e-9 relative, so last-bit rounding differences on another BLAS
+pass and a shifted draw does not.  SDCP is the difference of two carrier
+phases of ~1e8 cycles, so rounding shows in it at ~1e-8 cycles whatever
+its own size; it also passes within 1e-6 cycles, four orders below one
+carrier noise draw.
 
-Regenerate the snapshot (only when the draw order changes on purpose) with
+The file is what the script below writes, bit for bit, on the platform
+that wrote it (x86-64, NumPy with OpenBLAS).  Regenerate (only when the
+numbers change on purpose, saying which moved and why) with
 
     PYTHONPATH=src python tests/test_synthesis_regression.py
 """
@@ -35,39 +42,23 @@ def snapshot(preset, duration, seed=SEED):
     config.duration = duration
     config.seed = seed
     epochs, aux = synthesize_measurements(config, generate_truth(config))
-    # The snapshot keeps the shape it was written in: (id, value) pairs,
-    # positions keyed by id, the extra variances keyed by row label where
-    # they are > 0, and the track ids of every GPS epoch as "pair_ids".
-    out = []
-    pair_ids = {}
-    for e in epochs:
-        ids = [int(g) for g in e.gps_ids]
-        inflation = {}
-        for row, g in enumerate(ids):
-            for col, key in enumerate((f"graphic:chief:{g}",
-                                       f"graphic:deputy:{g}", f"sdcp:{g}")):
-                if e.extra_variance[row, col] > 0.0:
-                    inflation[key] = float(e.extra_variance[row, col])
-        out.append({
-            "time": e.time,
-            "graphic": {rx: [[g, float(v)] for g, v in zip(ids, rows)]
-                        for rx, rows in sorted(e.graphic.items())},
-            "sdcp": [[g, float(v)] for g, v in zip(ids, e.sdcp)],
-            "gps_positions": {str(g): [float(c) for c in p]
-                              for g, p in zip(ids, e.gps_positions)},
-            "noise_inflation": dict(sorted(inflation.items())),
-            "range_obs": e.range_obs,
-            "bearing_obs": (None if e.bearing_obs is None
-                            else [float(c) for c in e.bearing_obs]),
-        })
-        if e.time in aux.true_sd:  # a GPS epoch
-            pair_ids[repr(e.time)] = {str(g): [int(c), int(d)]
-                                      for g, (c, d) in zip(ids, e.tracks)}
+    out = [{
+        "time": e.time,
+        "gps_ids": [int(g) for g in e.gps_ids],
+        "graphic": {rx: [float(v) for v in rows]
+                    for rx, rows in sorted(e.graphic.items())},
+        "sdcp": [float(v) for v in e.sdcp],
+        "tracks": [[int(c), int(d)] for c, d in e.tracks],
+        "gps_positions": e.gps_positions.tolist(),
+        "extra_variance": e.extra_variance.tolist(),
+        "range_obs": e.range_obs,
+        "bearing_obs": (None if e.bearing_obs is None
+                        else [float(c) for c in e.bearing_obs]),
+    } for e in epochs]
     return {
         "epochs": out,
         "true_sd": {repr(t): {str(g): int(n) for g, n in sorted(m.items())}
                     for t, m in aux.true_sd.items()},
-        "pair_ids": pair_ids,
         "clock_chief": aux.clock_chief.tolist(),
         "clock_deputy": aux.clock_deputy.tolist(),
     }
@@ -81,9 +72,8 @@ def _close(a, b, atol=0.0):
 def compare(got, want):
     """Differences between two snapshots, as readable messages."""
     problems = []
-    for key in ("true_sd", "pair_ids"):
-        if got[key] != want[key]:
-            problems.append(f"{key} differs")
+    if got["true_sd"] != want["true_sd"]:
+        problems.append("true_sd differs")
     for key in ("clock_chief", "clock_deputy"):
         if not _close(got[key], want[key]):
             problems.append(f"{key} differs")
@@ -94,23 +84,25 @@ def compare(got, want):
         if g["time"] != t:
             problems.append(f"epoch time {g['time']} != {t}")
             continue
-        for rx in set(g["graphic"]) | set(w["graphic"]):
-            gr, wr = g["graphic"].get(rx, []), w["graphic"].get(rx, [])
-            if [r[0] for r in gr] != [r[0] for r in wr]:
-                problems.append(f"t={t}: {rx} satellites differ")
-            elif not _close([r[1] for r in gr], [r[1] for r in wr]):
-                problems.append(f"t={t}: {rx} GRAPHIC differs")
-        if [r[0] for r in g["sdcp"]] != [r[0] for r in w["sdcp"]]:
-            problems.append(f"t={t}: SDCP satellites differ")
-        elif not _close([r[1] for r in g["sdcp"]], [r[1] for r in w["sdcp"]],
-                        SDCP_ATOL):
+        if g["gps_ids"] != w["gps_ids"]:
+            problems.append(f"t={t}: satellites differ")
+            continue
+        if g["tracks"] != w["tracks"]:
+            problems.append(f"t={t}: tracks differ")
+        if sorted(g["graphic"]) != sorted(w["graphic"]):
+            problems.append(f"t={t}: GRAPHIC receivers differ")
+        elif not all(_close(g["graphic"][rx], w["graphic"][rx])
+                     for rx in w["graphic"]):
+            problems.append(f"t={t}: GRAPHIC differs")
+        if not _close(g["sdcp"], w["sdcp"], SDCP_ATOL):
             problems.append(f"t={t}: SDCP differs")
-        for key in ("gps_positions", "noise_inflation"):
-            if sorted(g[key]) != sorted(w[key]):
-                problems.append(f"t={t}: {key} keys differ")
-            elif not _close([g[key][k] for k in sorted(w[key])],
-                            [w[key][k] for k in sorted(w[key])]):
-                problems.append(f"t={t}: {key} values differ")
+        if not _close(g["gps_positions"], w["gps_positions"]):
+            problems.append(f"t={t}: gps_positions differ")
+        if (np.asarray(g["extra_variance"]) > 0.0).tolist() != (
+                np.asarray(w["extra_variance"]) > 0.0).tolist():
+            problems.append(f"t={t}: extra_variance rows differ")
+        elif not _close(g["extra_variance"], w["extra_variance"]):
+            problems.append(f"t={t}: extra_variance differs")
         for key in ("range_obs", "bearing_obs"):
             if (g[key] is None) != (w[key] is None):
                 problems.append(f"t={t}: {key} presence differs")
@@ -139,8 +131,7 @@ def test_compare_catches_a_shifted_draw(pinned):
     want = pinned["leo"]
     got = json.loads(json.dumps(want))
     epoch = next(e for e in got["epochs"] if len(e["sdcp"]) >= 2)
-    (g0, v0), (g1, v1) = epoch["sdcp"][:2]
-    epoch["sdcp"][:2] = [[g0, v0 + 2e-3], [g1, v1]]
+    epoch["sdcp"][0] += 2e-3
     assert compare(got, want) == [f"t={epoch['time']}: SDCP differs"]
 
 
