@@ -75,9 +75,8 @@ class MeasurementEpoch:
 # ---------------------------------------------------------------------------
 
 def undifferenced_phase(geom_range, ambiguity, iono=0.0, rx_clock=0.0,
-                        gps_clock=0.0, windup=0.0, noise=0.0,
-                        wavelength=L1_WAVELENGTH):
-    """Undifferenced carrier phase in cycles.
+                        gps_clock=0.0, windup=0.0, noise=0.0):
+    """Undifferenced L1 carrier phase in cycles.
 
     ``lambda * phi = R + lambda*N + I + c dt_rx - c dt_gps + W + eps``; the
     clock terms are passed already scaled to meters.  The ionospheric term
@@ -91,42 +90,36 @@ def undifferenced_phase(geom_range, ambiguity, iono=0.0, rx_clock=0.0,
         Integer (or float) cycle ambiguity [cycles].
     iono, rx_clock, gps_clock, windup, noise : float
         Remaining model terms [m].
-    wavelength : float
-        Carrier wavelength [m].
 
     Returns
     -------
     float [cycles]
     """
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
-    meters = (geom_range + wavelength * ambiguity + iono
+    meters = (geom_range + L1_WAVELENGTH * ambiguity + iono
               + rx_clock - gps_clock + windup + noise)
-    return meters / wavelength
+    return meters / L1_WAVELENGTH
 
 
-def graphic(pseudorange, phase, wavelength=L1_WAVELENGTH):
+def graphic(pseudorange, phase):
     """GRoup And PHase Ionospheric Correction: half code plus half carrier.
 
     The first-order ionospheric delay enters the code positively and the
     carrier negatively, so the average is ionosphere-free; it retains the
-    geometric range, receiver/transmitter clocks, and half the wavelength
-    times the ambiguity.
+    geometric range, receiver/transmitter clocks, and half the L1
+    wavelength times the ambiguity.
 
     Parameters
     ----------
     pseudorange : float
         Code pseudorange [m].
     phase : float
-        Carrier phase [cycles].
-    wavelength : float
-        Carrier wavelength [m].
+        L1 carrier phase [cycles].
 
     Returns
     -------
     float [m]
     """
-    return 0.5 * pseudorange + 0.5 * wavelength * phase
+    return 0.5 * pseudorange + 0.5 * L1_WAVELENGTH * phase
 
 
 def single_difference(obs_a, obs_b):

@@ -26,10 +26,10 @@ chief's minus the single difference), single-differenced carrier phase sees
 the single-difference float, and the external range/bearing sensors see the
 relative position plus the bias triple ``x[BIASES]``, which goes as it is to
 ``range_model`` and ``bearing_model``.  An epoch's GPS observations are
-aligned to its ascending ``gps_ids``; ``measurement_update`` builds the GPS
-rows a block at a time (the GRAPHIC rows of each receiver, then the SDCP
-rows) as arrays over the rows of the ids that hold a slot, from one
-id -> slot map of ``channel_ids``.
+aligned to its ascending ``gps_ids``; ``measurement_update`` builds every
+GPS row in one ``_gps_rows`` call (the GRAPHIC rows of each receiver, then
+the SDCP rows) as arrays over the rows of the ids that hold a slot, from one
+id -> slot map of ``channel_ids``.  Every carrier is L1.
 """
 
 from __future__ import annotations
@@ -84,15 +84,18 @@ AMB_ZD = slice(20, 44)
 AMB_SD = slice(44, 68)
 BIASES = slice(68, 71)
 
+# Process-noise sigmas are quoted per this step [s].
+REFERENCE_STEP = 30.0
+
 
 @dataclass
 class FilterTuning:
     """Every knob of the filter, with LEO-scenario defaults.
 
-    Process-noise sigmas are quoted per reference step (30 s); the applied
-    variance scales linearly with the actual step length.  The clock time
-    constant defaults to infinity (pure random walk); the empirical
-    accelerations are first-order Gauss-Markov with a 900 s constant.
+    Process-noise sigmas are quoted per ``REFERENCE_STEP``; the applied
+    variance scales linearly with the actual step length.  The clocks are
+    random walks, as the world makes them; the empirical accelerations are
+    first-order Gauss-Markov with a 900 s constant.
     """
 
     # Initial standard deviations
@@ -117,13 +120,10 @@ class FilterTuning:
     meas_range: float = 5.0e-3          # m
     meas_angle: float = 100.0 * ARCSEC  # rad
 
-    # Autocorrelation time constants
+    # Autocorrelation time constant
     tau_accel: float = 900.0            # s
-    tau_clock: float = math.inf         # s (infinite: random walk)
 
     gate_sigma: float = 5.0
-    reference_step: float = 30.0        # s
-    wavelength: float = L1_WAVELENGTH
 
     @classmethod
     def leo(cls) -> "FilterTuning":
@@ -242,7 +242,6 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch,
     counts consecutive GPS epochs on one track: 1 at a restart, 0 for a
     slot not tracked this epoch.
     """
-    wavelength = tuning.wavelength
     gids = epoch.gps_ids
     age = np.zeros_like(state.age)
     # Slots only change hands to ids outside the epoch, so one map taken
@@ -272,10 +271,10 @@ def allocate_channels(state: FilterState, epoch: MeasurementEpoch,
             rd = float(np.linalg.norm(gp - state.x[DEPUTY_POS]))
             state.x[AMB_ZD.start + slot] = 2.0 * (
                 epoch.graphic["chief"][i] - rc
-                - state.x[CHIEF_CLOCK]) / wavelength
+                - state.x[CHIEF_CLOCK]) / L1_WAVELENGTH
             state.x[AMB_SD.start + slot] = epoch.sdcp[i] - (
                 (rc - rd) + (state.x[CHIEF_CLOCK]
-                             - state.x[DEPUTY_CLOCK])) / wavelength
+                             - state.x[DEPUTY_CLOCK])) / L1_WAVELENGTH
         age[slot] = 1 if restart else state.age[slot] + 1
         state.last_seen[slot] = epoch.time
         mapping[gid] = slot
@@ -307,15 +306,16 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
 
     Both orbits integrate through ``orbits.propagate``, the integrator that
     makes truth, with the empirical acceleration states applied in the craft
-    RTN frame and held constant over the step; the acceleration and
-    (finite-tau) clock states then decay as first-order Gauss-Markov
-    processes.  The covariance maps through a central-difference transition
-    matrix, propagated in the same call as the mean, and gains the
-    configured process noise; single differences flagged fixed receive none,
-    so the double differences a full fix made exact stay exact.  The
-    transition is the identity outside its leading block ``a`` over the
-    crafts' states, so ``phi P phi^T`` is formed as ``a`` applied to the
-    leading rows and then to the leading columns.
+    RTN frame and held constant over the step; the acceleration states then
+    decay as first-order Gauss-Markov processes, and the random-walk clocks
+    keep their means.  The covariance maps through a central-difference
+    transition matrix, propagated in the same call as the mean, and gains
+    the configured process noise scaled by ``dt / REFERENCE_STEP``; single
+    differences flagged fixed receive none, so the double differences a
+    full fix made exact stay exact.  The transition is the identity outside
+    its leading block ``a`` over the crafts' states, so ``phi P phi^T`` is
+    formed as ``a`` applied to the leading rows and then to the leading
+    columns.
 
     Raises
     ------
@@ -328,7 +328,6 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
         raise ValueError("dt must be positive")
     out = state.copy()
     decay_acc = math.exp(-dt / tuning.tau_accel)
-    decay_clk = math.exp(-dt / tuning.tau_clock) if math.isfinite(tuning.tau_clock) else 1.0
 
     # One propagation of 38 rows: per craft the nominal start, then each of
     # its 9 inputs (position, velocity and empirical acceleration, which are
@@ -341,18 +340,16 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
 
     a = np.eye(_N_DYN)
     q = np.zeros(N_STATES)
-    scale = dt / tuning.reference_step
+    scale = dt / REFERENCE_STEP
     for (pos, vel, acc, clk), y in zip(_CRAFTS, ends):
         out.x[pos] = y[0, :3]
         out.x[vel] = y[0, 3:]
         out.x[acc] = decay_acc * state.x[acc]
-        out.x[clk] = decay_clk * state.x[clk]
         # Columns: sensitivity of the end position/velocity to the start
         # position, velocity and (held-constant) empirical acceleration.
         a[pos.start:vel.stop, pos.start:acc.stop] = (
             (y[1::2] - y[2::2]) / _FD_DENOM).T
         a[acc, acc] = decay_acc * np.eye(3)
-        a[clk, clk] = decay_clk
         q[pos] = tuning.proc_pos ** 2 * scale
         q[vel] = tuning.proc_vel ** 2 * scale
         q[acc] = np.square(tuning.proc_accel) * scale
@@ -376,45 +373,42 @@ def time_update(state: FilterState, tuning: FilterTuning, dt) -> FilterState:
 # Measurement update
 # ---------------------------------------------------------------------------
 
-def _gps_rows(x, kind, gps_pos, slots, wavelength):
-    """Predictions [m] and Jacobian rows of one block of GPS observations.
+def _gps_rows(x, gps_pos, slots):
+    """Predictions [m] and Jacobian rows of an epoch's GPS observations.
 
-    ``kind`` is a receiver, "chief" or "deputy", for GRAPHIC rows, or
-    "sdcp" for single-differenced carrier phase rows.  Row i observes the
-    satellite at ``gps_pos[i]`` (ECI, (k, 3)) whose ambiguities sit in
-    channel ``slots[i]``.
+    Three blocks of k rows each, in this order: chief GRAPHIC, deputy
+    GRAPHIC, single-differenced carrier phase.  Row i of each block
+    observes the satellite at ``gps_pos[i]`` (ECI, (k, 3)) whose
+    ambiguities sit in channel ``slots[i]``.
     """
-    rows = np.arange(len(slots))
+    k = len(slots)
+    rows = np.arange(k)
     zd = AMB_ZD.start + slots
     sd = AMB_SD.start + slots
-    h = np.zeros((len(slots), N_STATES))
-    if kind == "sdcp":
-        los_c, rng_c = _unit_los(gps_pos, x[CHIEF_POS])
-        los_d, rng_d = _unit_los(gps_pos, x[DEPUTY_POS])
-        pred = (rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK]) \
-            + wavelength * x[sd]
-        h[:, CHIEF_POS] = -los_c
-        h[:, DEPUTY_POS] = los_d
-        h[:, CHIEF_CLOCK] = 1.0
-        h[:, DEPUTY_CLOCK] = -1.0
-        h[rows, sd] = wavelength
-        return pred, h
-    if kind == "chief":
-        pos_sl, clk = CHIEF_POS, CHIEF_CLOCK
-    else:
-        pos_sl, clk = DEPUTY_POS, DEPUTY_CLOCK
-    los, rng = _unit_los(gps_pos, x[pos_sl])
-    half = 0.5 * wavelength
-    h[:, pos_sl] = -los
-    h[:, clk] = 1.0
-    h[rows, zd] = half
-    if kind == "chief":
-        pred = rng + x[clk] + half * x[zd]
-    else:
-        # Deputy zero-difference float = chief ZD minus the single difference.
-        pred = rng + x[clk] + half * (x[zd] - x[sd])
-        h[rows, sd] = -half
-    return pred, h
+    los_c, rng_c = _unit_los(gps_pos, x[CHIEF_POS])
+    los_d, rng_d = _unit_los(gps_pos, x[DEPUTY_POS])
+    half = 0.5 * L1_WAVELENGTH
+    h = np.zeros((3, k, N_STATES))
+    chief, deputy, sdcp = h
+    chief[:, CHIEF_POS] = -los_c
+    chief[:, CHIEF_CLOCK] = 1.0
+    chief[rows, zd] = half
+    # Deputy zero-difference float = chief ZD minus the single difference.
+    deputy[:, DEPUTY_POS] = -los_d
+    deputy[:, DEPUTY_CLOCK] = 1.0
+    deputy[rows, zd] = half
+    deputy[rows, sd] = -half
+    sdcp[:, CHIEF_POS] = -los_c
+    sdcp[:, DEPUTY_POS] = los_d
+    sdcp[:, CHIEF_CLOCK] = 1.0
+    sdcp[:, DEPUTY_CLOCK] = -1.0
+    sdcp[rows, sd] = L1_WAVELENGTH
+    pred = np.concatenate([
+        rng_c + x[CHIEF_CLOCK] + half * x[zd],
+        rng_d + x[DEPUTY_CLOCK] + half * (x[zd] - x[sd]),
+        (rng_c - rng_d) + (x[CHIEF_CLOCK] - x[DEPUTY_CLOCK])
+        + L1_WAVELENGTH * x[sd]])
+    return pred, h.reshape(3 * k, N_STATES)
 
 
 def _unit_los(gps_pos, rx):
@@ -450,54 +444,43 @@ def measurement_update(state: FilterState, epoch: MeasurementEpoch,
     A GPS id enters only with an ambiguity slot; its rows read the epoch's
     aligned fields at the id's row.  Rows come in blocks, in this order:
     the chief GRAPHIC block, the deputy GRAPHIC block, the SDCP block, then
-    range and bearing, which enter only with ``use_external``.  Each GPS
-    block is built as arrays in one ``_gps_rows`` call from the slot indices
-    of its satellites, in ``gps_ids`` order, and its variances are the
-    floor plus the epoch's ``extra_variance`` column.  Innovations failing
-    the scalar gate are excluded from the joint solve and flagged in the
-    report.  Returns ``(new_state, UpdateReport)``.
+    range and bearing, which enter only with ``use_external``.  The GPS
+    blocks are built as arrays in one ``_gps_rows`` call from the slot
+    indices of their satellites, in ``gps_ids`` order, and their variances
+    are the floor plus the epoch's ``extra_variance`` column.  Innovations
+    failing the scalar gate are excluded from the joint solve and flagged in
+    the report.  Returns ``(new_state, UpdateReport)``.
     """
-    wavelength = tuning.wavelength
     slot_by_id = _slot_map(state.channel_ids)
-    preds, rows, values, variances = [], [], [], []
-
-    def add(pred, h, value, variance):
-        preds.append(pred)
-        rows.append(h)
-        values.append(np.asarray(value, dtype=float))
-        variances.append(np.broadcast_to(variance, pred.shape))
-
+    blocks = []   # (predictions, Jacobian rows, observations, variances)
     held = [i for i, gid in enumerate(epoch.gps_ids) if gid in slot_by_id]
     if held:
         slots = np.array([slot_by_id[epoch.gps_ids[i]] for i in held])
-        gps_pos = epoch.gps_positions[held]
-        extra = epoch.extra_variance[held]
-        for col, kind in enumerate(("chief", "deputy", "sdcp")):
-            pred, h = _gps_rows(state.x, kind, gps_pos, slots, wavelength)
-            if kind == "sdcp":
-                add(pred, h, wavelength * np.asarray(epoch.sdcp)[held],
-                    tuning.meas_carrier ** 2 + extra[:, col])
-            else:
-                add(pred, h, np.asarray(epoch.graphic[kind])[held],
-                    tuning.meas_code ** 2 + extra[:, col])
+        floor = np.array([tuning.meas_code ** 2, tuning.meas_code ** 2,
+                          tuning.meas_carrier ** 2])
+        blocks.append((*_gps_rows(state.x, epoch.gps_positions[held], slots),
+                       np.concatenate([
+                           np.asarray(epoch.graphic["chief"])[held],
+                           np.asarray(epoch.graphic["deputy"])[held],
+                           L1_WAVELENGTH * np.asarray(epoch.sdcp)[held]]),
+                       (floor + epoch.extra_variance[held]).T.ravel()))
 
     want_range = use_external and epoch.range_obs is not None
     want_bearing = use_external and epoch.bearing_obs is not None
     if want_range or want_bearing:
         ext_pred, ext_rows = _external_rows(state, epoch.attitude)
         if want_range:
-            add(ext_pred[:1], ext_rows[:1], [epoch.range_obs],
-                tuning.meas_range ** 2)
+            blocks.append((ext_pred[:1], ext_rows[:1], [epoch.range_obs],
+                           [tuning.meas_range ** 2]))
         if want_bearing:
-            add(ext_pred[1:], ext_rows[1:], epoch.bearing_obs,
-                tuning.meas_angle ** 2)
+            blocks.append((ext_pred[1:], ext_rows[1:], epoch.bearing_obs,
+                           [tuning.meas_angle ** 2] * 2))
 
-    if not rows:
+    if not blocks:
         return state.copy(), UpdateReport()
 
-    h_all = np.concatenate(rows)
-    innov_all = np.concatenate(values) - np.concatenate(preds)
-    r_all = np.concatenate(variances)
+    pred_all, h_all, obs_all, r_all = (np.concatenate(b) for b in zip(*blocks))
+    innov_all = obs_all - pred_all
 
     # Scalar innovation gate per row.
     p = state.covariance

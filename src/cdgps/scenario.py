@@ -143,6 +143,12 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# The run's time grid [s]: truth, the GPS epochs and the external-sensor
+# epochs; each period is a multiple of the truth step.
+TRUTH_STEP = 10.0
+GPS_UPDATE_PERIOD = 30.0
+EXTERNAL_UPDATE_PERIOD = 10.0
+
 # Settings, by ``validate`` label, that must not be negative: times,
 # standard deviations, amplitudes, and initial and process sigmas.
 _NON_NEGATIVE = frozenset((
@@ -158,10 +164,9 @@ _NON_NEGATIVE = frozenset((
 ))
 # Settings that scale or divide, and so must be positive.
 _POSITIVE = frozenset((
-    "duration", "truth_step", "separation", "noise.multipath_size",
+    "duration", "separation", "noise.multipath_size",
     "tuning.meas_code", "tuning.meas_carrier", "tuning.meas_range",
-    "tuning.meas_angle", "tuning.tau_accel", "tuning.tau_clock",
-    "tuning.gate_sigma", "tuning.reference_step", "tuning.wavelength",
+    "tuning.meas_angle", "tuning.tau_accel", "tuning.gate_sigma",
     "tuning.init_amb",
 ))
 
@@ -230,9 +235,6 @@ class ScenarioConfig:
     name: str = "custom"
     separation: float = 1000.0            # m
     duration: float = 11100.0             # s
-    truth_step: float = 10.0              # s
-    gps_update_period: float = 30.0       # s
-    external_update_period: float = 10.0  # s
     external_enable_time: float = 1800.0  # s
     iar_warmup: float = 1800.0            # s before the first fix attempt
     coupling_mode: str = "full"           # none | loose | full
@@ -275,9 +277,7 @@ class ScenarioConfig:
         for label, value in self._numeric_settings():
             if not _is_number(value):
                 raise ValueError(f"{label} must be a number, got {value!r}")
-            # An infinite clock time constant is a pure random walk.
-            if not (math.isfinite(value) or (label == "tuning.tau_clock"
-                                             and value == math.inf)):
+            if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value!r}")
             if label in _POSITIVE and value <= 0.0:
                 raise ValueError(f"{label} must be positive, got {value!r}")
@@ -300,15 +300,10 @@ class ScenarioConfig:
             raise ValueError("semimajor axis below the Earth surface")
         if not 0.0 <= el["e"] < 1.0:
             raise ValueError("eccentricity must be in [0, 1)")
-        n = round(self.duration / self.truth_step)
-        if n < 1 or abs(n * self.truth_step - self.duration) > 1e-6:
-            raise ValueError("duration must be a multiple of truth_step")
-        for period, label in ((self.gps_update_period, "gps_update_period"),
-                              (self.external_update_period,
-                               "external_update_period")):
-            k = round(period / self.truth_step)
-            if k < 1 or abs(k * self.truth_step - period) > 1e-9:
-                raise ValueError(f"{label} must be a multiple of truth_step")
+        n = round(self.duration / TRUTH_STEP)
+        if n < 1 or abs(n * TRUTH_STEP - self.duration) > 1e-6:
+            raise ValueError(
+                f"duration must be a multiple of truth_step ({TRUTH_STEP:g} s)")
         if self.coupling_mode not in ("none", "loose", "full"):
             raise ValueError(f"unknown coupling mode {self.coupling_mode!r}")
         if self.visibility_mode not in ("mainlobe", "sidelobe"):
@@ -318,15 +313,14 @@ class ScenarioConfig:
         for t, dv in self.impulses:
             if not 0.0 < t <= self.duration:
                 raise ValueError("impulse times must lie inside the run")
-            k = round(t / self.truth_step)
-            if abs(k * self.truth_step - t) > 1e-9:
+            k = round(t / TRUTH_STEP)
+            if abs(k * TRUTH_STEP - t) > 1e-9:
                 raise ValueError("impulse times must be on the truth grid")
             if len(dv) != 3:
                 raise ValueError("impulse delta-v must be an RTN 3-vector")
 
     def to_dict(self) -> dict:
-        """Plain-data form; written out through ``_jsonable``, which turns
-        an infinite ``tuning.tau_clock`` into null."""
+        """Plain-data form of every setting, impulses as lists."""
         d = dataclasses.asdict(self)
         d["impulses"] = [[float(t), [float(c) for c in dv]]
                          for t, dv in self.impulses]
@@ -360,8 +354,6 @@ def _tuning_from_dict(d) -> FilterTuning:
     for key in ("init_accel", "proc_accel"):
         if key in d and d[key] is not None:
             d[key] = tuple(d[key])
-    if d.get("tau_clock") is None:
-        d["tau_clock"] = math.inf
     return FilterTuning(**d)
 
 
@@ -429,8 +421,7 @@ class Truth:
     events: list = field(default_factory=list)
 
     def index_of(self, t) -> int:
-        step = float(self.times[1] - self.times[0])
-        i = int(round(float(t) / step))
+        i = int(round(float(t) / TRUTH_STEP))
         if not 0 <= i < len(self.times) or abs(self.times[i] - t) > 1e-6:
             raise ValueError(f"time {t} is not on the truth grid")
         return i
@@ -459,11 +450,11 @@ def generate_truth(config: ScenarioConfig) -> Truth:
     rot = _rotation_about(rtn_frame(chief)[2], config.separation / el["a"])
     deputy = OrbitState(rot @ chief.position, rot @ chief.velocity, 0.0)
 
-    n = round(config.duration / config.truth_step)
-    times = np.arange(n + 1) * config.truth_step
+    n = round(config.duration / TRUTH_STEP)
+    times = np.arange(n + 1) * TRUTH_STEP
     impulse_at = {}
     for t, dv in config.impulses:
-        i_imp = int(round(t / config.truth_step))
+        i_imp = int(round(t / TRUTH_STEP))
         impulse_at.setdefault(i_imp, []).append(np.asarray(dv, dtype=float))
 
     cp = np.empty((n + 1, 3)); cv = np.empty((n + 1, 3))
@@ -474,7 +465,7 @@ def generate_truth(config: ScenarioConfig) -> Truth:
                       np.stack([chief.velocity, deputy.velocity]), 0.0)
     for i, t in enumerate(times):
         if i > 0:
-            pair = propagate(pair, config.truth_step)
+            pair = propagate(pair, TRUTH_STEP)
         for burn in impulse_at.get(i, []):
             deputy = OrbitState(pair.position[1], pair.velocity[1])
             pair.velocity[1] += rtn_frame(deputy).T @ burn
@@ -588,8 +579,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     External epochs carry biased, noisy range and bearing of the chief as
     seen from the deputy docking sensor.  The
     transmitters are the ``default_constellation()``, and every carrier is
-    simulated at ``L1_WAVELENGTH``: ``config.tuning`` tunes the filter, not
-    the world it observes.
+    simulated at ``L1_WAVELENGTH``, the carrier the filter models.
 
     Returns
     -------
@@ -616,7 +606,7 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     clk_c = np.zeros(n_t)
     clk_d = np.zeros(n_t)
     if noise.clock_walk:
-        steps = np.full(n_t - 1, config.truth_step)
+        steps = np.full(n_t - 1, TRUTH_STEP)
         clk_c[1:] = clock_random_walk(0.0, steps, rng_clk_c, noise.clock_sigma)
         clk_d[1:] = clock_random_walk(0.0, steps, rng_clk_d, noise.clock_sigma)
 
@@ -637,8 +627,8 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
         k1 = int(math.floor((config.duration + 1e-9) / period))
         return [k * period for k in range(k0, k1 + 1)]
 
-    gps_times = set(times_of(config.gps_update_period))
-    ext_times = set(times_of(config.external_update_period,
+    gps_times = set(times_of(GPS_UPDATE_PERIOD))
+    ext_times = set(times_of(EXTERNAL_UPDATE_PERIOD,
                              config.external_enable_time))
     all_times = sorted(gps_times | ext_times)
 
@@ -866,7 +856,7 @@ def _sensor_context(state, epoch, tuning, tmat, order, idx, n_free):
     return constraint_context(
         -(tmat @ los), phases, sd_var[:-1] + sd_var[-1],
         x[CHIEF_POS] - x[DEPUTY_POS], observed, pre_blur, epoch.attitude,
-        tuning.wavelength, n_free)
+        L1_WAVELENGTH, n_free)
 
 
 def _attempt_fix(state, epoch, config, true_sd_map, slots):
@@ -1046,8 +1036,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     commanded-impulse feed-through, channel allocation and warm starting,
     the joint gated EKF measurement update, and (at GPS epochs past the
     warm-up, coupling permitting) one integer-resolution attempt.  An epoch
-    whose update raises is logged and skipped; a run with at least 10% of
-    its epochs skipped is flagged ``degraded``.  The run summary is built
+    whose update raises is logged and skipped, and a time update that raises
+    ends the run; a run that ended so, or with at least 10% of its epochs
+    skipped, is flagged ``degraded``.  The run summary is built
     here, by ``_summarize``, from the per-epoch records and the fix events.
 
     Returns a :class:`RunReport`; when ``output_dir`` is given the report
@@ -1081,6 +1072,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     fix_events = []
     records = []
     n_skipped = 0
+    aborted = False
     n_attempt_epochs = 0
     first_fix_index = None
     coupled = config.coupling_mode in ("loose", "full")
@@ -1094,6 +1086,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
                 events.append({"time": float(t), "kind": "run-aborted",
                                "detail": str(exc)})
+                aborted = True
                 break
 
         for burn in impulse_by_time.get(t, []):
@@ -1173,7 +1166,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
         config=config, records=records, fix_events=fix_events, events=events,
         summary=_summarize(config, records, fix_events, first_fix_index,
                            n_attempt_epochs, n_skipped),
-        degraded=bool(records) and n_skipped >= 0.1 * len(records))
+        degraded=aborted or (bool(records)
+                             and n_skipped >= 0.1 * len(records)))
     if output_dir is not None:
         run.write(output_dir)
     return run

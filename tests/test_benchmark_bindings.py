@@ -5,7 +5,7 @@ import importlib
 from pathlib import Path
 
 import cdgps.scenario
-from cdgps.scenario import generate_truth, leo_preset
+from cdgps.scenario import TRUTH_STEP, generate_truth, leo_preset
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -37,5 +37,5 @@ def test_truth_propagation_is_traced_once_per_step(monkeypatch):
     finally:
         tracer.close()
     calls, _, _ = tracer.totals()
-    assert calls["orbits.propagate"] == round(cfg.duration / cfg.truth_step)
+    assert calls["orbits.propagate"] == round(cfg.duration / TRUTH_STEP)
     assert cdgps.scenario.propagate is original

@@ -222,6 +222,58 @@ def test_run_accepts_config_file(capsys, tmp_path):
     assert "epochs" in out
 
 
+@pytest.mark.parametrize("owner, key, value", [
+    (None, "truth_step", 10.0),
+    (None, "gps_update_period", 30.0),
+    (None, "external_update_period", 10.0),
+    ("tuning", "tau_clock", None),
+    ("tuning", "reference_step", 30.0),
+    ("tuning", "wavelength", 0.19029367279836487),
+])
+def test_run_rejects_a_config_key_that_is_no_setting(capsys, tmp_path, owner,
+                                                     key, value):
+    # The time grid, the clock model and the carrier are constants; a
+    # config file that still sets one is refused, naming the key, and not
+    # run with the key ignored.
+    from cdgps.scenario import leo_preset
+    cfg = json.loads(leo_preset().to_json())
+    (cfg[owner] if owner else cfg)[key] = value
+    path = tmp_path / "stale.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "run", "--config", str(path),
+                          "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert f"unexpected keyword argument '{key}'" in json.loads(err)["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_aborted_run_is_flagged_degraded(capsys, tmp_path, monkeypatch):
+    # A time update that raises ends the run after the 21 GPS epochs up to
+    # 600 s.  No epoch was skipped, but the run did not finish: it is
+    # flagged degraded, in the report and in the printed summary.
+    from cdgps import scenario
+    from cdgps.orbits import PropagationError
+    time_update = scenario.time_update
+
+    def fails_after_600_s(state, tuning, dt):
+        if state.epoch + dt > 600.0:
+            raise PropagationError("planted failure")
+        return time_update(state, tuning, dt)
+
+    monkeypatch.setattr(scenario, "time_update", fails_after_600_s)
+    code, out, _ = _run(capsys, "run", "--preset", "leo", "--duration",
+                        "3600", "--output", str(tmp_path))
+    assert code == 0
+    assert "DEGRADED" in out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["degraded"] is True
+    assert report["summary"]["n_epochs"] == 21
+    assert report["summary"]["n_skipped"] == 0
+    assert [e["kind"] for e in report["events"]].count("run-aborted") == 1
+
+
 @pytest.mark.parametrize("key, literal", [("duration", "Infinity"),
                                           ("iar_warmup", "NaN")])
 def test_run_rejects_non_finite_config_file(capsys, tmp_path, key, literal):

@@ -35,22 +35,20 @@ def random_rotation(rng):
 # ---------------------------------------------------------------------------
 
 def test_undifferenced_phase_basic():
-    lam = 0.1905
-    assert undifferenced_phase(lam, 0, wavelength=lam) == pytest.approx(1.0)
-    assert undifferenced_phase(0.0, 5, wavelength=lam) == pytest.approx(5.0)
-    # 20000 km over a 0.1905 m wavelength.
-    assert undifferenced_phase(20_000e3, 0, wavelength=0.1905) == pytest.approx(
-        1.0498688e8, rel=1e-7)
+    lam = L1_WAVELENGTH
+    assert undifferenced_phase(lam, 0) == pytest.approx(1.0)
+    assert undifferenced_phase(0.0, 5) == pytest.approx(5.0)
+    # 20000 km over the 0.1903 m L1 wavelength.
+    assert undifferenced_phase(20_000e3, 0) == pytest.approx(
+        1.0510071e8, rel=1e-7)
 
 
 def test_undifferenced_phase_term_signs():
     lam = L1_WAVELENGTH
-    base = undifferenced_phase(1000.0, 3, wavelength=lam)
+    base = undifferenced_phase(1000.0, 3)
     # Receiver clock adds, transmitter clock subtracts.
-    assert undifferenced_phase(1000.0, 3, rx_clock=lam, wavelength=lam) == pytest.approx(base + 1.0)
-    assert undifferenced_phase(1000.0, 3, gps_clock=lam, wavelength=lam) == pytest.approx(base - 1.0)
-    with pytest.raises(ValueError):
-        undifferenced_phase(1.0, 0, wavelength=0.0)
+    assert undifferenced_phase(1000.0, 3, rx_clock=lam) == pytest.approx(base + 1.0)
+    assert undifferenced_phase(1000.0, 3, gps_clock=lam) == pytest.approx(base - 1.0)
 
 
 def test_graphic_cancels_ionosphere():
@@ -58,8 +56,8 @@ def test_graphic_cancels_ionosphere():
     r, iono = 22_345_678.9, 12.34
     code = r + iono
     carrier_m = r - iono
-    assert graphic(code, carrier_m / lam, lam) == pytest.approx(r, abs=1e-12 * r)
-    assert graphic(100.0, 100.0 / lam, lam) == pytest.approx(100.0)
+    assert graphic(code, carrier_m / lam) == pytest.approx(r, abs=1e-12 * r)
+    assert graphic(100.0, 100.0 / lam) == pytest.approx(100.0)
 
 
 def test_graphic_noise_reduction_monte_carlo():
@@ -71,7 +69,7 @@ def test_graphic_noise_reduction_monte_carlo():
     n1 = rng.normal(scale=sigma, size=200_000)
     n2 = rng.normal(scale=sigma, size=200_000)
     lam = L1_WAVELENGTH
-    g = np.array([graphic(n1[i], n2[i] / lam, lam) for i in range(2000)])
+    g = np.array([graphic(n1[i], n2[i] / lam) for i in range(2000)])
     assert np.std(g) == pytest.approx(sigma / math.sqrt(2.0), rel=0.08)
 
 
@@ -84,7 +82,7 @@ def synth_obs(rng, gps_id, receiver_id, rx_clock, gps_clock, iono, windup,
     """Undifferenced carrier phase [cycles] of one receiver."""
     return undifferenced_phase(geom_range, ambiguity, iono=-iono,
                                rx_clock=rx_clock, gps_clock=gps_clock,
-                               windup=windup, wavelength=L1_WAVELENGTH)
+                               windup=windup)
 
 
 def test_single_difference_cancels_gps_clock():

@@ -22,6 +22,7 @@ from cdgps.navfilter import (
     DEPUTY_VEL,
     N_CHANNELS,
     N_STATES,
+    REFERENCE_STEP,
     DareResult,
     FilterState,
     FilterTuning,
@@ -377,16 +378,14 @@ def test_time_update_rejects_descending_craft():
 
 def test_time_update_gauss_markov_decay():
     chief, deputy = make_truth()
-    tuning = FilterTuning(tau_clock=60.0)
+    tuning = FilterTuning()
     st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
     st.x[6:9] = [1e-6, 1e-6, 1e-6]
-    out = time_update(st, tuning, 900.0)
+    out = time_update(st, tuning, tuning.tau_accel)
     assert np.allclose(out.x[6:9], np.exp(-1.0) * 1e-6, rtol=1e-12)
-    assert out.x[CHIEF_CLOCK] == pytest.approx(TRUE_CLOCKS[0] * math.exp(-15.0))
-    # Default tuning: random-walk clock keeps its mean
-    tuning_rw = FilterTuning()
-    out_rw = time_update(st, tuning_rw, 900.0)
-    assert out_rw.x[CHIEF_CLOCK] == pytest.approx(TRUE_CLOCKS[0])
+    # The random-walk clocks keep their means.
+    assert out.x[CHIEF_CLOCK] == TRUE_CLOCKS[0]
+    assert out.x[DEPUTY_CLOCK] == TRUE_CLOCKS[1]
 
 
 def test_time_update_process_noise_and_fixed_channels():
@@ -465,14 +464,12 @@ def _dense_time_update_covariance(st, tuning, dt):
     end = propagate(OrbitState(rows[:, :3], rows[:, 3:6]), dt, rows[:, 6:])
     ends = np.concatenate([end.position, end.velocity], axis=1).reshape(2, 19, 6)
     decay_acc = math.exp(-dt / tuning.tau_accel)
-    decay_clk = math.exp(-dt / tuning.tau_clock)
-    scale = dt / tuning.reference_step
+    scale = dt / REFERENCE_STEP
     phi = np.eye(N_STATES)
     q = np.zeros(N_STATES)
     for c, y in zip((0, 10), ends):
         phi[c:c + 6, c:c + 9] = ((y[1::2] - y[2::2]) / (2.0 * steps[:, None])).T
         phi[c + 6:c + 9, c + 6:c + 9] = decay_acc * np.eye(3)
-        phi[c + 9, c + 9] = decay_clk
         q[c:c + 3] = tuning.proc_pos ** 2 * scale
         q[c + 3:c + 6] = tuning.proc_vel ** 2 * scale
         q[c + 6:c + 9] = np.square(tuning.proc_accel) * scale
@@ -485,7 +482,7 @@ def _dense_time_update_covariance(st, tuning, dt):
 
 def test_time_update_covariance_equals_dense_reference_bit_for_bit():
     chief, deputy = make_truth()
-    tuning = FilterTuning(tau_clock=600.0)
+    tuning = FilterTuning()
     st = truth_filter_state(chief, deputy, make_gps_positions(), N_ZD, N_SD, tuning)
     st.x[6:9] = [3e-7, -2e-7, 1e-7]
     st.x[16:19] = [-1e-7, 2e-7, 5e-8]
@@ -525,10 +522,14 @@ def _fd_row(fun, state, h_analytic, atol=1e-8):
 
 
 def _all_gps_rows(state, gps, kind):
+    """The ``kind`` block ("chief", "deputy" or "sdcp") of the GPS rows of
+    every satellite in ``gps``."""
     gids = sorted(gps)
-    return _gps_rows(state.x, kind, np.array([gps[g] for g in gids]),
-                     np.array([slot_of(state, g) for g in gids]),
-                     L1_WAVELENGTH)
+    pred, h = _gps_rows(state.x, np.array([gps[g] for g in gids]),
+                        np.array([slot_of(state, g) for g in gids]))
+    k = len(gids)
+    i = ("chief", "deputy", "sdcp").index(kind) * k
+    return pred[i:i + k], h[i:i + k]
 
 
 def test_graphic_row_jacobian():
@@ -639,7 +640,7 @@ def _reference_update(state, epoch, tuning, drop=()):
     scan, the gate's variances from a three-operand einsum.  Also returns
     each row's key, (kind, GPS id) or the external observable's name; rows
     whose key is in ``drop`` are left out."""
-    x, wavelength = state.x, tuning.wavelength
+    x, wavelength = state.x, L1_WAVELENGTH
     half = 0.5 * wavelength
 
     def slot(gid):

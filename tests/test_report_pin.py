@@ -1,14 +1,19 @@
 """Scenario report bytes pinned against committed digests.
 
-Three LEO runs in ``full`` coupling over the first 3600 s, which include the
+Four runs in ``full`` coupling over the first 3600 s, which include the
 first fixes, are written, and the sha256 of each run's ``history.csv`` and
-``report.json`` must equal the digests in ``tests/data/report_pin.json``:
+``report.json`` must equal the digests in ``tests/data/report_pin.json``.
+Three are LEO runs:
 
 * seed 1, where every fix is a full fix with evidence factor S = 1;
 * seed 107, another ten full fixes at S = 1, none wrong (it once made four
   wrong-fix events, when a full fix rounded its float reference);
 * seed 0 with phase multipath raised to 0.10 m, whose 12 fix events include
   two partial fixes.
+
+The fourth is the GEO preset at seed 1, with three fix events and 15
+integers: sidelobe visibility, the GEO link budget and synthesis with the
+ionosphere off, which no LEO run takes.
 
 No pinned run has a fix event at S < 1 or a wrong fix.  Each run's fix
 counts and post-fix RMS are pinned beside its digests and checked first, so
@@ -31,21 +36,22 @@ import json
 import tempfile
 from pathlib import Path
 
-from cdgps.scenario import leo_preset, run_scenario
+from cdgps.scenario import load_preset, run_scenario
 
 DATA = Path(__file__).parent / "data" / "report_pin.json"
 DURATION = 3600.0
 FILES = ("history.csv", "report.json")
 SUMMARY = ("n_fix_events", "n_fixed_integers", "n_wrong_fix_events",
            "rms_pos_post_fix")
-# (seed, phase multipath amplitude [m] or None for the preset's).
-RUNS = ((1, None), (107, None), (0, 0.10))
+# (preset, seed, phase multipath amplitude [m] or None for the preset's).
+RUNS = (("leo", 1, None), ("leo", 107, None), ("leo", 0, 0.10),
+        ("geo", 1, None))
 
 
-def digests(seed, multipath_amp_phase):
+def digests(preset, seed, multipath_amp_phase):
     """One pinned run's configuration, summary numbers and the sha256 of
     its report files."""
-    cfg = leo_preset()
+    cfg = load_preset(preset)
     cfg.seed = seed
     cfg.duration = DURATION
     if multipath_amp_phase is not None:
@@ -61,10 +67,12 @@ def digests(seed, multipath_amp_phase):
             "sha256": files}
 
 
-def test_leo_full_report_bytes_match_the_pin():
+def _check_runs_of(preset):
     pins = json.loads(DATA.read_text())
     assert len(pins) == len(RUNS)
     for want, run in zip(pins, RUNS):
+        if run[0] != preset:
+            continue
         got = digests(*run)
         for key in ("preset", "coupling", "seed", "duration",
                     "multipath_amp_phase"):
@@ -73,6 +81,14 @@ def test_leo_full_report_bytes_match_the_pin():
             assert got["summary"][key] == want["summary"][key], (run, key)
         for name in FILES:
             assert got["sha256"][name] == want["sha256"][name], (run, name)
+
+
+def test_leo_full_report_bytes_match_the_pin():
+    _check_runs_of("leo")
+
+
+def test_geo_full_report_bytes_match_the_pin():
+    _check_runs_of("geo")
 
 
 if __name__ == "__main__":

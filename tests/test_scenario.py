@@ -14,7 +14,7 @@ import pytest
 
 from cdgps import scenario
 from cdgps.cli import main as cli_main
-from cdgps.constants import MU_EARTH, R_EARTH
+from cdgps.constants import L1_WAVELENGTH, MU_EARTH, R_EARTH
 from cdgps.errors import TRACKING_THRESHOLD, LinkBudget, carrier_to_noise
 from cdgps.measurements import MeasurementEpoch
 from cdgps.navfilter import (
@@ -105,9 +105,7 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(cfg.to_json())
     again = ScenarioConfig.from_json(path)
     assert again == cfg
-    # infinite clock time constant survives the trip through strict JSON
-    assert math.isinf(again.tuning.tau_clock)
-    assert "Infinity" not in path.read_text()
+    assert again.to_json() == path.read_text()
 
 
 @pytest.mark.parametrize("mangle, match", [
@@ -142,7 +140,7 @@ def _set_setting(cfg, path, value):
 @pytest.mark.parametrize("path, value", [
     ("duration", math.inf),
     ("duration", math.nan),
-    ("truth_step", math.nan),
+    ("tuning.tau_accel", math.inf),
     ("separation", math.nan),
     ("iar_warmup", math.nan),
     ("external_enable_time", math.inf),
@@ -153,8 +151,8 @@ def _set_setting(cfg, path, value):
     ("noise.multipath_amp_phase", math.nan),
     ("sensors.range_noise", math.inf),
     ("tuning.meas_carrier", math.nan),
-    ("tuning.tau_clock", math.nan),
-    ("tuning.tau_clock", -math.inf),
+    ("tuning.gate_sigma", math.nan),
+    ("tuning.proc_amb", -math.inf),
     ("tuning.init_accel", (1e-6, math.nan, 1e-6)),
     ("impulse time", math.nan),
     ("impulse delta-v", math.inf),
@@ -220,7 +218,6 @@ def test_config_validation_rejects_wrong_types(path, value, match):
     ("tuning.proc_amb", -0.03),
     # Values that scale or divide: > 0.
     ("duration", -1500.0),
-    ("truth_step", 0.0),
     ("separation", 0.0),
     ("noise.multipath_size", 0.0),
     ("tuning.meas_code", 0.0),
@@ -228,10 +225,7 @@ def test_config_validation_rejects_wrong_types(path, value, match):
     ("tuning.meas_range", 0.0),
     ("tuning.meas_angle", 0.0),
     ("tuning.tau_accel", 0.0),
-    ("tuning.tau_clock", 0.0),
     ("tuning.gate_sigma", -5.0),
-    ("tuning.reference_step", 0.0),
-    ("tuning.wavelength", 0.0),
     ("tuning.init_amb", 0.0),
 ])
 def test_config_validation_rejects_negative_and_zero_scales(tmp_path, path,
@@ -258,12 +252,6 @@ def test_config_validation_accepts_numpy_numbers():
     cfg.validate()
     echoed = json.loads(cfg.to_json())
     assert echoed["seed"] == 3 and echoed["noise"]["thermal"] is False
-
-
-def test_infinite_clock_time_constant_is_valid():
-    cfg = _short_leo()
-    assert math.isinf(cfg.tuning.tau_clock)
-    cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +312,7 @@ def test_zero_noise_synthesis_matches_observable_models():
     truth = generate_truth(cfg)
     epochs, aux = synthesize_measurements(cfg, truth)
     const = default_constellation()
-    lam = cfg.tuning.wavelength
+    lam = L1_WAVELENGTH
     zd_chief = {}
     checked = 0
     for ep in epochs:
@@ -394,24 +382,6 @@ def test_synthesis_does_not_depend_on_the_block_size(monkeypatch, block):
     assert scenario.SYNTHESIS_BLOCK < 121
     monkeypatch.setattr(scenario, "SYNTHESIS_BLOCK", block)
     assert _bits(synthesize_measurements(cfg, truth)) == want
-
-
-def test_filter_wavelength_does_not_change_the_simulated_world():
-    # FilterTuning.wavelength tunes the filter; every synthesized carrier,
-    # GRAPHIC and thermal sigma stays at L1.
-    cfg = _short_leo(duration=600.0)
-    truth = generate_truth(cfg)
-    e1, a1 = synthesize_measurements(cfg, truth)
-    cfg.tuning.wavelength *= 1.001
-    e2, a2 = synthesize_measurements(cfg, truth)
-    assert len(e1) == len(e2)
-    for x, y in zip(e1, e2):
-        assert x.time == y.time and x.sdcp == y.sdcp
-        assert x.gps_ids == y.gps_ids and x.tracks == y.tracks
-        assert x.graphic == y.graphic
-        np.testing.assert_array_equal(x.extra_variance, y.extra_variance)
-        assert x.range_obs == y.range_obs and x.bearing_obs == y.bearing_obs
-    assert a1.true_sd == a2.true_sd
 
 
 def _assert_aligned_layout(ep):
@@ -637,9 +607,8 @@ def _with_sensor_epoch(state, epoch, true_sd):
     """Give ``epoch`` SDCP, range and bearing consistent with the filter's
     positions, the true integers and zero sensor biases."""
     chief, deputy = state.x[CHIEF_POS], state.x[DEPUTY_POS]
-    lam = FilterTuning.leo().wavelength
     epoch.sdcp = [(np.linalg.norm(gp - chief) - np.linalg.norm(gp - deputy))
-                  / lam + true_sd[g]
+                  / L1_WAVELENGTH + true_sd[g]
                   for g, gp in zip(epoch.gps_ids, epoch.gps_positions)]
     # Boresight from the deputy at the chief: the chief sits at zero azimuth
     # and elevation.
@@ -795,6 +764,20 @@ def test_impulse_feeds_through_without_divergence(leo_short_run):
     assert after
     # commanded maneuver is known to the filter: no post-burn blowup
     assert all(abs(r["err_t"]) < 5.0 for r in after)
+
+
+def test_a_burn_between_measurement_epochs_reaches_the_filter():
+    # 250 s is neither a GPS epoch (every 30 s) nor a sensor epoch (every
+    # 10 s from 300 s on), so the loop has only the burn to apply there.
+    # The filter gets the commanded along-track 5 cm/s at once: without it
+    # the velocity error would be of that size until GPS pulled it in.
+    cfg = _short_leo(duration=600.0, impulses=((250.0, (0.0, 0.05, 0.0)),))
+    report = run_scenario(cfg)
+    times = [r["time"] for r in report.records]
+    assert 240.0 in times and 250.0 not in times
+    after = [r for r in report.records if 250.0 < r["time"] <= 350.0]
+    assert after
+    assert max(abs(r["verr_t"]) for r in after) < 5e-3
 
 
 def test_zero_noise_run_fixes_cleanly():
