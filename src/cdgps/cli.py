@@ -16,7 +16,9 @@ multipath-map
     Plot-ready CSV of the direction-dependent multipath sigma map.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.  Validation
-and runtime errors print one machine-readable JSON line to stderr.  Output
+and runtime errors print one machine-readable JSON line to stderr.  A run
+that ends early (a ``run-aborted`` event) is a runtime failure: ``run`` and
+``sweep`` still write its report files, then exit 2.  Output
 files land only inside the output directory (``--output``, else
 ``$CDGPS_OUTPUT_DIR``, else ``./cdgps-output``); the analysis commands only
 print to stdout.
@@ -135,6 +137,20 @@ def _print_run_summary(report):
           f"post-fix {_g(s['rms_vel_post_fix'])}")
 
 
+def _abort_code(reports) -> int:
+    """0, or 2 when a run ended early with a ``run-aborted`` event; the
+    aborts are then named in one runtime-error JSON line on stderr."""
+    aborts = [f"seed {r.config.seed} aborted at {e['time']:g} s: "
+              f"{e['detail']}"
+              for r in reports for e in r.events
+              if e["kind"] == "run-aborted"]
+    if not aborts:
+        return 0
+    print(json.dumps({"error": "runtime", "detail": "; ".join(aborts)}),
+          file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     out = _output_dir(args)
@@ -142,7 +158,7 @@ def cmd_run(args) -> int:
     _print_run_summary(report)
     print(f"report files: {out / 'history.csv'}, {out / 'report.json'}, "
           f"{out / 'config.json'}")
-    return 0
+    return _abort_code([report])
 
 
 def cmd_sweep(args) -> int:
@@ -156,9 +172,11 @@ def cmd_sweep(args) -> int:
     out = _output_dir(args)
 
     per_seed = {}
+    reports = []
     print("seed  fixes  wrong  pre-fix[m]  post-fix[m]  first[s]")
     for cfg in configs:
         report = run_scenario(cfg, output_dir=out / f"seed-{cfg.seed}")
+        reports.append(report)
         s = report.summary
         per_seed[str(cfg.seed)] = s
         print(f"{cfg.seed:4d}  {s['n_fix_events']:5d}  "
@@ -189,7 +207,7 @@ def cmd_sweep(args) -> int:
           f"({_g(100.0 * aggregate['wrong_fix_event_rate'])}% of events), "
           f"mean post-fix rms {_g(aggregate['mean_rms_pos_post_fix'])} m")
     print(f"wrote {out / 'sweep.json'}")
-    return 0
+    return _abort_code(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -125,14 +125,6 @@ class FilterTuning:
 
     gate_sigma: float = 5.0
 
-    @classmethod
-    def leo(cls) -> "FilterTuning":
-        return cls()
-
-    @classmethod
-    def geo(cls) -> "FilterTuning":
-        return cls(meas_code=2.65, meas_carrier=20.0e-3)
-
 
 @dataclass
 class FilterState:

@@ -28,9 +28,11 @@ triple, and then walks the epochs one by one, where each substream draws
 in a fixed order, whatever the block size:
 
 ``clock-chief``, ``clock-deputy``
-    One increment per truth-grid step after the first, drawn up front.
+    One increment per truth-grid step after the first, drawn up front
+    unless ``clock_sigma`` is 0 (then none).
 ``ephemeris``
-    Five signs per satellite, in satellite order, drawn up front.
+    Five signs per satellite, in satellite order, always drawn up front
+    (an ``ephemeris_rms`` of 0 scales them to zero offsets).
 ``thermal``
     Per GPS epoch, code then carrier noise for every locked signal
     (visible and at or above the tracking threshold), satellite-major and
@@ -193,31 +195,22 @@ class NoiseConfig:
     Multipath amplitudes are the worst-case standard deviations of the
     near-field footprint [m]; each epoch draws an independent zero-mean
     Gaussian sample with the direction-dependent sigma.
+
+    An amplitude of 0 turns its source off: both multipath amplitudes for
+    multipath, ``clock_sigma`` for the clock walks, ``ephemeris_rms`` for
+    the broadcast-ephemeris error and ``windup_amplitude`` for wind-up.
+    Thermal noise and the ionosphere have no amplitude (their size follows
+    from C/N0 and the Klobuchar model), so each keeps an on/off switch.
     """
 
     thermal: bool = True
-    multipath: bool = True
     ionosphere: bool = True
-    clock_walk: bool = True
-    ephemeris: bool = True
-    windup: bool = True
     multipath_amp_code: float = 5.0       # m
     multipath_amp_phase: float = 0.05     # m
     multipath_size: float = 5.0           # footprint size factor
     clock_sigma: float = 1.0              # m / sqrt(s) receiver clock walk
     ephemeris_rms: float = 1.5            # m broadcast position RMS error
     windup_amplitude: float = 0.01        # cycles, slow common-mode term
-
-    @classmethod
-    def leo(cls) -> "NoiseConfig":
-        """Low-orbit mainlobe reception with strong nearby reflectors."""
-        return cls()
-
-    @classmethod
-    def geo_sidelobe(cls) -> "NoiseConfig":
-        """Weak sidelobe signals: milder multipath, no ionosphere."""
-        return cls(ionosphere=False, multipath_amp_code=1.0,
-                   multipath_amp_phase=0.01, multipath_size=1.0)
 
 
 @dataclass
@@ -239,7 +232,6 @@ class ScenarioConfig:
     iar_warmup: float = 1800.0            # s before the first fix attempt
     coupling_mode: str = "full"           # none | loose | full
     visibility_mode: str = "mainlobe"     # mainlobe | sidelobe
-    link_budget: str = "leo"              # leo | geo
     impulses: list = field(default_factory=list)
     seed: int = 1
     init_pos_error: float = 10.0          # m, 1-sigma per axis
@@ -308,8 +300,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown coupling mode {self.coupling_mode!r}")
         if self.visibility_mode not in ("mainlobe", "sidelobe"):
             raise ValueError(f"unknown visibility mode {self.visibility_mode!r}")
-        if self.link_budget not in ("leo", "geo"):
-            raise ValueError(f"unknown link budget {self.link_budget!r}")
         for t, dv in self.impulses:
             if not 0.0 < t <= self.duration:
                 raise ValueError("impulse times must lie inside the run")
@@ -369,9 +359,6 @@ def leo_preset() -> ScenarioConfig:
         impulses=[(600.0, (0.0, 0.02, 0.0))],
         coupling_mode="full",
         visibility_mode="mainlobe",
-        link_budget="leo",
-        noise=NoiseConfig.leo(),
-        tuning=FilterTuning.leo(),
     )
 
 
@@ -387,9 +374,11 @@ def geo_preset() -> ScenarioConfig:
         impulses=[(600.0, (0.0, 0.004, 0.0))],
         coupling_mode="full",
         visibility_mode="sidelobe",
-        link_budget="geo",
-        noise=NoiseConfig.geo_sidelobe(),
-        tuning=FilterTuning.geo(),
+        # Weak sidelobe signals: milder multipath, no ionosphere, and
+        # noisier code and carrier rows.
+        noise=NoiseConfig(ionosphere=False, multipath_amp_code=1.0,
+                          multipath_amp_phase=0.01, multipath_size=1.0),
+        tuning=FilterTuning(meas_code=2.65, meas_carrier=20.0e-3),
     )
 
 
@@ -533,7 +522,6 @@ def _gps_geometry(const, times, pos, vel, att, config, budget0, roes):
     positions.  A generator: each block of ``SYNTHESIS_BLOCK`` epochs is
     computed in one array pass when the first of its epochs is asked for.
     """
-    noise = config.noise
     sats = np.arange(len(const))
     for lo in range(0, len(times), SYNTHESIS_BLOCK):
         blk = slice(lo, lo + SYNTHESIS_BLOCK)
@@ -552,14 +540,12 @@ def _gps_geometry(const, times, pos, vel, att, config, budget0, roes):
         # Rows locked by both receivers: epoch-major, ascending satellite.
         rows_e, rows_s = np.nonzero(locked.all(axis=-1))
         iono = np.zeros((rows_e.size, 2))
-        if noise.ionosphere and rows_e.size:
+        if config.noise.ionosphere and rows_e.size:
             iono = klobuchar_delay(p[rows_e], to_gps[rows_e, rows_s],
                                    (t % 86400.0)[rows_e, None])
-        broadcast = gps.position[rows_e, rows_s]
-        if noise.ephemeris and rows_e.size:
-            broadcast = inject_roe_error(
-                broadcast, gps.velocity[rows_e, rows_s],
-                dataclasses.replace(roes, offsets=roes.offsets[rows_s]))
+        broadcast = inject_roe_error(
+            gps.position[rows_e, rows_s], gps.velocity[rows_e, rows_s],
+            dataclasses.replace(roes, offsets=roes.offsets[rows_s]))
         cuts = np.cumsum(np.bincount(rows_e, minlength=len(t)))[:-1]
         yield from zip(ranges, az, el, c_n0, locked,
                        np.split(rows_s, cuts), np.split(iono, cuts),
@@ -588,7 +574,10 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     config.validate()
     const = default_constellation()
     noise = config.noise
-    budget0 = (LinkBudget.leo_mainlobe() if config.link_budget == "leo"
+    # The true ranges replace the budget's slant range, so all a run takes
+    # from the budget is its lobe's transmit antenna gain.
+    budget0 = (LinkBudget.leo_mainlobe()
+               if config.visibility_mode == "mainlobe"
                else LinkBudget.geo_sidelobe())
     sensors = config.sensors
     biases = (sensors.range_bias, sensors.azimuth_bias, sensors.elevation_bias)
@@ -605,20 +594,17 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
     n_t = len(truth.times)
     clk_c = np.zeros(n_t)
     clk_d = np.zeros(n_t)
-    if noise.clock_walk:
-        steps = np.full(n_t - 1, TRUTH_STEP)
-        clk_c[1:] = clock_random_walk(0.0, steps, rng_clk_c, noise.clock_sigma)
-        clk_d[1:] = clock_random_walk(0.0, steps, rng_clk_d, noise.clock_sigma)
+    steps = np.full(n_t - 1, TRUTH_STEP)
+    clk_c[1:] = clock_random_walk(0.0, steps, rng_clk_c, noise.clock_sigma)
+    clk_d[1:] = clock_random_walk(0.0, steps, rng_clk_d, noise.clock_sigma)
 
     # Broadcast-ephemeris corruption: drift-free ROE offsets per satellite
     # with randomized signs, calibrated to the configured RMS.
     sats = np.arange(len(const))
-    roes = None
-    if noise.ephemeris:
-        a_gps = np.linalg.norm(const.state_at(sats, 0.0).position, axis=1)
-        roes = calibrate_roe(noise.ephemeris_rms, a_gps)
-        for off in roes.offsets:
-            off[1:] *= rng_eph.choice([-1.0, 1.0], size=5)
+    a_gps = np.linalg.norm(const.state_at(sats, 0.0).position, axis=1)
+    roes = calibrate_roe(noise.ephemeris_rms, a_gps)
+    for off in roes.offsets:
+        off[1:] *= rng_eph.choice([-1.0, 1.0], size=5)
 
     windup_phase = 2.0 * math.pi * sats / len(const)
 
@@ -677,15 +663,14 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
                     thermal_noise_sigmas(c_n0[sig])))
                 noise_code[sig] = draw[:, 0]
                 noise_phase[sig] = draw[:, 1]
-            if noise.multipath:
-                mp[sig] = np.column_stack([
-                    multipath_sigma(mp_params, az[sig], el[sig], kind)
-                    for kind in ("code", "phase")])
-                drawn = mp[sig] > 0.0
-                draw = np.zeros(drawn.shape)
-                draw[drawn] = rng_mp.normal(scale=mp[sig][drawn])
-                noise_code[sig] += draw[:, 0]
-                noise_phase[sig] += draw[:, 1]
+            mp[sig] = np.column_stack([
+                multipath_sigma(mp_params, az[sig], el[sig], kind)
+                for kind in ("code", "phase")])
+            drawn = mp[sig] > 0.0
+            draw = np.zeros(drawn.shape)
+            draw[drawn] = rng_mp.normal(scale=mp[sig][drawn])
+            noise_code[sig] += draw[:, 0]
+            noise_phase[sig] += draw[:, 1]
 
             # Track bookkeeping: gaps end a track, re-acquisition redraws N
             # (receiver-major, then ascending satellite).
@@ -700,11 +685,9 @@ def synthesize_measurements(config: ScenarioConfig, truth: Truth):
 
             gids = common.tolist()
             rho = ranges[common]
-            windup_m = 0.0
-            if noise.windup:
-                windup_m = (L1_WAVELENGTH * noise.windup_amplitude
-                            * np.sin(2.0 * math.pi * float(t) / 3600.0
-                                     + windup_phase[common]))[:, None]
+            windup_m = (L1_WAVELENGTH * noise.windup_amplitude
+                        * np.sin(2.0 * math.pi * float(t) / 3600.0
+                                 + windup_phase[common]))[:, None]
             clock = np.array([clk_c[i], clk_d[i]])
             code = rho + iono + clock + noise_code[common]
             phase = undifferenced_phase(

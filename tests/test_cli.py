@@ -229,12 +229,19 @@ def test_run_accepts_config_file(capsys, tmp_path):
     ("tuning", "tau_clock", None),
     ("tuning", "reference_step", 30.0),
     ("tuning", "wavelength", 0.19029367279836487),
+    ("noise", "multipath", False),
+    ("noise", "clock_walk", False),
+    ("noise", "ephemeris", False),
+    ("noise", "windup", False),
+    (None, "link_budget", "geo"),
 ])
 def test_run_rejects_a_config_key_that_is_no_setting(capsys, tmp_path, owner,
                                                      key, value):
-    # The time grid, the clock model and the carrier are constants; a
-    # config file that still sets one is refused, naming the key, and not
-    # run with the key ignored.
+    # The time grid, the clock model and the carrier are constants, a zero
+    # amplitude is the one "off" of its noise source, and the visibility
+    # mode picks the link budget; a config file that still sets one of the
+    # removed keys is refused, naming the key, and not run with the key
+    # ignored.
     from cdgps.scenario import leo_preset
     cfg = json.loads(leo_preset().to_json())
     (cfg[owner] if owner else cfg)[key] = value
@@ -249,10 +256,7 @@ def test_run_rejects_a_config_key_that_is_no_setting(capsys, tmp_path, owner,
     assert not (tmp_path / "out").exists()
 
 
-def test_an_aborted_run_is_flagged_degraded(capsys, tmp_path, monkeypatch):
-    # A time update that raises ends the run after the 21 GPS epochs up to
-    # 600 s.  No epoch was skipped, but the run did not finish: it is
-    # flagged degraded, in the report and in the printed summary.
+def _fail_time_updates_after_600_s(monkeypatch):
     from cdgps import scenario
     from cdgps.orbits import PropagationError
     time_update = scenario.time_update
@@ -263,15 +267,47 @@ def test_an_aborted_run_is_flagged_degraded(capsys, tmp_path, monkeypatch):
         return time_update(state, tuning, dt)
 
     monkeypatch.setattr(scenario, "time_update", fails_after_600_s)
-    code, out, _ = _run(capsys, "run", "--preset", "leo", "--duration",
-                        "3600", "--output", str(tmp_path))
-    assert code == 0
+
+
+def test_an_aborted_run_is_flagged_degraded(capsys, tmp_path, monkeypatch):
+    # A time update that raises ends the run after the 21 GPS epochs up to
+    # 600 s.  No epoch was skipped, but the run did not finish: it is
+    # flagged degraded, in the report and in the printed summary, and the
+    # command exits 2, a runtime failure, naming the abort on stderr.
+    _fail_time_updates_after_600_s(monkeypatch)
+    code, out, err = _run(capsys, "run", "--preset", "leo", "--duration",
+                          "3600", "--output", str(tmp_path))
+    assert code == 2
     assert "DEGRADED" in out
+    error = json.loads(err)
+    assert error["error"] == "runtime"
+    assert "aborted at 630 s: planted failure" in error["detail"]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["degraded"] is True
     assert report["summary"]["n_epochs"] == 21
     assert report["summary"]["n_skipped"] == 0
     assert [e["kind"] for e in report["events"]].count("run-aborted") == 1
+
+
+def test_a_sweep_with_an_aborted_run_exits_two(capsys, tmp_path,
+                                               monkeypatch):
+    # Every seed still runs and sweep.json is written, but a sweep in which
+    # a run aborted is a runtime failure.
+    _fail_time_updates_after_600_s(monkeypatch)
+    code, out, err = _run(capsys, "sweep", "--preset", "leo", "--duration",
+                          "900", "--seeds", "1", "2",
+                          "--output", str(tmp_path))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "runtime"
+    assert "seed 1 aborted" in error["detail"]
+    assert "seed 2 aborted" in error["detail"]
+    payload = json.loads((tmp_path / "sweep.json").read_text())
+    assert sorted(payload["per_seed"]) == ["1", "2"]
+    for seed in (1, 2):
+        report = json.loads(
+            (tmp_path / f"seed-{seed}" / "report.json").read_text())
+        assert report["degraded"] is True
 
 
 @pytest.mark.parametrize("key, literal", [("duration", "Infinity"),

@@ -48,9 +48,12 @@ from cdgps.scenario import (
 
 
 def _noise_off():
-    """Every stochastic corruption off (noise-free synthesis)."""
-    return NoiseConfig(thermal=False, multipath=False, ionosphere=False,
-                       clock_walk=False, ephemeris=False, windup=False)
+    """Every stochastic corruption off (noise-free synthesis): the two
+    switches off and every amplitude 0."""
+    return NoiseConfig(thermal=False, ionosphere=False,
+                       multipath_amp_code=0.0, multipath_amp_phase=0.0,
+                       clock_sigma=0.0, ephemeris_rms=0.0,
+                       windup_amplitude=0.0)
 
 
 def _leo_elements():
@@ -69,8 +72,8 @@ def _short_leo(duration=1500.0, noise=None, seed=3,
         iar_warmup=600.0,
         impulses=[(t, tuple(dv)) for t, dv in impulses],
         seed=seed,
-        noise=NoiseConfig.leo() if noise is None else noise,
-        tuning=FilterTuning.leo(),
+        noise=NoiseConfig() if noise is None else noise,
+        tuning=FilterTuning(),
         **kw)
 
 
@@ -91,7 +94,7 @@ def test_presets_validate_and_resolve():
     geo = geo_preset()
     leo.validate()
     geo.validate()
-    assert leo.link_budget == "leo" and geo.link_budget == "geo"
+    assert leo.visibility_mode == "mainlobe"
     assert geo.visibility_mode == "sidelobe"
     assert load_preset("leo").to_json() == leo.to_json()
     assert load_preset("geo").to_json() == geo.to_json()
@@ -177,11 +180,7 @@ def test_config_validation_rejects_non_finite(path, value):
     ("seed", 1.5, "seed must be an integer"),
     ("seed", 1.0, "seed must be an integer"),
     ("noise.thermal", "no", "noise.thermal must be a bool"),
-    ("noise.multipath", 0, "noise.multipath must be a bool"),
     ("noise.ionosphere", 1, "noise.ionosphere must be a bool"),
-    ("noise.clock_walk", None, "noise.clock_walk must be a bool"),
-    ("noise.ephemeris", 1.0, "noise.ephemeris must be a bool"),
-    ("noise.windup", "", "noise.windup must be a bool"),
 ])
 def test_config_validation_rejects_wrong_types(path, value, match):
     cfg = _short_leo()
@@ -409,13 +408,39 @@ def test_noise_inflation_reflects_multipath_map():
         # Chief GRAPHIC, deputy GRAPHIC and SDCP rows all carry multipath.
         assert np.all(ep.extra_variance > 0.0)
 
-    cfg.noise = _noise_off()
+    # Both multipath amplitudes at 0 turn multipath off, whatever else
+    # stays on.
+    cfg.noise = NoiseConfig(multipath_amp_code=0.0, multipath_amp_phase=0.0)
     quiet, _ = synthesize_measurements(cfg, truth)
     quiet_gps = [e for e in quiet if e.sdcp]
     assert quiet_gps
     for ep in quiet_gps:
         _assert_aligned_layout(ep)
         assert not np.any(ep.extra_variance)
+
+
+def test_zero_amplitudes_turn_ephemeris_and_clock_errors_off():
+    # An ephemeris_rms of 0 broadcasts the true GPS positions, bit for bit,
+    # and a clock_sigma of 0 keeps both receiver clocks at 0, while the
+    # other sources stay on; the preset amplitudes corrupt both.
+    cfg = _short_leo(duration=300.0, impulses=[])
+    truth = generate_truth(cfg)
+    const = default_constellation()
+
+    def broadcast_is_true(epochs):
+        return [np.array_equal(ep.gps_positions,
+                               const.state_at(ep.gps_ids, ep.time).position)
+                for ep in epochs if ep.sdcp]
+
+    epochs, aux = synthesize_measurements(cfg, truth)
+    assert not any(broadcast_is_true(epochs))
+    assert np.all(aux.clock_chief[1:]) and np.all(aux.clock_deputy[1:])
+
+    cfg.noise = NoiseConfig(ephemeris_rms=0.0, clock_sigma=0.0)
+    epochs, aux = synthesize_measurements(cfg, truth)
+    checked = broadcast_is_true(epochs)
+    assert checked and all(checked)
+    assert not np.any(aux.clock_chief) and not np.any(aux.clock_deputy)
 
 
 def test_geo_sidelobe_geometry_and_link():
@@ -453,7 +478,7 @@ def _fix_ready_state(ages, variances=None):
     integers with tight independent variances, by default lowest for the
     lowest GPS id; ``ages`` maps GPS id -> epochs on its track, and
     ``variances`` GPS id -> variance [cycles^2]."""
-    tuning = FilterTuning.leo()
+    tuning = FilterTuning()
     r = R_EARTH + 400e3
     chief = OrbitState(np.array([r, 0.0, 0.0]), np.array([0.0, 7670.0, 0.0]))
     deputy = OrbitState(chief.position + [0.0, 100.0, 0.0], chief.velocity)
